@@ -19,9 +19,10 @@
 //! baseline: a coarse CI tripwire for "telemetry (or anything else)
 //! made the default-disabled hot path slow", deliberately loose enough
 //! to survive shared-runner noise. Every guarded run also *appends* a
-//! dated entry to each measured case's `history` (regressions included,
-//! so the trajectory is honest; the max-baseline rule means a recorded
-//! regression never ratchets the gate down).
+//! dated entry, with the host core count, to each measured case's
+//! `history` (regressions included, so the trajectory is honest; the
+//! max-baseline rule means a recorded regression never ratchets the gate
+//! down).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -159,6 +160,7 @@ fn main() {
     let mut report = guard.then(load_report);
     let mut violations: Vec<String> = Vec::new();
     let date = history::today();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     for case in cases() {
         let full = format!("decide_throughput/{}", case.label);
@@ -234,6 +236,7 @@ fn main() {
             }
             let entry = history::obj(vec![
                 ("date", sps_trace::Json::Str(date.clone())),
+                ("host_cores", sps_trace::Json::Int(host_cores as i64)),
                 ("events_per_sec", sps_trace::Json::Num(events_per_sec)),
                 ("wall_ms", sps_trace::Json::Num(wall * 1e3)),
                 (

@@ -801,7 +801,11 @@ mod tests {
         assert_eq!(failed, 0);
         let samples: u64 = shards.iter().map(|s| s.queue_depth_samples).sum();
         assert_eq!(samples, 6, "one depth sample per popped cell");
-        assert!(shards.iter().all(|s| s.busy_ns > 0));
+        // Work stealing does not promise every worker a cell: busy time
+        // is recorded exactly on the shards that ran one.
+        assert!(shards
+            .iter()
+            .all(|s| (s.busy_ns > 0) == (s.cells_done + s.cells_failed > 0)));
         let spans = board.take_spans();
         assert_eq!(spans.len(), 6, "one worker span per executed cell");
         let mut indices: Vec<usize> = spans.iter().map(|s| s.index).collect();

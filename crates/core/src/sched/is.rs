@@ -162,7 +162,7 @@ impl Policy for ImmediateService {
                     .fill_running(state, |id| state.inst_xfactor(id));
                 if ctx.metrics.enabled() {
                     ctx.metrics.emit(&Obs::VictimScan {
-                        scanned: scratch.table.entries.len() as u32,
+                        scanned: scratch.table.entries().len() as u32,
                     });
                 }
             }
@@ -170,7 +170,7 @@ impl Policy for ImmediateService {
             scratch.victims.extend(
                 scratch
                     .table
-                    .entries
+                    .entries()
                     .iter()
                     .enumerate()
                     .filter(|(_, v)| {
@@ -185,7 +185,7 @@ impl Policy for ImmediateService {
                 if gain >= need {
                     break;
                 }
-                gain += scratch.table.entries[idx].procs;
+                gain += scratch.table.entries()[idx].procs;
                 scratch.chosen.push(idx);
             }
             if gain < need {

@@ -17,7 +17,8 @@
 //! * [`VictimTable`] — a reusable POD mirror of the running jobs for
 //!   victim scans (processor sets are fetched from simulator state on
 //!   demand — the entries carry no borrows, so the table persists across
-//!   decides inside the arena),
+//!   decides inside the arena), with a lazily built cumulative cover of
+//!   its sorted order that lets SS/TSS reject hopeless scans in O(words),
 //! * [`alloc_avoiding_in`] — claim-aware placement for fresh dispatches,
 //! * [`ReservationLadder`] — the anchor-search/backfill view of the
 //!   availability profile shared by the reservation-based baselines,
@@ -85,22 +86,51 @@ pub(crate) struct Victim {
 /// The running-job mirror used for victim scans. Entries start in
 /// dispatch order (the simulator's running-queue order); policies that
 /// scan cheapest-victim-first call [`VictimTable::sort_ascending`].
+///
+/// Over its current order the table also keeps a lazily extended
+/// *cumulative cover*: [`cover`](Self::cover)`(k)` is the union of the
+/// processor sets of the first `k` entries. Prefixes are built only as
+/// far as a query reaches and are discarded whenever the order changes
+/// (fill, sort, removal), as is the
+/// [`qualifying_prefix`](Self::qualifying_prefix) cursor.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VictimTable {
-    pub entries: Vec<Victim>,
+    entries: Vec<Victim>,
+    /// `cover[k]` is valid for `k < covered`; buffers past it are kept
+    /// only for reuse.
+    cover: Vec<ProcSet>,
+    covered: usize,
+    /// Upper bound on the qualifying prefix, shrunk by successive queries.
+    cursor: usize,
 }
 
 impl VictimTable {
+    /// The mirrored running jobs, in the table's current order.
+    pub fn entries(&self) -> &[Victim] {
+        &self.entries
+    }
+
+    /// Drop every entry (the buffers are kept for reuse).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.reorder();
+    }
+
     /// Mirror every running job into the reused entry buffer, with `prio`
     /// as its suspension priority.
     pub fn fill_running(&mut self, state: &SimState, prio: impl Fn(JobId) -> f64) {
+        self.fill(state.running().iter().map(|&id| Victim {
+            id,
+            prio: prio(id),
+            procs: state.width(id),
+        }));
+    }
+
+    /// Replace the entries with `victims`, in order.
+    fn fill(&mut self, victims: impl IntoIterator<Item = Victim>) {
         self.entries.clear();
-        self.entries
-            .extend(state.running().iter().map(|&id| Victim {
-                id,
-                prio: prio(id),
-                procs: state.width(id),
-            }));
+        self.entries.extend(victims);
+        self.reorder();
     }
 
     /// Order by ascending priority (ids break ties deterministically):
@@ -109,6 +139,7 @@ impl VictimTable {
     pub fn sort_ascending(&mut self) {
         self.entries
             .sort_by(|a, b| a.prio.total_cmp(&b.prio).then(a.id.cmp(&b.id)));
+        self.reorder();
     }
 
     /// Remove the entries at `indices` (any order), feeding each removed
@@ -121,6 +152,60 @@ impl VictimTable {
         for idx in indices.drain(..) {
             f(self.entries.swap_remove(idx));
         }
+        self.reorder();
+    }
+
+    /// The entry order changed: every cover prefix is stale and the
+    /// qualifying prefix may again reach the whole table.
+    fn reorder(&mut self) {
+        self.covered = 0;
+        self.cursor = self.entries.len();
+    }
+
+    /// The number of leading entries that `qualifies`, for a predicate
+    /// that holds on a prefix of the current order (on a table sorted by
+    /// [`sort_ascending`](Self::sort_ascending), any predicate monotone
+    /// in priority). Successive calls between reorders must pass
+    /// predicates whose prefixes never grow — e.g. `SF × prio ≤ x` for
+    /// non-increasing `x` — so a cursor walks each entry out at most once
+    /// per order.
+    pub fn qualifying_prefix(&mut self, qualifies: impl Fn(&Victim) -> bool) -> usize {
+        while self.cursor > 0 && !qualifies(&self.entries[self.cursor - 1]) {
+            self.cursor -= 1;
+        }
+        self.cursor
+    }
+
+    /// The union of the processor sets of the first `k` entries, over a
+    /// `total`-processor machine; `set_of` fetches a running job's set.
+    /// The cover is extended from the longest prefix built since the
+    /// last reorder, so each entry is unioned in at most once per order.
+    pub fn cover<'s>(
+        &mut self,
+        k: usize,
+        total: u32,
+        set_of: impl Fn(JobId) -> &'s ProcSet,
+    ) -> &ProcSet {
+        debug_assert!(k <= self.entries.len());
+        if self.covered == 0 {
+            match self.cover.first_mut() {
+                Some(empty) if empty.universe() == total => empty.clear(),
+                Some(empty) => *empty = ProcSet::empty(total),
+                None => self.cover.push(ProcSet::empty(total)),
+            }
+            self.covered = 1;
+        }
+        while self.covered <= k {
+            let j = self.covered;
+            if self.cover.len() == j {
+                self.cover.push(ProcSet::empty(total));
+            }
+            let (built, rest) = self.cover.split_at_mut(j);
+            rest[0].copy_from(&built[j - 1]);
+            rest[0].union_with(set_of(self.entries[j - 1].id));
+            self.covered += 1;
+        }
+        &self.cover[k]
     }
 }
 
@@ -215,7 +300,7 @@ impl DecideArena {
         self.indices.clear();
         self.chosen.clear();
         self.idle.clear();
-        self.table.entries.clear();
+        self.table.clear();
     }
 }
 
@@ -336,5 +421,159 @@ impl ReservationLadder {
             .find_anchor(job.procs, job.estimate, self.now)?;
         let extra = self.profile.avail_at(shadow).saturating_sub(job.procs);
         Some((shadow, extra))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Disjoint sets on a 430-processor (7-word) machine, as running jobs
+    /// hold them, straddling word boundaries; job `i` holds `sets[i]`.
+    fn running_sets() -> Vec<ProcSet> {
+        let spans: [(u32, u32); 8] = [
+            (0, 3),
+            (60, 70),
+            (3, 10),
+            (128, 200),
+            (400, 430),
+            (70, 71),
+            (200, 260),
+            (300, 301),
+        ];
+        spans
+            .iter()
+            .map(|&(lo, hi)| ProcSet::from_indices(430, lo..hi))
+            .collect()
+    }
+
+    /// Dispatch-order victims with priorities out of order and one tie.
+    fn victims(sets: &[ProcSet]) -> Vec<Victim> {
+        let prios = [3.0, 1.5, 7.25, 1.0, 2.0, 1.5, 9.0, 1.01];
+        (0..sets.len())
+            .map(|i| Victim {
+                id: JobId(i as u32),
+                prio: prios[i],
+                procs: sets[i].count(),
+            })
+            .collect()
+    }
+
+    /// The explicit union of the first `k` entries' sets.
+    fn union_of_first(table: &VictimTable, sets: &[ProcSet], k: usize) -> ProcSet {
+        let mut u = ProcSet::empty(430);
+        for v in &table.entries()[..k] {
+            u.union_with(&sets[v.id.0 as usize]);
+        }
+        u
+    }
+
+    fn assert_cover_matches(table: &mut VictimTable, sets: &[ProcSet], ks: &[usize], label: &str) {
+        for &k in ks {
+            let want = union_of_first(table, sets, k);
+            let got = table.cover(k, 430, |id| &sets[id.0 as usize]).clone();
+            assert_eq!(got, want, "{label}: cover[{k}]");
+        }
+    }
+
+    #[test]
+    fn cover_is_the_union_of_each_prefix() {
+        let sets = running_sets();
+        let mut table = VictimTable::default();
+        table.fill(victims(&sets));
+        table.sort_ascending();
+        let prios: Vec<f64> = table.entries().iter().map(|v| v.prio).collect();
+        assert!(prios.windows(2).all(|p| p[0] <= p[1]));
+        let n = table.entries().len();
+        let all: Vec<usize> = (0..=n).collect();
+        assert_cover_matches(&mut table, &sets, &all, "fill+sort, ascending k");
+        // A second pass reads the built prefixes back in any order.
+        let shuffled = [5, 0, 8, 2, 7, 1, 3, 6, 4];
+        assert_cover_matches(&mut table, &sets, &shuffled, "fill+sort, reread");
+    }
+
+    #[test]
+    fn cover_extends_only_as_far_as_queried() {
+        let sets = running_sets();
+        let mut table = VictimTable::default();
+        table.fill(victims(&sets));
+        table.sort_ascending();
+        assert_eq!(table.covered, 0, "sorting builds nothing");
+        assert_cover_matches(&mut table, &sets, &[2], "first query");
+        assert_eq!(table.covered, 3, "cover[0..=2] built");
+        assert_cover_matches(&mut table, &sets, &[1, 0, 2], "inside the built prefix");
+        assert_eq!(table.covered, 3, "shorter queries extend nothing");
+        assert_cover_matches(&mut table, &sets, &[5], "extension");
+        assert_eq!(table.covered, 6);
+        assert_cover_matches(&mut table, &sets, &[8, 3], "to the end");
+        assert_eq!(table.covered, 9);
+    }
+
+    #[test]
+    fn cover_is_rebuilt_after_removal_and_resort() {
+        let sets = running_sets();
+        let mut table = VictimTable::default();
+        table.fill(victims(&sets));
+        table.sort_ascending();
+        assert_cover_matches(&mut table, &sets, &[8], "before removal");
+        let mut removed = Vec::new();
+        table.remove_all(&mut vec![0, 6, 3], |v| removed.push(v.id));
+        assert_eq!(removed.len(), 3);
+        assert_eq!(table.covered, 0, "removal discards the cover");
+        let n = table.entries().len();
+        let all: Vec<usize> = (0..=n).collect();
+        assert_cover_matches(&mut table, &sets, &all, "after swap_remove");
+        table.sort_ascending();
+        assert_eq!(table.covered, 0, "re-sort discards the cover");
+        assert!(table.entries().iter().all(|v| !removed.contains(&v.id)));
+        let down: Vec<usize> = (0..=n).rev().collect();
+        assert_cover_matches(&mut table, &sets, &down, "after re-sort");
+    }
+
+    #[test]
+    fn cover_adopts_a_new_machine_size() {
+        let sets = running_sets();
+        let mut table = VictimTable::default();
+        table.fill(victims(&sets));
+        table.sort_ascending();
+        assert_cover_matches(&mut table, &sets, &[8], "430 procs");
+        let small = vec![
+            ProcSet::from_indices(64, [0, 1]),
+            ProcSet::from_indices(64, [63]),
+        ];
+        table.fill(victims(&small).into_iter().take(2));
+        table.sort_ascending();
+        assert_eq!(
+            table.cover(0, 64, |id| &small[id.0 as usize]).universe(),
+            64
+        );
+        let both = table.cover(2, 64, |id| &small[id.0 as usize]);
+        assert_eq!(both, &ProcSet::from_indices(64, [0, 1, 63]));
+    }
+
+    #[test]
+    fn qualifying_prefix_shrinks_until_reorder() {
+        let sets = running_sets();
+        let mut table = VictimTable::default();
+        table.fill(victims(&sets));
+        table.sort_ascending();
+        let sf = 2.0;
+        let count = |table: &VictimTable, x: f64| {
+            table.entries().iter().filter(|v| x >= sf * v.prio).count()
+        };
+        // Descending suspender priorities, as the idle list is walked.
+        for x in [100.0, 15.0, 14.5, 6.0, 4.0, 3.0, 2.02, 2.0, 1.0] {
+            let k = table.qualifying_prefix(|v| x >= sf * v.prio);
+            assert_eq!(k, count(&table, x), "x = {x}");
+        }
+        assert_eq!(
+            table.qualifying_prefix(|_| true),
+            0,
+            "the cursor only shrinks"
+        );
+        table.sort_ascending();
+        assert_eq!(table.qualifying_prefix(|_| true), table.entries().len());
+        table.remove_all(&mut vec![0], |_| {});
+        assert_eq!(table.qualifying_prefix(|_| true), table.entries().len());
     }
 }

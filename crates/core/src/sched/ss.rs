@@ -193,7 +193,8 @@ impl Policy for SelectiveSuspension {
         arena.reset(state.total_procs());
 
         // Idle jobs (queued + suspended) in descending priority; ids break
-        // ties deterministically.
+        // ties deterministically. The `(xfactor, id)` keys are unique, so
+        // an unstable sort yields the one order a stable sort would.
         arena.idle.extend(
             state
                 .queued()
@@ -203,7 +204,7 @@ impl Policy for SelectiveSuspension {
         );
         arena
             .idle
-            .sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
         // Plan against free processors *plus* those whose suspension
         // drain is already in flight (see [`planner::working_free_set_into`]).
@@ -230,6 +231,22 @@ impl Policy for SelectiveSuspension {
         // state on demand (the mirror entries are plain data).
         let vset = |vid: JobId| state.assigned_set(vid).expect("running job has a set");
 
+        // Prefix-cover prunes. The table is sorted by ascending priority
+        // and qualification (`x(idle) ≥ SF × x(victim)`) is monotone in
+        // it, so the victims that qualify for an idle job are exactly the
+        // table's first `k` entries; `k` only shrinks down the descending
+        // idle list, which the table's cursor exploits. Against
+        // `cover[k]` — the union of those entries' sets — a victim scan
+        // that must fail is rejected in O(set words), and one that may
+        // succeed falls through to the scan unchanged, so actions and
+        // trace records are exactly the reference scan's. The reference
+        // scan runs without prunes; so does a traced TSS fresh-job scan,
+        // whose failures still emit `BlockedByDisableLimit` records.
+        let sf = self.cfg.sf;
+        let total = state.total_procs();
+        let prune_reentry = !ctx.reference;
+        let prune_fresh = prune_reentry && !(ctx.trace.enabled() && self.cfg.limits.is_some());
+
         // The running mirror is only consulted on ticks (the paper's
         // once-a-minute preemption routine); between ticks only free
         // processors are handed out. Built lazily, sorted by ascending
@@ -246,7 +263,7 @@ impl Policy for SelectiveSuspension {
                     arena.table.sort_ascending();
                     if ctx.metrics.enabled() {
                         ctx.metrics.emit(&Obs::VictimScan {
-                            scanned: arena.table.entries.len() as u32,
+                            scanned: arena.table.entries().len() as u32,
                         });
                     }
                 }
@@ -290,9 +307,21 @@ impl Policy for SelectiveSuspension {
                 // needed set must qualify as a victim (no width
                 // restriction for re-entry).
                 ensure_table!();
+                if prune_reentry {
+                    // A qualifying victim holding a `missing` processor
+                    // overlaps `needed`, so the scan's `covered` holds
+                    // exactly the processors of `missing` that `cover[k]`
+                    // does: it succeeds iff `missing ⊆ cover[k]`.
+                    let k = arena.table.qualifying_prefix(|r| prio_i >= sf * r.prio);
+                    let cover = arena.table.cover(k, total, vset);
+                    if !arena.missing.is_subset(cover) {
+                        arena.blocked.union_with(needed);
+                        continue;
+                    }
+                }
                 arena.indices.clear();
                 arena.covered.clear();
-                for (idx, r) in arena.table.entries.iter().enumerate() {
+                for (idx, r) in arena.table.entries().iter().enumerate() {
                     let rset = vset(r.id);
                     if !rset.overlaps(needed) {
                         continue;
@@ -301,7 +330,7 @@ impl Policy for SelectiveSuspension {
                     // job is the one whose variance the limit exists to
                     // bound, and a protected squatter on its processors
                     // would otherwise pin it out indefinitely.
-                    if prio_i >= self.cfg.sf * r.prio {
+                    if prio_i >= sf * r.prio {
                         arena.indices.push(idx);
                         arena.covered.union_with(rset);
                     }
@@ -383,13 +412,32 @@ impl Policy for SelectiveSuspension {
                 // enough unblocked processors exist, then suspend the
                 // widest first.
                 ensure_table!();
+                if prune_fresh {
+                    // The scan gains `|set ∖ blocked|` from some of the
+                    // `k` qualifying victims. Running jobs hold disjoint
+                    // sets, so all `k` together gain `|cover[k] ∖
+                    // blocked|`; short of `need` even then, it must fail.
+                    let k = arena.table.qualifying_prefix(|r| prio_i >= sf * r.prio);
+                    debug_assert_eq!(
+                        arena.table.cover(k, total, vset).count(),
+                        arena.table.entries()[..k]
+                            .iter()
+                            .map(|r| r.procs)
+                            .sum::<u32>(),
+                        "running jobs hold disjoint sets"
+                    );
+                    let cover = arena.table.cover(k, total, vset);
+                    if allowed + cover.count_excluding(&arena.blocked) < need {
+                        continue;
+                    }
+                }
                 arena.indices.clear();
                 let mut gain = allowed;
-                for (idx, r) in arena.table.entries.iter().enumerate() {
+                for (idx, r) in arena.table.entries().iter().enumerate() {
                     if gain >= need {
                         break;
                     }
-                    if prio_i < self.cfg.sf * r.prio {
+                    if prio_i < sf * r.prio {
                         // running is sorted by ascending priority: nothing
                         // further qualifies either.
                         break;
@@ -421,9 +469,9 @@ impl Policy for SelectiveSuspension {
                 {
                     let (table, blocked) = (&arena.table, &arena.blocked);
                     arena.indices.sort_unstable_by(|&a, &b| {
-                        vset(table.entries[b].id)
+                        vset(table.entries()[b].id)
                             .count_excluding(blocked)
-                            .cmp(&vset(table.entries[a].id).count_excluding(blocked))
+                            .cmp(&vset(table.entries()[a].id).count_excluding(blocked))
                     });
                 }
                 arena.chosen.clear();
@@ -432,7 +480,7 @@ impl Policy for SelectiveSuspension {
                     if have >= need {
                         break;
                     }
-                    have += vset(arena.table.entries[idx].id).count_excluding(&arena.blocked);
+                    have += vset(arena.table.entries()[idx].id).count_excluding(&arena.blocked);
                     arena.chosen.push(idx);
                 }
                 let (table, chosen) = (&mut arena.table, &mut arena.chosen);

@@ -1520,7 +1520,12 @@ mod tests {
         // Every shard accounted for every cell it ran, with wall split.
         let done: u64 = timed.workers.iter().map(|w| w.cells_done).sum();
         assert_eq!(done, timed.runs as u64);
-        assert!(timed.workers.iter().all(|w| w.busy_ns > 0));
+        // Work stealing does not promise every worker a cell: busy time
+        // is recorded exactly on the workers that ran one.
+        assert!(timed
+            .workers
+            .iter()
+            .all(|w| (w.busy_ns > 0) == (w.cells_done + w.cells_failed > 0)));
         // Lanes are sorted and spans carry real phase activity.
         assert!(timed
             .worker_spans

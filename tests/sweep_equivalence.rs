@@ -173,18 +173,29 @@ fn heap_and_calendar_backends_agree_end_to_end() {
     }
 }
 
-/// The fast no-op decide certifications (SS's placement-width +
-/// SF×min-running-xfactor bound, IS's empty-waiting exact-fit bound) must
-/// be *provably equivalent* shortcuts: a run with them active and a run
-/// forced onto the exhaustive reference scan must be bit-identical.
+/// The fast decide paths (SS's no-op tick certification and prefix-cover
+/// victim-scan prunes, IS's empty-waiting exact-fit bound) must be
+/// *provably equivalent* shortcuts: a run with them active and a run
+/// forced onto the exhaustive reference scan must be bit-identical, down
+/// to the kernel's event and decide counts. Besides the paper-load
+/// inputs, CTC at load 2.0 keeps queues long enough that most victim and
+/// re-entry scans fail and, over 1,200 jobs, that TSS limits (25
+/// completions per category) engage.
 #[test]
 fn reference_and_fast_decides_agree_end_to_end() {
-    for system in [SDSC, CTC] {
-        for spec in ["ss:1.5", "ss:2", "ss:10", "tss:1.5", "tss:2", "is"] {
+    const ALL: &[&str] = &["ss:1.5", "ss:2", "ss:10", "tss:1.5", "tss:2", "is"];
+    let inputs: [(SystemPreset, f64, usize, &[&str]); 3] = [
+        (SDSC, 1.0, 160, ALL),
+        (CTC, 1.0, 160, ALL),
+        (CTC, 2.0, 1_200, &["ss:2", "tss:2", "tss:1.5"]),
+    ];
+    for (system, load, jobs, specs) in inputs {
+        for spec in specs {
             let kind: SchedulerKind = spec.parse().expect("spec parses");
             let cfg = ExperimentConfig::new(system, kind)
-                .with_jobs(160)
+                .with_jobs(jobs)
                 .with_seed(11)
+                .with_load_factor(load)
                 .with_overhead(OverheadModel::paper());
             let run = |reference: bool| {
                 let sim = Simulator::with_overhead_and_tick(
@@ -206,18 +217,24 @@ fn reference_and_fast_decides_agree_end_to_end() {
                 .run()
             };
             let (r, f) = (run(true), run(false));
-            let label = format!("{} on {}", spec, system.name);
+            let label = format!("{} on {} at load {}", spec, system.name, load);
             assert_eq!(r.makespan, f.makespan, "{label}: makespan");
             assert_eq!(r.preemptions, f.preemptions, "{label}: preemptions");
             assert_eq!(
                 r.dropped_actions, f.dropped_actions,
                 "{label}: dropped actions"
             );
+            assert_eq!(r.kernel.events, f.kernel.events, "{label}: events");
+            assert_eq!(
+                r.kernel.decide_calls, f.kernel.decide_calls,
+                "{label}: decide calls"
+            );
             assert_eq!(
                 r.utilization.to_bits(),
                 f.utilization.to_bits(),
                 "{label}: utilization"
             );
+            assert_eq!(r.outcomes.len(), f.outcomes.len(), "{label}: jobs");
             for (a, b) in r.outcomes.iter().zip(&f.outcomes) {
                 assert_eq!(
                     (a.id, a.first_start, a.completion, a.suspensions),
@@ -228,6 +245,49 @@ fn reference_and_fast_decides_agree_end_to_end() {
             }
         }
     }
+}
+
+/// A traced saturated TSS run writes the same JSONL bytes with and
+/// without the fast decide paths. Tracing keeps TSS's fresh-job scans
+/// whole (a failing scan still reports the protected victims it passed
+/// over), and the log must show that those records occur.
+#[test]
+fn traced_tss_log_is_identical_with_reference_decides() {
+    let cfg = ExperimentConfig::new(CTC, SchedulerKind::Tss { sf: 2.0 })
+        .with_jobs(1_200)
+        .with_seed(11)
+        .with_load_factor(2.0)
+        .with_overhead(OverheadModel::paper());
+    let log = |reference: bool| {
+        let mut sink = JsonlSink::new(Vec::new());
+        let sim = Simulator::traced(
+            cfg.trace(),
+            cfg.system.procs,
+            cfg.scheduler.build(),
+            cfg.overhead,
+            cfg.tick_period,
+            &mut sink,
+        )
+        .with_watchdog(Watchdog::generous());
+        let res = if reference {
+            sim.with_reference_decides()
+        } else {
+            sim
+        }
+        .run();
+        assert_eq!(res.outcomes.len(), 1_200);
+        String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8")
+    };
+    let (r, f) = (log(true), log(false));
+    assert!(
+        r == f,
+        "traced TSS logs diverge between reference and fast decides"
+    );
+    let blocked = f
+        .lines()
+        .filter(|l| l.contains("\"blocked_by_disable_limit\""))
+        .count();
+    assert!(blocked > 0, "no BlockedByDisableLimit record in the log");
 }
 
 /// Tick elision must not change *any* observable simulation output, for
