@@ -30,12 +30,13 @@ use std::time::Instant;
 
 use sps_bench::history;
 use sps_core::experiment::SchedulerKind;
+use sps_core::overhead::OverheadModel;
 use sps_core::policy::{Action, DecideCtx, Policy};
-use sps_core::sim::{SimState, Simulator};
+use sps_core::sim::{SimState, Simulator, DEFAULT_TICK_PERIOD};
 use sps_metrics::JobOutcome;
 use sps_trace::{MemorySink, TraceRecord};
 use sps_workload::traces::{CTC, SDSC};
-use sps_workload::{Job, SyntheticConfig, SystemPreset};
+use sps_workload::{Job, SyntheticConfig, SystemPreset, TraceSource};
 
 /// Forwarding decorator that records wall nanoseconds per `decide`.
 ///
@@ -108,7 +109,15 @@ fn trace(case: &Case) -> Vec<Job> {
 /// pins the counts for every timed run of the same case).
 fn engine_counts(case: &Case, kind: SchedulerKind, jobs: &[Job]) -> (u64, u64) {
     let mut sink = MemorySink::new();
-    Simulator::with_sink(jobs.to_vec(), case.system.procs, kind.build(), &mut sink).run();
+    Simulator::traced_source(
+        Box::new(TraceSource::new(jobs.to_vec())),
+        case.system.procs,
+        kind.build(),
+        OverheadModel::None,
+        DEFAULT_TICK_PERIOD,
+        &mut sink,
+    )
+    .run();
     for r in sink.records() {
         if let TraceRecord::EngineStats {
             batches, events, ..

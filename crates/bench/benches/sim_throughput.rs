@@ -7,10 +7,11 @@
 
 use sps_bench::Harness;
 use sps_core::experiment::SchedulerKind;
-use sps_core::sim::Simulator;
-use sps_trace::{JsonlSink, NullSink};
+use sps_core::overhead::OverheadModel;
+use sps_core::sim::{Simulator, DEFAULT_TICK_PERIOD};
+use sps_trace::{JsonlSink, NullSink, TraceSink};
 use sps_workload::traces::{CTC, SDSC};
-use sps_workload::{Job, SyntheticConfig};
+use sps_workload::{Job, SyntheticConfig, TraceSource};
 
 fn trace(n: usize) -> Vec<Job> {
     SyntheticConfig::new(CTC, 42).with_jobs(n).generate()
@@ -29,6 +30,20 @@ fn policies() -> Vec<SchedulerKind> {
         SchedulerKind::Ss { sf: 2.0 },
         SchedulerKind::Tss { sf: 2.0 },
     ]
+}
+
+/// Preemptions of one SDSC run of `jobs` under `kind`, tracing into `sink`.
+fn traced_preemptions<S: TraceSink>(jobs: &[Job], kind: SchedulerKind, sink: S) -> u64 {
+    Simulator::traced_source(
+        Box::new(TraceSource::new(jobs.to_vec())),
+        SDSC.procs,
+        kind.build(),
+        OverheadModel::None,
+        DEFAULT_TICK_PERIOD,
+        sink,
+    )
+    .run()
+    .preemptions
 }
 
 fn main() {
@@ -60,12 +75,9 @@ fn main() {
     // writing into an in-process buffer.
     let kind = SchedulerKind::Ss { sf: 2.0 };
     h.bench("sdsc_2000_jobs/ss2_nullsink", || {
-        let res = Simulator::with_sink(jobs.clone(), SDSC.procs, kind.build(), NullSink).run();
-        res.preemptions
+        traced_preemptions(&jobs, kind, NullSink)
     });
     h.bench("sdsc_2000_jobs/ss2_jsonlsink_buffer", || {
-        let sink = JsonlSink::new(Vec::<u8>::new());
-        let res = Simulator::with_sink(jobs.clone(), SDSC.procs, kind.build(), sink).run();
-        res.preemptions
+        traced_preemptions(&jobs, kind, JsonlSink::new(Vec::<u8>::new()))
     });
 }

@@ -36,10 +36,9 @@ use std::time::Instant;
 
 use sps_bench::history;
 use sps_core::experiment::{ExperimentConfig, SchedulerKind};
-use sps_core::sim::{SimResult, Simulator};
+use sps_core::sim::SimResult;
 use sps_core::sweep::{run_sweep, CellStats, RunSummary, SweepSpec};
 use sps_metrics::{CategoryReport, JobOutcome};
-use sps_simcore::Watchdog;
 use sps_trace::Json;
 use sps_workload::traces::SDSC;
 
@@ -101,18 +100,12 @@ fn run_before(spec: &SweepSpec) -> (Vec<CellStats>, u64) {
     let mut retained: Vec<Retained> = Vec::with_capacity(configs.len());
     let mut events = 0u64;
     for cfg in configs {
-        let sim = Simulator::with_overhead_and_tick(
-            cfg.trace(),
-            cfg.system.procs,
-            cfg.scheduler.build(),
-            cfg.overhead,
-            cfg.tick_period,
-        )
-        .with_faults(cfg.faults)
-        .with_watchdog(Watchdog::generous())
-        .with_heap_queue()
-        .with_tick_elision(false)
-        .with_reference_decides();
+        let sim = cfg
+            .runner()
+            .build()
+            .with_heap_queue()
+            .with_tick_elision(false)
+            .with_reference_decides();
         let res = sim.run();
         events += res.kernel.events;
         let reports = [

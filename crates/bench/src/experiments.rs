@@ -1397,10 +1397,7 @@ pub fn kth_trends() -> String {
 
 /// Preemption-routine period sensitivity.
 pub fn ablation_preemption_period() -> String {
-    use sps_core::sched::ss::SelectiveSuspension;
-    use sps_core::sim::Simulator;
-    let system = CTC;
-    let jobs = ExperimentConfig::new(system, SchedulerKind::Easy).trace();
+    let cfg = ExperimentConfig::new(CTC, SchedulerKind::Ss { sf: 2.0 });
     let mut out =
         String::from("Ablation: preemption-routine period (paper: 60 s), SS SF=2 on CTC\n");
     out.push_str(&format!(
@@ -1408,21 +1405,13 @@ pub fn ablation_preemption_period() -> String {
         "period (s)", "overall sd", "VS mean sd", "preemptions"
     ));
     for period in [10, 60, 300, 1_800] {
-        let res = Simulator::with_overhead_and_tick(
-            jobs.clone(),
-            system.procs,
-            Box::new(SelectiveSuspension::ss(2.0)),
-            OverheadModel::None,
-            period,
-        )
-        .run();
-        let rep = CategoryReport::from_outcomes(&res.outcomes);
+        let r = cfg.clone().with_tick_period(period).run();
         out.push_str(&format!(
             "{:<12}{:>14.2}{:>14.2}{:>14}\n",
             period,
-            rep.overall.mean_slowdown,
-            aggregate_row(&rep, 0),
-            res.preemptions
+            r.report.overall.mean_slowdown,
+            aggregate_row(&r.report, 0),
+            r.sim.preemptions
         ));
     }
     out.push_str("\nCoarser periods delay preemptions, raising short-job slowdowns.\n");

@@ -1,13 +1,13 @@
 //! The thread-pool batch seam: [`RunError`], [`default_threads`], and the
-//! `run_batch*` family that [`BatchRunner`](crate::runner::BatchRunner)
-//! and the sweep harness drive. Work is dispatched through per-worker
-//! chunked deques with stealing (see [`StealQueues`]): each worker starts
-//! with a contiguous slice of the batch — consecutive indices are
-//! replications of the same cell, so the initial split maximizes trace
-//! cache locality — and an idle worker steals the back half of a loaded
-//! one's queue, so a shard of slow cells never serializes the tail of a
-//! sweep. Per-configuration `catch_unwind` keeps one poisoned cell from
-//! voiding a whole grid.
+//! one batch loop ([`run_batch`]) that
+//! [`BatchRunner`](crate::runner::BatchRunner) and the sweep engines
+//! drive. Work is dispatched through per-worker chunked deques with
+//! stealing (see [`StealQueues`]): each worker starts with a contiguous
+//! slice of the batch — consecutive indices are replications of the same
+//! cell, so the initial split maximizes trace cache locality — and an
+//! idle worker steals the back half of a loaded one's queue, so a shard
+//! of slow cells never serializes the tail of a sweep. Per-configuration
+//! `catch_unwind` keeps one poisoned cell from voiding a whole grid.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -280,98 +280,41 @@ impl StealQueues {
     }
 }
 
-/// Fallible batch run with an explicit worker count and runner — the seam
-/// the sweep harness drives and the panic-isolation tests inject a faulty
-/// runner through. Workers drain a [`StealQueues`] dispatch and send
-/// `(index, result)` pairs over a channel; the caller's thread reassembles
-/// them in input order, so results are identical for any worker count.
-/// Panic messages are prefixed with the offending configuration's
-/// scheduler spec so a poisoned cell in a large grid is identifiable from
-/// the error alone.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn run_batch<T, F>(
-    configs: Vec<ExperimentConfig>,
-    threads: usize,
-    runner: F,
-) -> Vec<Result<T, RunError>>
-where
-    T: Send,
-    F: Fn(&Arc<ExperimentConfig>) -> T + Sync,
-{
-    run_batch_observed(configs, threads, runner, |_, _| {})
-}
-
-/// [`run_batch`] with a progress observer. `observe(index, result)` runs
-/// on the caller's thread, once per *terminal* outcome in completion order
-/// — a panicked or invalid cell is observed exactly like a successful one,
-/// so progress accounting (done counts, ETA math) never stalls on a failed
-/// replication.
-pub(crate) fn run_batch_observed<T, F, O>(
-    configs: Vec<ExperimentConfig>,
-    threads: usize,
-    runner: F,
-    observe: O,
-) -> Vec<Result<T, RunError>>
-where
-    T: Send,
-    F: Fn(&Arc<ExperimentConfig>) -> T + Sync,
-    O: FnMut(usize, &Result<T, RunError>),
-{
-    run_batch_retrying(configs, threads, 0, None, runner, observe)
-}
-
-/// [`run_batch_observed`] with bounded retry for panicked workers and an
-/// optional wall-clock deadline. A configuration whose runner panics is
-/// retried up to `retries` more times (linear 25 ms backoff between
-/// attempts, on the worker thread) before surfacing [`RunError::Panicked`]
-/// with the attempt count. A deterministic panic still fails after
-/// `retries + 1` attempts; a flaky one — OOM pressure, a poisoned
-/// thread-local, anything environmental — no longer voids its cell in a
-/// mega-sweep.
-///
-/// When `deadline` is set, a configuration whose turn comes up after the
-/// deadline is skipped with [`RunError::BudgetExhausted`] instead of run:
-/// the batch drains gracefully and the caller aggregates whatever
-/// completed in time. In-flight runs are not interrupted here — the sweep
-/// harness additionally caps their per-run watchdog to the remaining
-/// budget.
-pub(crate) fn run_batch_retrying<T, F, O>(
-    configs: Vec<ExperimentConfig>,
-    threads: usize,
-    retries: u32,
-    deadline: Option<std::time::Instant>,
-    runner: F,
-    observe: O,
-) -> Vec<Result<T, RunError>>
-where
-    T: Send,
-    F: Fn(&Arc<ExperimentConfig>) -> T + Sync,
-    O: FnMut(usize, &Result<T, RunError>),
-{
-    run_batch_sharded(
-        configs,
-        threads,
-        retries,
-        deadline,
-        None,
-        |_, cfg| runner(cfg),
-        observe,
-    )
-}
-
-/// The worker count [`run_batch_sharded`] actually spawns for a batch of
-/// `n` items: callers sizing a [`ShardBoard`] must use the same clamp.
+/// The worker count [`run_batch`] actually spawns for a batch of `n`
+/// items: callers sizing a [`ShardBoard`] must use the same clamp.
 pub(crate) fn batch_workers(threads: usize, n: usize) -> usize {
     threads.max(1).min(n.max(1))
 }
 
-/// [`run_batch_retrying`] with per-worker shard telemetry. The runner
-/// additionally receives its worker slot (so profiled runs can tag their
-/// spans), and a [`ShardBoard`] — when provided — collects per-worker
-/// counters and worker-lane spans as the batch executes. Dispatch order,
-/// results, and retry/deadline semantics are identical to the untracked
-/// path; the board only observes.
-pub(crate) fn run_batch_sharded<T, F, O>(
+/// The batch loop behind [`BatchRunner`](crate::runner::BatchRunner) and
+/// the sweep engines: run `runner(worker, config)` for every configuration
+/// on `threads` workers and return one result per configuration, in input
+/// order.
+///
+/// Workers drain a [`StealQueues`] dispatch and send `(index, result)`
+/// pairs over a channel; the caller's thread reassembles them in input
+/// order, so results are identical for any worker count. The runner
+/// receives its worker slot so profiled runs can tag their spans.
+///
+/// * **Failures.** A configuration that fails
+///   [`ExperimentConfig::validate`] yields [`RunError::Invalid`]; one
+///   whose runner panics is retried up to `retries` more times (linear
+///   25 ms backoff, on the worker thread) before surfacing
+///   [`RunError::Panicked`] with the attempt count. Panic messages are
+///   prefixed with the configuration's scheduler spec so a poisoned cell
+///   in a large grid is identifiable from the error alone.
+/// * **Deadline.** When `deadline` is set, a configuration whose turn
+///   comes up after it is skipped with [`RunError::BudgetExhausted`]; the
+///   batch drains gracefully and the caller aggregates whatever completed
+///   in time. In-flight runs are not interrupted here — the sweep harness
+///   caps their per-run watchdog to the remaining budget.
+/// * **Observation.** `observe(index, result)` runs on the caller's
+///   thread once per *terminal* outcome in completion order — a panicked,
+///   invalid or skipped cell is observed exactly like a successful one, so
+///   progress accounting never stalls. A [`ShardBoard`], when provided,
+///   collects per-worker counters and worker-lane spans; it only
+///   observes.
+pub(crate) fn run_batch<T, F, O>(
     configs: Vec<ExperimentConfig>,
     threads: usize,
     retries: u32,
@@ -573,12 +516,13 @@ mod tests {
             v
         };
         let run = |threads: usize| -> Vec<String> {
-            run_batch_retrying(
+            run_batch(
                 mk(),
                 threads,
                 0,
                 None,
-                |cfg: &Arc<ExperimentConfig>| {
+                None,
+                |_, cfg: &Arc<ExperimentConfig>| {
                     if cfg.seed == 777 {
                         panic!("injected failure");
                     }
@@ -624,7 +568,7 @@ mod tests {
     #[test]
     fn run_batch_keeps_order_with_more_threads_than_work() {
         let configs = vec![small(SchedulerKind::Easy), small(SchedulerKind::Fcfs)];
-        let results = run_batch(configs, 16, |cfg| cfg.run());
+        let results = run_batch(configs, 16, 0, None, None, |_, cfg| cfg.run(), |_, _| {});
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].as_ref().unwrap().sim.policy, "NS (EASY)");
         assert_eq!(results[1].as_ref().unwrap().sim.policy, "FCFS");
@@ -658,10 +602,13 @@ mod tests {
             small(SchedulerKind::Ss { sf: 2.0 }),
         ];
         let mut seen = Vec::new();
-        let results = run_batch_observed(
+        let results = run_batch(
             configs,
             2,
-            |cfg| {
+            0,
+            None,
+            None,
+            |_, cfg| {
                 if cfg.seed == 777 {
                     panic!("injected failure for seed 777");
                 }
@@ -688,12 +635,20 @@ mod tests {
             small(SchedulerKind::Fcfs).with_seed(777),
             small(SchedulerKind::Ss { sf: 2.0 }),
         ];
-        let results = run_batch(configs, 2, |cfg| {
-            if cfg.seed == 777 {
-                panic!("injected failure for seed 777");
-            }
-            cfg.run()
-        });
+        let results = run_batch(
+            configs,
+            2,
+            0,
+            None,
+            None,
+            |_, cfg| {
+                if cfg.seed == 777 {
+                    panic!("injected failure for seed 777");
+                }
+                cfg.run()
+            },
+            |_, _| {},
+        );
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].as_ref().unwrap().sim.policy, "NS (EASY)");
         match &results[1] {
@@ -719,12 +674,13 @@ mod tests {
             small(SchedulerKind::Fcfs).with_seed(777),
             small(SchedulerKind::Gang).with_seed(778),
         ];
-        let results = run_batch_retrying(
+        let results = run_batch(
             configs,
             1, // deterministic attempt interleaving
             3,
             None,
-            |cfg| {
+            None,
+            |_, cfg| {
                 if cfg.seed == 777
                     && flaky_left
                         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
@@ -761,7 +717,7 @@ mod tests {
         };
         let threads = 2;
         let board = ShardBoard::new(batch_workers(threads, 6));
-        let tracked = run_batch_sharded(
+        let tracked = run_batch(
             mk(),
             threads,
             0,
@@ -770,12 +726,13 @@ mod tests {
             |_, cfg: &Arc<ExperimentConfig>| cfg.run().report.overall.count,
             |_, _| {},
         );
-        let untracked = run_batch_retrying(
+        let untracked = run_batch(
             mk(),
             threads,
             0,
             None,
-            |cfg| cfg.run().report.overall.count,
+            None,
+            |_, cfg| cfg.run().report.overall.count,
             |_, _| {},
         );
         assert_eq!(
@@ -823,7 +780,7 @@ mod tests {
             small(SchedulerKind::Fcfs).with_seed(777),
         ];
         let board = ShardBoard::new(batch_workers(1, 3));
-        let results = run_batch_sharded(
+        let results = run_batch(
             configs,
             1,
             0,
@@ -853,12 +810,13 @@ mod tests {
     fn expired_deadline_skips_runs_without_running_them() {
         let configs = vec![small(SchedulerKind::Easy), small(SchedulerKind::Fcfs)];
         let mut seen = 0usize;
-        let results = run_batch_retrying(
+        let results = run_batch(
             configs,
             2,
             0,
             Some(std::time::Instant::now()),
-            |cfg| cfg.run(),
+            None,
+            |_, cfg| cfg.run(),
             |_, r| {
                 assert!(matches!(r, Err(RunError::BudgetExhausted)));
                 seen += 1;

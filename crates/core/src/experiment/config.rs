@@ -7,12 +7,11 @@ use std::sync::Arc;
 
 use sps_cluster::{SpeedMap, SpeedSpec};
 use sps_metrics::{CategoryReport, JobOutcome};
-use sps_simcore::{Secs, Watchdog};
-use sps_telemetry::TelemetrySink;
+use sps_simcore::Secs;
 use sps_trace::{DecodeError, Json};
 use sps_workload::{
-    ArrivalSpec, EstimateModel, Job, JobSource, OpenSource, SyntheticConfig, SystemPreset,
-    TraceCache, TraceKey, TraceSource,
+    ArrivalSpec, EstimateModel, Job, OpenSource, SyntheticConfig, SystemPreset, TraceCache,
+    TraceKey,
 };
 
 use crate::admission::AdmissionModel;
@@ -23,7 +22,7 @@ use crate::policy::Policy;
 use crate::sched::{
     Conservative, Easy, Fcfs, FlexBackfill, GangScheduling, ImmediateService, SelectiveSuspension,
 };
-use crate::sim::{SimResult, Simulator, DEFAULT_TICK_PERIOD};
+use crate::sim::{SimResult, DEFAULT_TICK_PERIOD};
 
 /// Which scheduler to run.
 ///
@@ -371,17 +370,6 @@ impl ExperimentConfig {
         self.system.base_load * self.load_factor
     }
 
-    /// The configuration's [`JobSource`]: a replay of the finite synthetic
-    /// trace for [`ArrivalSpec::Trace`], otherwise the seeded open-system
-    /// generator. This is the seam [`crate::runner::RunBuilder`] feeds the
-    /// simulator through.
-    pub fn job_source(&self) -> Box<dyn JobSource> {
-        match self.open_source() {
-            Some(open) => Box::new(open),
-            None => Box::new(TraceSource::new(self.trace())),
-        }
-    }
-
     /// The open-system generator for this configuration, or `None` in
     /// closed trace mode.
     pub fn open_source(&self) -> Option<OpenSource> {
@@ -426,99 +414,40 @@ impl ExperimentConfig {
         cache.get_or_generate(self.trace_key(), || self.trace())
     }
 
-    /// Shared body of the run paths: simulate `jobs` under this
-    /// configuration and fold the reports, reusing an existing `Arc` of
-    /// the configuration instead of cloning it into the result.
-    fn run_on(self: &Arc<Self>, jobs: Vec<Job>) -> RunResult {
-        RunResult::from_sim(Arc::clone(self), self.simulate(jobs))
-    }
-
-    /// Simulate `jobs` under this configuration and return the raw
-    /// [`SimResult`], with no per-category reports built. The sweep
-    /// harness folds this straight into a fixed-size
-    /// [`RunSummary`](crate::sweep::RunSummary); building (and sorting)
-    /// three reports per run just to discard them would dominate the
-    /// aggregation cost at grid scale.
-    pub fn simulate(&self, jobs: Vec<Job>) -> SimResult {
-        let mut sim = Simulator::with_overhead_and_tick(
-            jobs,
-            self.system.procs,
-            self.scheduler.build(),
-            self.overhead,
-            self.tick_period,
-        )
-        .with_faults(self.faults)
-        .with_admission(self.admission)
-        .with_preemption(self.preemption, self.checkpoint)
-        .with_watchdog(Watchdog::generous());
-        if self.is_heterogeneous() {
-            sim = sim.with_speed(self.speed_map());
-        }
-        sim.run()
-    }
-
-    /// [`ExperimentConfig::simulate`] with a telemetry sink attached. The
-    /// sink observes the run (metrics, spans, health detectors) without
-    /// perturbing it — outcomes are bit-identical to the plain run — and
-    /// stays with the caller for rendering afterwards. `SimResult::health`
-    /// carries the detector roll-up when the sink tracks health.
-    pub fn simulate_instrumented<T: TelemetrySink>(
-        &self,
-        jobs: Vec<Job>,
-        telemetry: &mut T,
-    ) -> SimResult {
-        let mut sim = Simulator::with_overhead_and_tick(
-            jobs,
-            self.system.procs,
-            self.scheduler.build(),
-            self.overhead,
-            self.tick_period,
-        )
-        .with_telemetry(telemetry)
-        .with_faults(self.faults)
-        .with_admission(self.admission)
-        .with_preemption(self.preemption, self.checkpoint)
-        .with_watchdog(Watchdog::generous());
-        if self.is_heterogeneous() {
-            sim = sim.with_speed(self.speed_map());
-        }
-        sim.run()
-    }
-
     /// Start a [`RunBuilder`](crate::runner::RunBuilder) for this
-    /// configuration — the single entry point behind which the historical
-    /// per-combination run functions collapsed. Attach sinks, an explicit
-    /// [`JobSource`], a stopping condition, or a warmup window, then call
-    /// [`run()`](crate::runner::RunBuilder::run) or
-    /// [`simulate()`](crate::runner::RunBuilder::simulate).
+    /// configuration — the only code that assembles a run from a
+    /// configuration. Attach sinks, an explicit
+    /// [`JobSource`](sps_workload::JobSource), a stopping condition, or a
+    /// warmup window, then call [`run()`](crate::runner::RunBuilder::run)
+    /// or [`simulate()`](crate::runner::RunBuilder::simulate).
     pub fn runner(&self) -> crate::runner::RunBuilder {
         crate::runner::RunBuilder::new(Arc::new(self.clone()))
     }
 
-    /// Run the simulation and aggregate reports.
+    /// Run the simulation and aggregate reports: `self.runner().run()`.
     ///
     /// The simulator runs under a generous watchdog: a policy bug that
     /// livelocks the event loop surfaces as [`RunStatus::Aborted`] with
-    /// partial metrics instead of hanging the process.
+    /// partial metrics instead of hanging the process. An open-system
+    /// arrival spec needs a stopping condition, so this panics on one;
+    /// use [`runner()`](ExperimentConfig::runner) with `.until(..)`.
     ///
     /// [`RunStatus::Aborted`]: crate::sim::RunStatus::Aborted
     pub fn run(&self) -> RunResult {
-        let cfg = Arc::new(self.clone());
-        let jobs = cfg.trace();
-        cfg.run_on(jobs)
-    }
-
-    /// [`ExperimentConfig::run`] against a pre-generated shared trace
-    /// (see [`ExperimentConfig::trace_shared`]); the per-run copy is a
-    /// flat memcpy of the job array instead of a full regeneration.
-    pub fn run_shared(self: &Arc<Self>, trace: &Arc<[Job]>) -> RunResult {
-        debug_assert_eq!(trace.len(), self.n_jobs, "trace matches the config");
-        self.run_on(trace.to_vec())
+        self.runner().run()
     }
 
     /// [`ExperimentConfig::run`] preceded by [`ExperimentConfig::validate`].
+    /// An open-system arrival spec is an error here rather than the panic
+    /// [`run`](ExperimentConfig::run) raises: it needs a stopping condition
+    /// only [`runner()`](ExperimentConfig::runner) can attach.
     pub fn run_checked(&self) -> Result<RunResult, crate::experiment::ConfigError> {
         self.validate()?;
+        if !self.arrivals.is_trace() {
+            return Err(crate::experiment::ConfigError::BadArrivals(
+                "open-system runs need a stopping condition (runner().until(..))".into(),
+            ));
+        }
         Ok(self.run())
     }
 

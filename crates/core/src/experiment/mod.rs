@@ -26,4 +26,4 @@ pub use builders::{default_threads, RunError, ShardStats, WorkerSpan};
 pub use config::{ExperimentConfig, ParseSchedulerError, RunResult, SchedulerKind};
 pub use validate::ConfigError;
 
-pub(crate) use builders::{batch_workers, run_batch_retrying, run_batch_sharded, ShardBoard};
+pub(crate) use builders::{batch_workers, run_batch, ShardBoard};

@@ -34,6 +34,8 @@ pub enum ConfigError {
     BadLean(&'static str),
     /// A mega-sweep's SWF log is unusable (path and reason attached).
     BadSwf(String),
+    /// The machine has no processors.
+    NoProcs,
 }
 
 impl fmt::Display for ConfigError {
@@ -53,6 +55,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadLean(reason) => write!(f, "bad lean-mode combination: {reason}"),
             ConfigError::BadSwf(ref reason) => write!(f, "bad SWF log: {reason}"),
+            ConfigError::NoProcs => f.write_str("the machine needs at least 1 processor"),
         }
     }
 }

@@ -231,8 +231,10 @@ impl FaultInjector {
     }
 
     /// Decide whether a job crashes, and if so after how many seconds of
-    /// executed work (uniform over its run time). Drawn once per job at
-    /// simulation start so the decision is independent of scheduling.
+    /// executed work (uniform over its run time). Drawn once per job, in
+    /// id order, when the job's arrival group is pulled from the source —
+    /// before it can be dispatched, so the decision is independent of
+    /// scheduling.
     pub fn job_crash_after(&mut self, run: Secs) -> Option<Secs> {
         if self.model.job_crash <= 0.0 {
             return None;

@@ -18,25 +18,20 @@
 //!
 //! End to end, a 16-cell sweep over a million-job log peaks at tens of
 //! megabytes — machine state and ring buffers — instead of tens of
-//! gigabytes. Cell aggregation, failure accounting, wall budgets, and
-//! progress reporting are shared with [`run_sweep`](crate::sweep::run_sweep),
-//! so reports render identically.
+//! gigabytes. A mega sweep is a lean [`SweepSpec`] over the log's machine
+//! whose runs stream the log: the grid driver (cell aggregation, failure
+//! accounting, wall budgets, progress reporting) is the one behind
+//! [`run_sweep`](crate::sweep::run_sweep), so reports render identically.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use sps_simcore::Secs;
-use sps_telemetry::{SpanEvent, SpanProfiler};
 use sps_workload::{EstimateModel, ShapedSource, StreamingSwfSource, SystemPreset};
 
-use crate::experiment::{
-    batch_workers, run_batch_sharded, ConfigError, ExperimentConfig, SchedulerKind, ShardBoard,
-};
+use crate::experiment::{ConfigError, SchedulerKind};
 use crate::overhead::OverheadModel;
-use crate::runner::RunBuilder;
 use crate::sim::DEFAULT_TICK_PERIOD;
-use crate::sweep::{regroup_cells, ProgressTracker, RunSummary, SweepProgress, SweepReport};
+use crate::sweep::{drive_grid, SweepProgress, SweepReport, SweepSpec};
 
 /// Default read-ahead for each replication's streaming reader, in parsed
 /// jobs. Matches [`sps_workload::swf::DEFAULT_READAHEAD`].
@@ -87,9 +82,10 @@ pub struct MegaSweepSpec {
 impl MegaSweepSpec {
     /// An empty grid over the log at `swf` on a `procs`-processor
     /// machine, load 1.0 (the log's native arrival times), one
-    /// replication, as-logged estimates. Add schedulers before running.
+    /// replication, as-logged estimates. Add schedulers before running;
+    /// [`validate`](MegaSweepSpec::validate) rejects a zero-processor
+    /// machine.
     pub fn new(swf: impl Into<PathBuf>, procs: u32) -> Self {
-        assert!(procs > 0, "machine must have at least one processor");
         MegaSweepSpec {
             swf: swf.into(),
             procs,
@@ -180,23 +176,16 @@ impl MegaSweepSpec {
         self
     }
 
-    /// Grid shape checks plus a readability probe of the log (a missing
-    /// file should fail the sweep up front, not every cell one by one).
+    /// Machine, grid shape and per-run configuration checks, plus a
+    /// readability probe of the log (a missing file should fail the sweep
+    /// up front, not every cell one by one).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.schedulers.is_empty() {
-            return Err(ConfigError::EmptyGrid("schedulers"));
+        if self.procs == 0 {
+            return Err(ConfigError::NoProcs);
         }
-        if self.loads.is_empty() {
-            return Err(ConfigError::EmptyGrid("loads"));
-        }
-        if self.reps == 0 {
-            return Err(ConfigError::EmptyGrid("reps"));
-        }
+        self.grid().validate()?;
         std::fs::File::open(&self.swf)
             .map_err(|e| ConfigError::BadSwf(format!("{}: {e}", self.swf.display())))?;
-        for &load in &self.loads {
-            self.config(self.schedulers[0], load, 0).validate()?;
-        }
         Ok(())
     }
 
@@ -210,42 +199,26 @@ impl MegaSweepSpec {
         self.cells() * self.reps
     }
 
-    /// The synthetic-workload knobs of the preset are never consulted —
-    /// the log is the workload — but [`ExperimentConfig`] wants a system,
-    /// and `procs`/`max_width` do drive placement and validation.
-    fn preset(&self) -> SystemPreset {
-        SystemPreset {
-            name: "SWF",
-            procs: self.procs,
-            max_width: self.procs,
-            ..sps_workload::traces::SDSC
-        }
-    }
-
-    /// The configuration of one run. `n_jobs` is pinned to 1: the run
-    /// length comes from the log, but validation requires a nonzero
-    /// count and the explicit-source path never reads it.
-    fn config(&self, scheduler: SchedulerKind, load: f64, rep: usize) -> ExperimentConfig {
-        ExperimentConfig::new(self.preset(), scheduler)
+    /// The grid as a lean [`SweepSpec`] over the log's machine:
+    /// the same cell-major expansion and per-run configurations, with
+    /// default estimates (re-drawn ones are applied by the source, not the
+    /// configuration). `n_jobs` is pinned to 1: the run length comes from
+    /// the log, but validation requires a nonzero count and the
+    /// explicit-source path never reads it.
+    fn grid(&self) -> SweepSpec {
+        let mut grid = SweepSpec::new(SystemPreset::swf(self.procs))
+            .with_schedulers(self.schedulers.clone())
+            .with_loads(self.loads.clone())
             .with_jobs(1)
-            .with_seed(self.base_seed + rep as u64)
-            .with_load_factor(load)
+            .with_seed(self.base_seed)
+            .with_reps(self.reps)
             .with_overhead(self.overhead)
             .with_tick_period(self.tick_period)
-    }
-
-    /// Expand the grid cell-major, the [`crate::sweep::SweepSpec::expand`]
-    /// layout that [`regroup_cells`] relies on.
-    fn expand(&self) -> Vec<ExperimentConfig> {
-        let mut configs = Vec::with_capacity(self.runs());
-        for &scheduler in &self.schedulers {
-            for &load in &self.loads {
-                for rep in 0..self.reps {
-                    configs.push(self.config(scheduler, load, rep));
-                }
-            }
-        }
-        configs
+            .with_retries(self.retries)
+            .with_timeline(self.timeline)
+            .with_lean(true);
+        grid.wall_budget_ms = self.wall_budget_ms;
+        grid
     }
 }
 
@@ -262,99 +235,30 @@ pub fn run_mega_sweep(spec: &MegaSweepSpec, threads: usize) -> Result<SweepRepor
 pub fn run_mega_sweep_observed<O>(
     spec: &MegaSweepSpec,
     threads: usize,
-    mut observe: O,
+    observe: O,
 ) -> Result<SweepReport, ConfigError>
 where
     O: FnMut(&SweepProgress),
 {
     spec.validate()?;
-    let start = Instant::now();
-    let deadline = spec
-        .wall_budget_ms
-        .map(|ms| start + Duration::from_millis(ms));
     let (swf, estimates, readahead, procs) =
-        (spec.swf.clone(), spec.estimates, spec.readahead, spec.procs);
-    let timeline = spec.timeline;
-
-    let mut progress = ProgressTracker::new(start, spec.runs(), spec.cells(), spec.reps);
-    let board = ShardBoard::new(batch_workers(threads, spec.runs()));
-    let run_spans: Mutex<Vec<(usize, Vec<SpanEvent>)>> = Mutex::new(Vec::new());
-
-    let results = run_batch_sharded(
-        spec.expand(),
+        (&spec.swf, spec.estimates, spec.readahead, spec.procs);
+    Ok(drive_grid(
+        &spec.grid(),
         threads,
-        spec.retries,
-        deadline,
-        Some(&board),
-        |worker, cfg: &Arc<ExperimentConfig>| {
+        |cfg, _| {
             // Per-run streaming pipeline: log → shaping → lean simulate.
             // An unreadable file panics (validate probed it once, but the
             // file can vanish mid-sweep); batch workers catch panics and
             // surface them as cell failures.
-            let log = StreamingSwfSource::open(&swf)
+            let log = StreamingSwfSource::open(swf)
                 .unwrap_or_else(|e| panic!("mega sweep: cannot open {}: {e}", swf.display()))
                 .with_readahead(readahead);
             let shaped = ShapedSource::new(log, cfg.load_factor, estimates, cfg.seed, procs);
-            let mut builder = RunBuilder::new(Arc::clone(cfg))
-                .source(Box::new(shaped))
-                .lean(true);
-            if let Some(d) = deadline {
-                // Cap the in-flight run's watchdog to the remaining
-                // budget, mirroring the synthetic sweep harness.
-                let left = d.saturating_duration_since(Instant::now());
-                let cap = (left.as_millis() as u64).max(1);
-                let mut dog = sps_simcore::Watchdog::generous();
-                dog.max_wall_ms = Some(dog.max_wall_ms.map_or(cap, |w| w.min(cap)));
-                builder = builder.watchdog(dog);
-            }
-            if timeline {
-                builder =
-                    builder.profiler(SpanProfiler::with_timeline(0).with_epoch(board.epoch()));
-            }
-            let mut sim = builder.simulate();
-            let summary = RunSummary::fold(cfg, &sim);
-            if let Some(spans) = sim.spans.take() {
-                run_spans
-                    .lock()
-                    .expect("spans poisoned")
-                    .push((worker, spans));
-            }
-            summary
+            Some(Box::new(shaped))
         },
-        |i, r| {
-            let mut p = progress.record(i, r);
-            p.workers = Some(board.snapshot());
-            observe(&p);
-        },
-    );
-
-    let (cells, failures, skipped, panicked) = regroup_cells(
-        &spec.schedulers,
-        &spec.loads,
-        spec.reps,
-        spec.base_seed,
-        &results,
-    );
-
-    let mut worker_spans = board.take_spans();
-    worker_spans.sort_by_key(|s| (s.worker, s.start_ns, s.index));
-    let mut run_spans = run_spans.into_inner().expect("spans poisoned");
-    run_spans
-        .sort_by_key(|(worker, spans)| (*worker, spans.first().map_or(u64::MAX, |s| s.start_ns)));
-
-    Ok(SweepReport {
-        cells,
-        runs: spec.runs(),
-        failures,
-        skipped,
-        panicked,
-        unique_traces: 0,
-        trace_hits: 0,
-        wall_micros: start.elapsed().as_micros() as u64,
-        workers: board.snapshot(),
-        worker_spans,
-        run_spans,
-    })
+        observe,
+    ))
 }
 
 /// Peak resident set size of this process in kilobytes (`VmHWM` from
@@ -379,9 +283,12 @@ pub fn peak_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_sweep, SweepSpec};
+    use crate::experiment::ExperimentConfig;
+    use crate::runner::RunBuilder;
+    use crate::sweep::{run_sweep, RunSummary};
     use sps_workload::traces::SDSC;
     use sps_workload::{swf, SyntheticConfig};
+    use std::sync::Arc;
 
     /// Write a synthetic SDSC-mix trace as an SWF log and return its path.
     fn synth_log(dir: &std::path::Path, n: usize, seed: u64) -> PathBuf {
@@ -420,6 +327,13 @@ mod tests {
         let gone =
             MegaSweepSpec::new(dir.join("missing.swf"), 128).with_scheduler(SchedulerKind::Easy);
         assert!(matches!(gone.validate(), Err(ConfigError::BadSwf(_))));
+        // A zero-processor machine is a typed error, not a panic.
+        let no_procs = MegaSweepSpec::new(&log, 0).with_scheduler(SchedulerKind::Easy);
+        assert_eq!(no_procs.validate(), Err(ConfigError::NoProcs));
+        assert!(matches!(
+            run_mega_sweep(&no_procs, 1),
+            Err(ConfigError::NoProcs)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -456,7 +370,7 @@ mod tests {
                 let mut summaries = Vec::new();
                 for rep in 0..2u64 {
                     let cfg = Arc::new(
-                        ExperimentConfig::new(spec.preset(), sched)
+                        ExperimentConfig::new(SystemPreset::swf(128), sched)
                             .with_jobs(1)
                             .with_seed(11 + rep)
                             .with_load_factor(load),
@@ -505,9 +419,8 @@ mod tests {
         // records.
         let dir = tmpdir("trim");
         let log = synth_log(&dir, 6000, 21);
-        let spec = MegaSweepSpec::new(&log, 128).with_scheduler(SchedulerKind::Ss { sf: 2.0 });
         let cfg = Arc::new(
-            ExperimentConfig::new(spec.preset(), SchedulerKind::Ss { sf: 2.0 })
+            ExperimentConfig::new(SystemPreset::swf(128), SchedulerKind::Ss { sf: 2.0 })
                 .with_jobs(1)
                 .with_seed(7)
                 .with_load_factor(1.0),

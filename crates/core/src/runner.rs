@@ -1,15 +1,14 @@
-//! Unified run entry points.
-//!
-//! Historically every sink/source/stop-condition combination grew its own
-//! function on [`ExperimentConfig`], and adding the open-system mode
-//! would have doubled that surface again. This module collapses all of
-//! them behind two builders:
+//! Unified run entry points: the one path from an [`ExperimentConfig`]
+//! to a [`Simulator`].
 //!
 //! * [`RunBuilder`] (from [`ExperimentConfig::runner`]) configures and
 //!   executes **one** run: attach a trace sink, a telemetry sink, an
 //!   explicit [`JobSource`], a stopping condition, or a warmup window,
 //!   then call [`run`](RunBuilder::run) for a [`RunResult`] or
-//!   [`simulate`](RunBuilder::simulate) for the raw [`SimResult`].
+//!   [`simulate`](RunBuilder::simulate) for the raw [`SimResult`]. It is
+//!   the only code that applies a configuration's `with_*` chain to a
+//!   simulator; [`build`](RunBuilder::build) hands that simulator back
+//!   for callers that flip a kernel switch before running it.
 //! * [`BatchRunner`] (from [`BatchRunner::new`]) fans a batch of
 //!   configurations out over OS threads with shared trace caching,
 //!   optional progress observation, and explicit loss semantics:
@@ -18,24 +17,22 @@
 //!   plain `Vec` by **panicking on the first failure** — a lossy
 //!   convenience documented on the method, not a silent unwrap.
 //!
-//! The surviving conveniences on [`ExperimentConfig`] (`run`,
-//! `run_checked`) are thin delegates that route through here.
+//! The conveniences on [`ExperimentConfig`] (`run`, `run_checked`) are
+//! thin delegates that route through here, as do the sweep engines.
 
 use std::sync::Arc;
 
 use sps_simcore::{Secs, Watchdog};
 use sps_telemetry::{NullTelemetry, SpanProfiler, TelemetrySink};
 use sps_trace::{NullSink, TraceRecord, TraceSink, TRACE_VERSION};
-use sps_workload::JobSource;
+use sps_workload::{JobSource, TraceSource};
 
-use crate::experiment::{
-    default_threads, run_batch_retrying, ExperimentConfig, RunError, RunResult,
-};
+use crate::experiment::{default_threads, run_batch, ExperimentConfig, RunError, RunResult};
 use crate::sim::{RunUntil, SimResult, Simulator};
 
 /// Builder for a single experiment run. Start from
 /// [`ExperimentConfig::runner`]; every knob has a closed-system default,
-/// so `cfg.runner().run()` is exactly the historical `cfg.run()`.
+/// and `cfg.run()` is `cfg.runner().run()`.
 ///
 /// The sink parameters default to the null implementations and switch
 /// types when attached ([`trace_sink`](RunBuilder::trace_sink),
@@ -176,16 +173,20 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
         self
     }
 
-    /// Execute the run and return the raw [`SimResult`] with no
-    /// per-category reports built (the sweep harness folds this straight
-    /// into a fixed-size summary).
+    /// Assemble the run's [`Simulator`] without running it: the source
+    /// (the explicit one, else [`ExperimentConfig::open_source`] for open
+    /// arrival specs, else the configuration's synthetic trace), the
+    /// configuration's `with_*` chain and this builder's knobs. The trace
+    /// header, when enabled, is recorded here. Benches and tests that need
+    /// a kernel switch ([`Simulator::with_tick_elision`] and friends) flip
+    /// it on the result.
     ///
     /// # Panics
     ///
     /// If the resolved source is unbounded
-    /// ([`JobSource::remaining`] is `None`) while the stopping condition
-    /// is [`RunUntil::Drained`] — such a run would never end.
-    pub fn simulate(mut self) -> SimResult {
+    /// ([`JobSource::finite`] is false) while the stopping condition is
+    /// [`RunUntil::Drained`] — such a run would never end.
+    pub fn build(mut self) -> Simulator<S, T> {
         if self.header && self.sink.enabled() {
             self.sink.record(&TraceRecord::Header {
                 version: TRACE_VERSION,
@@ -193,46 +194,32 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
                 config: self.cfg.to_json(),
             });
         }
-        let source = self.source.take().or_else(|| {
-            self.cfg
-                .open_source()
-                .map(|open| Box::new(open) as Box<dyn JobSource>)
-        });
         let cfg = &self.cfg;
-        let sim = match source {
-            Some(src) => {
-                assert!(
-                    src.finite() || !matches!(self.until, RunUntil::Drained),
-                    "unbounded job source `{}` needs a stopping condition: \
-                     set `.until(..)` to a sim-time horizon or a job count",
-                    src.label()
-                );
-                Simulator::traced_source(
-                    src,
-                    cfg.system.procs,
-                    cfg.scheduler.build(),
-                    cfg.overhead,
-                    cfg.tick_period,
-                    self.sink,
-                )
-            }
-            None => Simulator::traced(
-                cfg.trace(),
-                cfg.system.procs,
-                cfg.scheduler.build(),
-                cfg.overhead,
-                cfg.tick_period,
-                self.sink,
-            ),
-        };
-        let mut sim = sim
-            .with_telemetry(self.telemetry)
-            .with_faults(cfg.faults)
-            .with_admission(cfg.admission)
-            .with_preemption(cfg.preemption, cfg.checkpoint)
-            .with_until(self.until)
-            .with_warmup(self.warmup)
-            .with_watchdog(self.watchdog);
+        let source = self.source.unwrap_or_else(|| match cfg.open_source() {
+            Some(open) => Box::new(open),
+            None => Box::new(TraceSource::new(cfg.trace())),
+        });
+        assert!(
+            source.finite() || !matches!(self.until, RunUntil::Drained),
+            "unbounded job source `{}` needs a stopping condition: \
+             set `.until(..)` to a sim-time horizon or a job count",
+            source.label()
+        );
+        let mut sim = Simulator::traced_source(
+            source,
+            cfg.system.procs,
+            cfg.scheduler.build(),
+            cfg.overhead,
+            cfg.tick_period,
+            self.sink,
+        )
+        .with_telemetry(self.telemetry)
+        .with_faults(cfg.faults)
+        .with_admission(cfg.admission)
+        .with_preemption(cfg.preemption, cfg.checkpoint)
+        .with_until(self.until)
+        .with_warmup(self.warmup)
+        .with_watchdog(self.watchdog);
         if cfg.is_heterogeneous() {
             sim = sim.with_speed(cfg.speed_map());
         }
@@ -247,7 +234,14 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
         if let Some(profiler) = self.profiler {
             sim = sim.with_profiler(profiler);
         }
-        sim.run()
+        sim
+    }
+
+    /// Execute the run and return the raw [`SimResult`] with no
+    /// per-category reports built (the sweep harness folds this straight
+    /// into a fixed-size summary). Panics like [`build`](RunBuilder::build).
+    pub fn simulate(self) -> SimResult {
+        self.build().run()
     }
 
     /// Execute the run and aggregate per-category reports into a
@@ -258,15 +252,15 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     }
 }
 
+/// Completion callback for [`BatchRunner::observer`]: `(index, outcome)`
+/// per finished cell, on the caller's thread.
+type BatchObserver<'a> = Box<dyn FnMut(usize, &Result<RunResult, RunError>) + 'a>;
+
 /// Builder for a batch of experiment runs fanned out over OS threads.
 /// Results come back in input order. Configurations that share a trace
 /// (same [`TraceKey`](sps_workload::TraceKey)) generate it once through a
 /// batch-local [`TraceCache`](sps_workload::TraceCache); open-system
 /// configurations build their generator per run instead.
-/// Completion callback for [`BatchRunner::observer`]: `(index, outcome)`
-/// per finished cell, on the caller's thread.
-type BatchObserver<'a> = Box<dyn FnMut(usize, &Result<RunResult, RunError>) + 'a>;
-
 pub struct BatchRunner<'a> {
     configs: Vec<ExperimentConfig>,
     threads: usize,
@@ -346,12 +340,13 @@ impl<'a> BatchRunner<'a> {
             mut observer,
         } = self;
         let cache = sps_workload::TraceCache::new();
-        run_batch_retrying(
+        run_batch(
             configs,
             threads,
             retries,
             None,
-            |cfg| {
+            None,
+            |_, cfg| {
                 let mut builder = RunBuilder::new(Arc::clone(cfg)).until(until).warmup(warmup);
                 if cfg.arrivals.is_trace() {
                     let key = cfg.trace_key();

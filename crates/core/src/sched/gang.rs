@@ -321,11 +321,13 @@ mod tests {
             Job::new(0, 0, 3_000, 3_000, 8),
             Job::new(1, 0, 3_000, 3_000, 8),
         ];
-        let res = crate::sim::Simulator::with_overhead(
-            jobs,
+        let res = crate::sim::Simulator::traced_source(
+            Box::new(sps_workload::TraceSource::new(jobs)),
             8,
             Box::new(GangScheduling::with_quantum(600, 8)),
             crate::overhead::OverheadModel::MemoryDrain { mb_per_sec: 0.5 },
+            crate::sim::DEFAULT_TICK_PERIOD,
+            sps_trace::NullSink,
         )
         .run();
         assert_eq!(res.outcomes.len(), 2);

@@ -58,8 +58,9 @@ mod tests {
     use super::*;
     use crate::overhead::OverheadModel;
     use crate::policy::{Action, DecideCtx, Policy};
-    use sps_simcore::{Engine, EventClass, EventQueue, SimTime};
-    use sps_workload::{Job, JobId};
+    use sps_simcore::{Engine, EventQueue, SimTime};
+    use sps_trace::NullSink;
+    use sps_workload::{Job, JobId, TraceSource};
 
     /// A minimal FCFS-like policy used to exercise the mechanics.
     struct GreedyFifo;
@@ -132,6 +133,20 @@ mod tests {
         Simulator::new(jobs, procs, policy).run()
     }
 
+    /// [`run_jobs`] on an 8-processor machine under the paper's drain
+    /// overhead.
+    fn run_with_paper_overhead(jobs: Vec<Job>, policy: Box<dyn Policy>) -> SimResult {
+        Simulator::traced_source(
+            Box::new(TraceSource::new(jobs)),
+            8,
+            policy,
+            OverheadModel::paper(),
+            DEFAULT_TICK_PERIOD,
+            NullSink,
+        )
+        .run()
+    }
+
     #[test]
     fn single_job_runs_immediately() {
         let jobs = vec![Job::new(0, 5, 100, 100, 4)];
@@ -200,13 +215,7 @@ mod tests {
         j0.mem_mb = 1_600; // 200 MB/proc -> 100 s drain at 2 MB/s
         let mut j1 = Job::new(1, 10, 50, 50, 8);
         j1.mem_mb = 1_600;
-        let res = Simulator::with_overhead(
-            vec![j0, j1],
-            8,
-            Box::new(PreemptOnArrival),
-            OverheadModel::paper(),
-        )
-        .run();
+        let res = run_with_paper_overhead(vec![j0, j1], Box::new(PreemptOnArrival));
         let long = res.outcomes.iter().find(|o| o.id == JobId(0)).unwrap();
         let short = res.outcomes.iter().find(|o| o.id == JobId(1)).unwrap();
         // Suspend at t=10, drain until t=110; short starts at t=110.
@@ -251,15 +260,9 @@ mod tests {
     fn xfactor_semantics() {
         let jobs = vec![Job::new(0, 0, 100, 200, 8), Job::new(1, 0, 100, 100, 8)];
         let mut sim = Simulator::new(jobs, 8, Box::new(GreedyFifo));
-        // Drive manually: push arrivals, advance to t=0.
+        // Drive manually: pull the t=0 arrival group, advance to t=0.
         let mut queue = EventQueue::with_capacity(4);
-        for rt in &sim.state.jobs {
-            queue.push(
-                rt.job.submit,
-                EventClass::Arrival,
-                Event::Arrival(rt.job.id),
-            );
-        }
+        sim.schedule_next_arrivals(&mut queue);
         let mut engine = Engine::new().with_horizon(SimTime::new(50));
         let _ = engine.run(&mut sim, &mut queue);
         // At t=0 job0 started (8 procs), job1 queued. Engine stopped at
@@ -283,7 +286,7 @@ mod tests {
     #[should_panic(expected = "requests")]
     fn oversized_job_rejected() {
         let jobs = vec![Job::new(0, 0, 10, 10, 16)];
-        let _ = Simulator::new(jobs, 8, Box::new(GreedyFifo));
+        let _ = Simulator::new(jobs, 8, Box::new(GreedyFifo)).run();
     }
 
     #[test]
@@ -292,13 +295,7 @@ mod tests {
         j0.mem_mb = 8 * 1_024; // 512 s drain per transition
         let mut j1 = Job::new(1, 10, 100, 100, 8);
         j1.mem_mb = 8 * 1_024;
-        let res = Simulator::with_overhead(
-            vec![j0, j1],
-            8,
-            Box::new(PreemptOnArrival),
-            OverheadModel::paper(),
-        )
-        .run();
+        let res = run_with_paper_overhead(vec![j0, j1], Box::new(PreemptOnArrival));
         // Productive work = 1600 proc-s; makespan far larger due to drains.
         assert!(
             res.utilization < 0.7,

@@ -14,7 +14,7 @@ use sps_telemetry::{
     SpanProfiler, TelemetryCtx, TelemetrySink,
 };
 use sps_trace::{JobEvent, NullSink, ProcEvent, Reason, TraceCtx, TraceRecord, TraceSink};
-use sps_workload::{parse_secs, Job, JobId, JobSource};
+use sps_workload::{parse_secs, Job, JobId, JobSource, TraceSource};
 
 use super::state::{Event, OccupancySegment, Phase, SimState};
 use crate::admission::AdmissionModel;
@@ -151,7 +151,8 @@ pub struct SimResult {
     pub policy: String,
     /// Completed normally, or aborted by a watchdog with partial metrics.
     pub status: RunStatus,
-    /// Jobs left unfinished (non-zero only for aborted runs).
+    /// Jobs left unfinished, counting those a finite source had not yet
+    /// delivered (non-zero only for aborted or stopped runs).
     pub unfinished: usize,
     /// Fault-injection counters (all zero without faults).
     pub faults: FaultSummary,
@@ -208,21 +209,36 @@ pub struct SimResult {
 /// assert_eq!(result.makespan, 200);
 /// ```
 ///
+/// Jobs enter only through a [`JobSource`], one arrival group ahead of
+/// the clock; [`Simulator::new`] wraps a finite job list in a
+/// [`TraceSource`]. Runs assembled from an `ExperimentConfig` come from
+/// [`RunBuilder`](crate::runner::RunBuilder), which applies the
+/// configuration's `with_*` chain.
+///
 /// The sink type parameter follows the `HashMap` hasher pattern: the
 /// default [`NullSink`] is statically disabled, so untraced simulations
-/// (every existing call site) compile the instrumentation away. To trace,
-/// pass any [`TraceSink`] to [`Simulator::with_sink`]; pass `&mut sink`
-/// to keep ownership and read the sink after [`Simulator::run`]:
+/// compile the instrumentation away. To trace, pass any [`TraceSink`] to
+/// [`Simulator::traced_source`]; pass `&mut sink` to keep ownership and
+/// read the sink after [`Simulator::run`]:
 ///
 /// ```
 /// use sps_core::experiment::SchedulerKind;
-/// use sps_core::sim::Simulator;
+/// use sps_core::overhead::OverheadModel;
+/// use sps_core::sim::{Simulator, DEFAULT_TICK_PERIOD};
 /// use sps_trace::MemorySink;
-/// use sps_workload::Job;
+/// use sps_workload::{Job, TraceSource};
 ///
 /// let jobs = vec![Job::new(0, 0, 100, 100, 8)];
 /// let mut sink = MemorySink::new();
-/// Simulator::with_sink(jobs, 8, SchedulerKind::Easy.build(), &mut sink).run();
+/// Simulator::traced_source(
+///     Box::new(TraceSource::new(jobs)),
+///     8,
+///     SchedulerKind::Easy.build(),
+///     OverheadModel::None,
+///     DEFAULT_TICK_PERIOD,
+///     &mut sink,
+/// )
+/// .run();
 /// assert!(!sink.records().is_empty());
 /// ```
 /// The telemetry type parameter works the same way: the default
@@ -266,13 +282,11 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     sink: S,
     /// Telemetry observation consumer.
     telemetry: T,
-    /// Lazy job supply (open-system mode). `None` runs the classic eager
-    /// path: every job is in the table up front and all arrival events are
-    /// pre-inserted, byte-identical to the pre-source simulator.
-    source: Option<Box<dyn JobSource>>,
+    /// The job supply, pulled one arrival group ahead of the clock.
+    source: Box<dyn JobSource>,
     /// One-job lookahead so each arrival *group* (every job sharing a
-    /// submit instant) materializes together — the delivery order is then
-    /// identical to eager pre-insertion.
+    /// submit instant) materializes together: all of an instant's
+    /// arrivals are queued before the engine forms that instant's batch.
     pending_job: Option<Job>,
     /// Stopping condition (default: drain the queue).
     until: RunUntil,
@@ -294,39 +308,14 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
 pub const DEFAULT_TICK_PERIOD: Secs = 60;
 
 impl Simulator {
-    /// Build a simulator. Panics if any job is wider than the machine.
+    /// Build an untraced simulator over a finite job list: the jobs go
+    /// into a [`TraceSource`] and run with no overhead model and the
+    /// default tick period. Jobs must be sorted by submit time with dense
+    /// ids; a job wider than the machine panics when its arrival group is
+    /// pulled.
     pub fn new(jobs: Vec<Job>, procs: u32, policy: Box<dyn Policy>) -> Self {
-        Self::with_overhead(jobs, procs, policy, OverheadModel::None)
-    }
-
-    /// Build a simulator with a suspension-overhead model.
-    pub fn with_overhead(
-        jobs: Vec<Job>,
-        procs: u32,
-        policy: Box<dyn Policy>,
-        overhead: OverheadModel,
-    ) -> Self {
-        Self::with_overhead_and_tick(jobs, procs, policy, overhead, DEFAULT_TICK_PERIOD)
-    }
-
-    /// Full-control constructor: also set the preemption-routine period
-    /// (used by the ablation benches).
-    pub fn with_overhead_and_tick(
-        jobs: Vec<Job>,
-        procs: u32,
-        policy: Box<dyn Policy>,
-        overhead: OverheadModel,
-        tick_period: Secs,
-    ) -> Self {
-        Simulator::traced(jobs, procs, policy, overhead, tick_period, NullSink)
-    }
-
-    /// Build an untraced open-system simulator fed from a [`JobSource`]
-    /// (no overhead model, default tick period). See
-    /// [`Simulator::traced_source`] for the fully-parameterized form.
-    pub fn from_source(source: Box<dyn JobSource>, procs: u32, policy: Box<dyn Policy>) -> Self {
         Simulator::traced_source(
-            source,
+            Box::new(TraceSource::new(jobs)),
             procs,
             policy,
             OverheadModel::None,
@@ -337,35 +326,26 @@ impl Simulator {
 }
 
 impl<S: TraceSink> Simulator<S> {
-    /// Build a simulator that emits trace records into `sink` (no
-    /// overhead model, default tick period). Like `HashMap::with_hasher`,
-    /// the sink argument fixes the type parameter.
-    pub fn with_sink(jobs: Vec<Job>, procs: u32, policy: Box<dyn Policy>, sink: S) -> Self {
-        Self::traced(
-            jobs,
-            procs,
-            policy,
-            OverheadModel::None,
-            DEFAULT_TICK_PERIOD,
-            sink,
-        )
-    }
-
-    /// Fully-parameterized traced constructor.
-    pub fn traced(
-        jobs: Vec<Job>,
+    /// Build a simulator fed lazily from a [`JobSource`] that emits trace
+    /// records into `sink`. Jobs materialize on demand — one arrival group
+    /// ahead of the clock — so an unbounded generator never allocates its
+    /// infinite future. Pair an unbounded source with
+    /// [`Simulator::with_until`]: a source that never ends makes
+    /// [`RunUntil::Drained`] run forever (until a watchdog trips). Like
+    /// `HashMap::with_hasher`, the sink argument fixes the type parameter.
+    pub fn traced_source(
+        source: Box<dyn JobSource>,
         procs: u32,
         policy: Box<dyn Policy>,
         overhead: OverheadModel,
         tick_period: Secs,
         sink: S,
     ) -> Self {
-        for j in &jobs {
-            validate_job(j, procs);
-        }
         let ticker = policy.needs_tick().then(|| Ticker::new(tick_period));
         Simulator {
-            state: SimState::new(jobs, procs, overhead),
+            // A source that knows its length (a finite trace) sizes the
+            // job table up front; a stream of unknown length grows it.
+            state: SimState::new(source.remaining().unwrap_or(0), procs, overhead),
             policy,
             ticker,
             arrivals_now: Vec::new(),
@@ -380,34 +360,13 @@ impl<S: TraceSink> Simulator<S> {
             reference_decides: false,
             sink,
             telemetry: NullTelemetry,
-            source: None,
+            source,
             pending_job: None,
             until: RunUntil::Drained,
             warmup: 0,
             admission: AdmissionModel::none(),
             profiler: None,
         }
-    }
-
-    /// Build a simulator fed lazily from a [`JobSource`] (open-system
-    /// mode). Jobs materialize on demand — one arrival group ahead of the
-    /// clock — so an unbounded generator never allocates its infinite
-    /// future. Pair with [`Simulator::with_until`]: a source that never
-    /// ends makes [`RunUntil::Drained`] run forever (until a watchdog
-    /// trips). A finite [`sps_workload::TraceSource`] through this path is
-    /// bit-identical to the eager constructors — the equivalence suite in
-    /// `tests/open_system.rs` pins that against the golden hashes.
-    pub fn traced_source(
-        source: Box<dyn JobSource>,
-        procs: u32,
-        policy: Box<dyn Policy>,
-        overhead: OverheadModel,
-        tick_period: Secs,
-        sink: S,
-    ) -> Self {
-        let mut sim = Simulator::traced(Vec::new(), procs, policy, overhead, tick_period, sink);
-        sim.source = Some(source);
-        sim
     }
 
     /// Attach a telemetry sink (builder style; fixes the second type
@@ -441,8 +400,7 @@ impl<S: TraceSink> Simulator<S> {
     }
 }
 
-/// Shared job validation for the eager constructors and the lazy
-/// materialization path.
+/// Validate one job as its arrival group is pulled from the source.
 fn validate_job(j: &Job, procs: u32) {
     assert!(
         j.procs <= procs,
@@ -503,13 +461,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// bit-identical to one without this call.
     pub fn with_faults(mut self, model: FaultModel) -> Self {
         if model.enabled() {
-            let mut inj = FaultInjector::new(model, self.state.cluster.total());
-            // Job-crash decisions are drawn once per job in id order, so
-            // they are independent of how the schedule unfolds.
-            for rt in &mut self.state.jobs {
-                rt.crash_after = inj.job_crash_after(rt.job.run);
-            }
-            self.faults = Some(inj);
+            self.faults = Some(FaultInjector::new(model, self.state.cluster.total()));
         }
         self
     }
@@ -664,30 +616,17 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// [`JobSource`] and [`RunUntil::SimTime`]/[`RunUntil::Jobs`] this is
     /// the open-system steady-state run.
     pub fn run(mut self) -> SimResult {
-        let capacity = match &self.source {
-            // Lazy mode: size for the source's hint when it has one (a
-            // finite replay), else a reasonable open-system default.
-            Some(src) => src.remaining().unwrap_or(4_096).max(64) * 2,
-            None => self.state.jobs.len() * 2,
-        };
+        // Size for the source's hint when it has one (a finite replay),
+        // else a reasonable open-system default.
+        let capacity = self.source.remaining().unwrap_or(4_096).max(64) * 2;
         let mut queue = if self.heap_queue {
             EventQueue::with_capacity(capacity)
         } else {
             EventQueue::calendar_with_capacity(capacity)
         };
-        if self.source.is_some() {
-            // Lazy mode: materialize only the first arrival group; the
-            // batch handler pulls the next group as each one is delivered.
-            self.schedule_next_arrivals(&mut queue);
-        } else {
-            for rt in &self.state.jobs {
-                queue.push(
-                    rt.job.submit,
-                    EventClass::Arrival,
-                    Event::Arrival(rt.job.id),
-                );
-            }
-        }
+        // Materialize only the first arrival group; the batch handler
+        // pulls the next group as each one is delivered.
+        self.schedule_next_arrivals(&mut queue);
         // Seed the failure process: one initial failure time per
         // processor, drawn in index order.
         if let Some(inj) = &mut self.faults {
@@ -798,7 +737,13 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         SimResult {
             policy: self.policy.name(),
             status,
-            unfinished: self.state.incomplete,
+            // A finite source's undelivered jobs, lookahead included, are
+            // unfinished too; an open stream's future arrivals are not.
+            unfinished: self.state.incomplete
+                + self
+                    .source
+                    .remaining()
+                    .map_or(0, |left| left + usize::from(self.pending_job.is_some())),
             faults,
             outcomes,
             utilization: util,
@@ -845,19 +790,15 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
 
     /// Materialize the next arrival *group* from the source: the chain of
     /// jobs sharing the next submit instant, detected with a one-job
-    /// lookahead held in `pending_job`. Grouping preserves the eager
-    /// path's delivery order exactly — all of an instant's arrivals are in
-    /// the queue before the engine forms that instant's batch.
-    fn schedule_next_arrivals(&mut self, queue: &mut EventQueue<Event>) {
-        let Some(src) = self.source.as_mut() else {
-            return;
-        };
-        let Some(first) = self.pending_job.take().or_else(|| src.next_job()) else {
+    /// lookahead held in `pending_job`. All of an instant's arrivals are
+    /// in the queue before the engine forms that instant's batch.
+    pub(super) fn schedule_next_arrivals(&mut self, queue: &mut EventQueue<Event>) {
+        let Some(first) = self.pending_job.take().or_else(|| self.source.next_job()) else {
             return;
         };
         let t = first.submit;
         self.materialize_arrival(first, queue);
-        while let Some(job) = self.source.as_mut().expect("checked above").next_job() {
+        while let Some(job) = self.source.next_job() {
             if job.submit != t {
                 assert!(
                     job.submit > t,
@@ -871,10 +812,9 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         }
     }
 
-    /// Add one source job to the table and schedule its arrival event,
-    /// mirroring everything the eager constructors do up front: validation,
-    /// the incomplete count, and (under fault injection) the per-job crash
-    /// draw — still in id order, because sources emit ids densely.
+    /// Add one source job to the table and schedule its arrival event:
+    /// validation, the incomplete count, and (under fault injection) the
+    /// per-job crash draw — in id order, because sources emit ids densely.
     fn materialize_arrival(&mut self, job: Job, queue: &mut EventQueue<Event>) {
         validate_job(&job, self.state.cluster.total());
         let submit = job.submit;
@@ -1354,10 +1294,9 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         // filtering, between the drain and the decide.
         let lifecycle_start = prof.then(Instant::now);
 
-        // Lazy mode: the group just delivered was the furthest one
-        // materialized — pull the next group in before the engine forms
-        // its next batch.
-        if self.source.is_some() && !self.arrivals_now.is_empty() {
+        // The group just delivered was the furthest one materialized —
+        // pull the next group in before the engine forms its next batch.
+        if !self.arrivals_now.is_empty() {
             self.schedule_next_arrivals(queue);
         }
 

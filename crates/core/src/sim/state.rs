@@ -277,7 +277,7 @@ pub struct SimState {
     pub(crate) suspended: Vec<JobId>,
     /// Currently dispatched (running or reloading).
     pub(crate) running: Vec<JobId>,
-    /// Number of jobs not yet Done (arrived or not).
+    /// Number of materialized jobs not yet Done (arrived or not).
     pub(crate) incomplete: usize,
     pub(crate) overhead: OverheadModel,
     pub(crate) outcomes: Vec<JobOutcome>,
@@ -315,27 +315,24 @@ pub struct SimState {
 }
 
 impl SimState {
-    pub(crate) fn new(jobs: Vec<Job>, procs: u32, overhead: OverheadModel) -> Self {
-        let incomplete = jobs.len();
-        let n = jobs.len();
+    /// An empty machine whose job table is sized for `n` jobs (the
+    /// source's length when it knows one, else 0); jobs arrive through
+    /// [`SimState::push_job`].
+    pub(crate) fn new(n: usize, procs: u32, overhead: OverheadModel) -> Self {
         // Pre-size the hot lists for their worst cases: every job can be
         // queued at once; at most one running job per processor (each
         // needs ≥ 1); outcomes reach exactly n; segments get one entry
         // per dispatch, i.e. n plus one per suspension.
         let concurrent = (procs as usize).min(n);
-        let mut hot = HotState::with_capacity(n);
-        for job in &jobs {
-            hot.push(job);
-        }
         SimState {
             now: SimTime::ZERO,
             cluster: Cluster::new(procs),
-            jobs: jobs.into_iter().map(JobRt::new).collect(),
-            hot,
+            jobs: Vec::with_capacity(n),
+            hot: HotState::with_capacity(n),
             queued: Vec::with_capacity(n),
             suspended: Vec::with_capacity(concurrent),
             running: Vec::with_capacity(concurrent),
-            incomplete,
+            incomplete: 0,
             overhead,
             outcomes: Vec::with_capacity(n),
             segments: Vec::with_capacity(n + n / 4),
@@ -410,9 +407,9 @@ impl SimState {
         self.trim_scan = 0;
     }
 
-    /// Append a lazily-materialized job to the table (open-system source
-    /// mode). Ids must stay dense — the table is indexed by id, less any
-    /// reclaimed prefix — so the source seam asserts the invariant here.
+    /// Append a job pulled from the source to the table. Ids must stay
+    /// dense — the table is indexed by id, less any reclaimed prefix — so
+    /// the source seam asserts the invariant here.
     pub(crate) fn push_job(&mut self, job: Job) -> JobId {
         assert_eq!(
             job.id.index(),

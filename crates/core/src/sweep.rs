@@ -14,25 +14,25 @@
 //! Per cell (scheduler × load), the seed replicas aggregate into
 //! [`CellStats`]: mean and 95% Student-t confidence half-width for each
 //! headline metric. The per-run tail metrics (P50/P99 slowdown) come from
-//! the O(1)-memory [`P2Quantile`] estimator rather than a sorted copy of
-//! every outcome.
+//! the O(1)-memory [`P2Quantile`](sps_metrics::P2Quantile) estimator
+//! rather than a sorted copy of every outcome.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sps_cluster::SpeedSpec;
-use sps_metrics::{goodput, JobOutcome, P2Quantile, StreamingStats};
+use sps_metrics::{goodput, JobOutcome, OutcomeFold, StreamingStats};
 use sps_simcore::{Secs, Watchdog};
 use sps_telemetry::{HealthSummary, PhaseProfile, SpanEvent, SpanProfiler, Telemetry};
 use sps_trace::Json;
-use sps_workload::{ArrivalSpec, EstimateModel, SystemPreset, TraceCache};
+use sps_workload::{ArrivalSpec, EstimateModel, JobSource, SystemPreset, TraceCache};
 
 use crate::admission::AdmissionModel;
 use crate::checkpoint::{CheckpointModel, PreemptionMode};
 use crate::experiment::{
-    batch_workers, run_batch_sharded, ConfigError, ExperimentConfig, RunError, RunResult,
-    SchedulerKind, ShardBoard, ShardStats, WorkerSpan,
+    batch_workers, run_batch, ConfigError, ExperimentConfig, RunError, RunResult, SchedulerKind,
+    ShardBoard, ShardStats, WorkerSpan,
 };
 use crate::faults::FaultModel;
 use crate::overhead::OverheadModel;
@@ -457,75 +457,42 @@ impl RunSummary {
     /// bench's naive comparison path aggregates with bit-identical
     /// arithmetic to the sweep harness.
     pub fn fold(config: &ExperimentConfig, sim: &crate::sim::SimResult) -> Self {
-        // Lean runs already folded every outcome as it completed, with the
-        // same estimators in the same push order — read the scalars out
-        // instead of re-walking outcomes that were never retained.
-        if let Some(fold) = &sim.lean {
-            // `sim.utilization`/`sim.makespan` were computed from this
-            // same fold in the run's finish, so reuse them verbatim.
-            let utilization = sim.utilization;
-            return RunSummary {
-                scheduler: config.scheduler.to_string(),
-                load_factor: config.load_factor,
-                seed: config.seed,
-                mean_slowdown: fold.mean_slowdown(),
-                p50_slowdown: fold.p50_slowdown(),
-                p99_slowdown: fold.p99_slowdown(),
-                worst_slowdown: fold.worst_slowdown(),
-                mean_turnaround: fold.mean_turnaround(),
-                worst_turnaround: fold.worst_turnaround(),
-                utilization,
-                makespan: sim.makespan,
-                preemptions: sim.preemptions,
-                completed: fold.count(),
-                aborted: sim.status.is_aborted(),
-                events: sim.kernel.events,
-                wall_micros: sim.kernel.wall_micros,
-                rejected: sim.rejections.rejected,
-                rejected_penalty: sim.rejections.penalty,
-                lost_work: sim.faults.lost_work as f64,
-                ckpt_overhead: sim.faults.ckpt_overhead as f64,
-                migrations: sim.faults.migrations,
-                goodput: if sim.faults.downtime > 0 {
-                    fold.goodput(config.system.procs, sim.faults.downtime)
-                } else {
-                    utilization
-                },
-                // Tier columns need the segment record, which lean runs
-                // drop; lean sweeps are homogeneous by construction.
-                tier_util: Vec::new(),
-                tier_slowdown: Vec::new(),
-                health: sim.health,
-                phases: sim.kernel.phases,
-            };
-        }
-        let mut slow = StreamingStats::new();
-        let mut turn = StreamingStats::new();
-        let mut p50 = P2Quantile::new(0.5);
-        let mut p99 = P2Quantile::new(0.99);
+        // Lean runs already folded every outcome as it completed; a full
+        // run folds its outcomes here with the same estimators in the same
+        // push order, so both read their scalars from one `OutcomeFold`.
         // Open-system runs fold only the measurement window (jobs
         // submitted after warmup); closed runs have no window and fold
-        // everything, bit-identical to the pre-open-system arithmetic.
-        let wstart = sim.windowed.as_ref().map(|w| w.start);
-        let mut counted = 0usize;
-        for o in &sim.outcomes {
-            if let Some(ws) = wstart {
-                if o.submit < ws {
-                    continue;
+        // everything.
+        let refold;
+        let fold = match &sim.lean {
+            Some(fold) => fold,
+            None => {
+                let start = sim.windowed.as_ref().map(|w| w.start);
+                let mut fold = OutcomeFold::new();
+                for o in &sim.outcomes {
+                    if start.is_none_or(|ws| o.submit >= ws) {
+                        fold.push(o);
+                    }
                 }
+                refold = fold;
+                &refold
             }
-            counted += 1;
-            let s = JobOutcome::slowdown(o);
-            slow.push(s);
-            p50.push(s);
-            p99.push(s);
-            turn.push(o.turnaround() as f64);
-        }
+        };
         let utilization = sim
             .windowed
             .as_ref()
-            .map(|w| w.utilization)
-            .unwrap_or(sim.utilization);
+            .map_or(sim.utilization, |w| w.utilization);
+        let procs = config.system.procs;
+        let goodput = match (sim.faults.downtime, &sim.windowed) {
+            // Without downtime, goodput degenerates to utilization.
+            (0, _) => utilization,
+            // A windowed run's goodput covers the whole run, not the
+            // window.
+            (downtime, Some(_)) => goodput(&sim.outcomes, procs, downtime),
+            (downtime, None) => fold.goodput(procs, downtime),
+        };
+        // Tier columns need the segment record, which lean runs drop;
+        // lean runs are homogeneous by construction.
         let (tier_util, tier_slowdown) = if config.speed.is_uniform_one() {
             (Vec::new(), Vec::new())
         } else {
@@ -535,16 +502,16 @@ impl RunSummary {
             scheduler: config.scheduler.to_string(),
             load_factor: config.load_factor,
             seed: config.seed,
-            mean_slowdown: slow.mean(),
-            p50_slowdown: p50.value(),
-            p99_slowdown: p99.value(),
-            worst_slowdown: slow.max(),
-            mean_turnaround: turn.mean(),
-            worst_turnaround: turn.max(),
+            mean_slowdown: fold.mean_slowdown(),
+            p50_slowdown: fold.p50_slowdown(),
+            p99_slowdown: fold.p99_slowdown(),
+            worst_slowdown: fold.worst_slowdown(),
+            mean_turnaround: fold.mean_turnaround(),
+            worst_turnaround: fold.worst_turnaround(),
             utilization,
             makespan: sim.makespan,
             preemptions: sim.preemptions,
-            completed: counted,
+            completed: fold.count(),
             aborted: sim.status.is_aborted(),
             events: sim.kernel.events,
             wall_micros: sim.kernel.wall_micros,
@@ -553,13 +520,7 @@ impl RunSummary {
             lost_work: sim.faults.lost_work as f64,
             ckpt_overhead: sim.faults.ckpt_overhead as f64,
             migrations: sim.faults.migrations,
-            // Without downtime, goodput degenerates to utilization — skip
-            // the extra pass over the outcomes on the fault-free hot path.
-            goodput: if sim.faults.downtime > 0 {
-                goodput(&sim.outcomes, config.system.procs, sim.faults.downtime)
-            } else {
-                utilization
-            },
+            goodput,
             tier_util,
             tier_slowdown,
             health: sim.health,
@@ -1077,10 +1038,9 @@ pub struct SweepProgress {
     pub workers: Option<Vec<ShardStats>>,
 }
 
-/// Shared bookkeeping for grid harnesses ([`run_sweep_observed`] and the
-/// mega-sweep): folds a stream of terminal run outcomes into
-/// [`SweepProgress`] snapshots for the observer.
-pub(crate) struct ProgressTracker {
+/// The grid driver's progress bookkeeping: folds a stream of terminal
+/// run outcomes into [`SweepProgress`] snapshots for the observer.
+struct ProgressTracker {
     start: Instant,
     total: usize,
     reps: usize,
@@ -1095,7 +1055,7 @@ pub(crate) struct ProgressTracker {
 }
 
 impl ProgressTracker {
-    pub(crate) fn new(start: Instant, total: usize, cells: usize, reps: usize) -> Self {
+    fn new(start: Instant, total: usize, cells: usize, reps: usize) -> Self {
         ProgressTracker {
             start,
             total,
@@ -1111,7 +1071,7 @@ impl ProgressTracker {
 
     /// Account one terminal outcome (run index `i` in expansion order)
     /// and build the snapshot to hand the observer.
-    pub(crate) fn record(&mut self, i: usize, r: &Result<RunSummary, RunError>) -> SweepProgress {
+    fn record(&mut self, i: usize, r: &Result<RunSummary, RunError>) -> SweepProgress {
         self.done += 1;
         match r {
             Ok(s) => {
@@ -1159,7 +1119,7 @@ impl ProgressTracker {
 /// load) into per-cell aggregates. Returns the cells, the rendered
 /// failures, the count of runs skipped on wall-budget exhaustion, and the
 /// count of runs that panicked out.
-pub(crate) fn regroup_cells(
+fn regroup_cells(
     schedulers: &[SchedulerKind],
     loads: &[f64],
     reps: usize,
@@ -1215,19 +1175,49 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepReport, Config
 pub fn run_sweep_observed<O>(
     spec: &SweepSpec,
     threads: usize,
-    mut observe: O,
+    observe: O,
 ) -> Result<SweepReport, ConfigError>
 where
     O: FnMut(&SweepProgress),
 {
     spec.validate()?;
+    Ok(drive_grid(
+        spec,
+        threads,
+        |cfg, cache| {
+            // Closed cells pull from one cached trace per (load, seed);
+            // open cells build their seeded generator inside the builder.
+            cfg.arrivals.is_trace().then(|| {
+                Box::new(cache.source(cfg.trace_key(), || cfg.trace())) as Box<dyn JobSource>
+            })
+        },
+        observe,
+    ))
+}
+
+/// The grid driver behind [`run_sweep_observed`] and
+/// [`run_mega_sweep_observed`](crate::mega::run_mega_sweep_observed),
+/// which differ only in each run's job source and in `spec.lean`.
+/// `source(config, cache)` gives a run's explicit source (`None` lets
+/// [`RunBuilder`] resolve it from the configuration); the batch-local
+/// cache it may draw from feeds the report's trace counters. The spec
+/// must already be validated.
+pub(crate) fn drive_grid<F, O>(
+    spec: &SweepSpec,
+    threads: usize,
+    source: F,
+    mut observe: O,
+) -> SweepReport
+where
+    F: Fn(&ExperimentConfig, &TraceCache) -> Option<Box<dyn JobSource>> + Sync,
+    O: FnMut(&SweepProgress),
+{
     let start = Instant::now();
     let deadline = spec
         .wall_budget_ms
         .map(|ms| start + Duration::from_millis(ms));
     let cache = TraceCache::new();
-    let telemetry = spec.telemetry;
-    let timeline = spec.timeline;
+    let (telemetry, timeline) = (spec.telemetry, spec.timeline);
     let (until, warmup, lean) = (spec.until, spec.warmup, spec.lean);
 
     let mut progress = ProgressTracker::new(start, spec.runs(), spec.cells(), spec.reps);
@@ -1237,7 +1227,7 @@ where
     // board, so phase spans land inside their worker-lane cell span.
     let run_spans: Mutex<Vec<(usize, Vec<SpanEvent>)>> = Mutex::new(Vec::new());
 
-    let results = run_batch_sharded(
+    let results = run_batch(
         spec.expand(),
         threads,
         spec.retries,
@@ -1246,16 +1236,13 @@ where
         |worker, cfg: &Arc<ExperimentConfig>| {
             // Simulate and fold directly: no RunResult (and no
             // per-category reports) is ever materialized on the sweep
-            // path. Closed cells pull from one cached trace per
-            // (load, seed); open cells build their seeded generator
-            // inside the builder.
+            // path.
             let mut builder = RunBuilder::new(Arc::clone(cfg))
                 .until(until)
                 .warmup(warmup)
                 .lean(lean);
-            if cfg.arrivals.is_trace() {
-                let source = cache.source(cfg.trace_key(), || cfg.trace());
-                builder = builder.source(Box::new(source));
+            if let Some(src) = source(cfg, &cache) {
+                builder = builder.source(src);
             }
             if let Some(d) = deadline {
                 // Cap the in-flight run's watchdog to the remaining
@@ -1310,7 +1297,7 @@ where
     run_spans
         .sort_by_key(|(worker, spans)| (*worker, spans.first().map_or(u64::MAX, |s| s.start_ns)));
 
-    Ok(SweepReport {
+    SweepReport {
         cells,
         runs: spec.runs(),
         failures,
@@ -1322,7 +1309,7 @@ where
         workers: board.snapshot(),
         worker_spans,
         run_spans,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1661,7 +1648,9 @@ mod tests {
     #[test]
     fn report_renders_csv_json_table() {
         let spec = tiny().with_reps(1).with_jobs(60);
-        let report = run_sweep(&spec, 4).expect("valid spec");
+        // One worker, so the cache-hit count below is exact (see
+        // `sweep_shares_traces_and_aggregates_cells`).
+        let report = run_sweep(&spec, 1).expect("valid spec");
         let csv = report.to_csv();
         assert_eq!(csv.lines().count(), 5, "header + one row per cell");
         assert!(csv.starts_with("scheduler,load,"));

@@ -1,12 +1,13 @@
 //! Pull-based workload sources: the open-system boundary.
 //!
-//! The closed-system experiments of the paper hand the simulator a finite
-//! `Vec<Job>` up front. Production schedulers never see that: jobs arrive
-//! forever, and the interesting regime is the *steady state* under a given
-//! offered load. [`JobSource`] is the seam that makes both worlds one API:
+//! The closed-system experiments of the paper replay a finite trace.
+//! Production schedulers never see that: jobs arrive forever, and the
+//! interesting regime is the *steady state* under a given offered load.
+//! [`JobSource`] is the seam that makes both worlds one API, and the only
+//! way jobs enter the simulator:
 //!
-//! * [`TraceSource`] wraps a finite trace (bit-identical to the eager
-//!   `Vec<Job>` path — the golden determinism suite pins this),
+//! * [`TraceSource`] wraps a finite trace (the golden determinism suite
+//!   pins closed runs through it),
 //! * [`OpenSource`] generates unbounded arrivals from a seeded stochastic
 //!   process — homogeneous Poisson, MMPP bursts, linear load ramps, or
 //!   diurnally modulated intensity — reusing the calibrated

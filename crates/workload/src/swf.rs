@@ -105,6 +105,23 @@ pub struct SwfTrace {
     pub warnings: SwfWarnings,
 }
 
+impl SwfTrace {
+    /// Drop the jobs wider than a `procs`-processor machine (archive logs
+    /// can include special partitions) and renumber the rest densely, as
+    /// [`parse`] does: the simulator indexes jobs by dense id.
+    pub fn fit_to(&mut self, procs: u32) {
+        self.jobs.retain(|j| j.procs <= procs);
+        renumber(&mut self.jobs);
+    }
+}
+
+/// Give jobs dense ids in their current order.
+fn renumber(jobs: &mut [Job]) {
+    for (i, j) in jobs.iter_mut().enumerate() {
+        j.id = JobId(i as u32);
+    }
+}
+
 /// One classified input line.
 enum LineKind {
     /// Blank or `;` comment.
@@ -222,9 +239,7 @@ pub fn parse(text: &str) -> Result<SwfTrace, SwfError> {
         }
     }
     jobs.sort_by_key(|j| (j.submit, j.id));
-    for (i, j) in jobs.iter_mut().enumerate() {
-        j.id = JobId(i as u32);
-    }
+    renumber(&mut jobs);
     Ok(SwfTrace {
         jobs,
         skipped: warnings.skipped,
@@ -538,6 +553,19 @@ mod tests {
         assert_eq!(trace.jobs[0].submit.secs(), 50);
         assert_eq!(trace.jobs[0].id, JobId(0));
         assert_eq!(trace.jobs[1].id, JobId(1));
+    }
+
+    #[test]
+    fn fit_to_drops_wide_jobs_and_renumbers() {
+        let text = "\
+1 0 0 10 4 -1 -1 4 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+2 5 0 10 64 -1 -1 64 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+3 9 0 10 2 -1 -1 2 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+";
+        let mut trace = parse(text).unwrap();
+        trace.fit_to(32);
+        let kept: Vec<_> = trace.jobs.iter().map(|j| (j.id, j.procs)).collect();
+        assert_eq!(kept, [(JobId(0), 4), (JobId(1), 2)]);
     }
 
     #[test]

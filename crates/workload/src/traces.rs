@@ -109,6 +109,18 @@ impl SystemPreset {
     pub fn mix_of(&self, cat: Category) -> f64 {
         self.mix[cat.index()]
     }
+
+    /// The machine of a replayed SWF log: `procs` processors, every job
+    /// width admitted. The synthetic-workload fields are SDSC's and never
+    /// read — the log is the workload.
+    pub fn swf(procs: u32) -> SystemPreset {
+        SystemPreset {
+            name: "SWF",
+            procs,
+            max_width: procs,
+            ..SDSC
+        }
+    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ fn main() {
         }
     };
 
-    let trace = swf::parse(&text).expect("well-formed SWF");
+    let mut trace = swf::parse(&text).expect("well-formed SWF");
     println!(
         "parsed {} usable jobs from {origin} ({} records skipped)",
         trace.jobs.len(),
@@ -53,11 +53,8 @@ fn main() {
     );
     // Drop jobs wider than the simulated machine (some archive logs
     // contain special partitions).
-    let jobs: Vec<_> = trace
-        .jobs
-        .into_iter()
-        .filter(|j| j.procs <= procs)
-        .collect();
+    trace.fit_to(procs);
+    let jobs = trace.jobs;
     println!("replaying {} jobs on {procs} processors\n", jobs.len());
 
     let mut grids = Vec::new();

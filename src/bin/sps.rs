@@ -6,11 +6,11 @@
 //!           [--overhead none|paper] [--diurnal 0.0] [--worst]
 //! sps sweep --system SDSC --sched ns --sched ss:2 --loads 0.7,0.85,1.0
 //!           [--reps 5] [--progress]
+//! sps sweep --swf LOG.swf --procs 430 --sched ss:2 [--loads 0.7,1.0]
+//!           [--reps 5] [--readahead 1024] [--threads N]
 //! sps report [--system SDSC] [--sched ss --sf 2] [--load 0.85]
 //!           [--loads 0.7,0.85,1.0] [--out report.md] [--prom PREFIX]
 //! sps replay --swf LOG.swf --procs 430 --sched ns [--sched tss:2 ...]
-//! sps mega  --swf LOG.swf --procs 430 --sched ss:2 [--loads 0.7,1.0]
-//!           [--reps 5] [--readahead 1024] [--threads N]
 //! sps trace --system SDSC --sched ss:2 --out trace.jsonl [--format csv]
 //! sps validate trace.jsonl [--allow-migration]
 //! sps schedulers
@@ -19,7 +19,10 @@
 //! `run` simulates a calibrated synthetic trace and prints the
 //! per-category report; `replay` does the same for a Standard Workload
 //! Format log. Multiple `--sched` flags compare schemes on the same
-//! trace. `--csv PREFIX` additionally writes one per-job CSV per scheme
+//! trace. `sweep` runs a scheduler × load × seed grid over the synthetic
+//! trace, or, with `--swf`, streams an SWF log of any size through every
+//! run with O(machine) memory; each grid rejects the other's flags.
+//! `--csv PREFIX` additionally writes one per-job CSV per scheme
 //! (`PREFIX.<scheme>.csv`) for external analysis. `trace` streams the
 //! full event log of one run to disk (JSONL embeds the experiment
 //! config in a header record); `validate` replays such a log and
@@ -31,7 +34,7 @@ use std::fmt::Write as _;
 use std::io::IsTerminal as _;
 
 use selective_preemption::bench::history;
-use selective_preemption::cluster::{SpeedMap, SpeedSpec};
+use selective_preemption::cluster::SpeedSpec;
 use selective_preemption::core::admission::AdmissionModel;
 use selective_preemption::core::checkpoint::{CheckpointModel, PreemptionMode};
 use selective_preemption::core::experiment::{default_threads, ExperimentConfig, SchedulerKind};
@@ -39,19 +42,19 @@ use selective_preemption::core::faults::{FaultModel, RecoveryPolicy};
 use selective_preemption::core::mega::{run_mega_sweep_observed, MegaSweepSpec};
 use selective_preemption::core::overhead::OverheadModel;
 use selective_preemption::core::runner::BatchRunner;
-use selective_preemption::core::sim::{RunUntil, Simulator};
+use selective_preemption::core::sim::RunUntil;
 use selective_preemption::core::sweep::{
     run_sweep_observed, SweepProgress, SweepReport, SweepSpec,
 };
 use selective_preemption::metrics::table::render_comparison;
 use selective_preemption::metrics::{goodput, CategoryReport};
-use selective_preemption::simcore::{Secs, Watchdog};
+use selective_preemption::simcore::Secs;
 use selective_preemption::telemetry::{
     PhaseProfile, SpanEvent, SpanPhase, SpanProfiler, Telemetry, TimelineBuilder,
 };
 use selective_preemption::trace::{validate_jsonl, CsvSink, Json, JsonlSink, ReplayOptions};
 use selective_preemption::workload::{
-    parse_secs, swf, ArrivalSpec, EstimateModel, Job, SyntheticConfig, SystemPreset,
+    parse_secs, swf, ArrivalSpec, EstimateModel, Job, SyntheticConfig, SystemPreset, TraceSource,
 };
 
 fn fail(msg: &str) -> ! {
@@ -79,11 +82,13 @@ fn usage() -> ! {
     eprintln!("             [--budget MS] [--retries N] [--timeline FILE] [--top]");
     eprintln!("             [--arrivals SPEC] [--until DUR|Nj] [--warmup DUR] [--admission SPEC]");
     eprintln!("             [--speed SPEC] [--speed-blind]");
-    eprintln!("  sps mega   --swf FILE --procs N --sched <SPEC> [--sched <SPEC>...]");
+    eprintln!("  sps sweep  --swf FILE --procs N --sched <SPEC> [--sched <SPEC>...]");
     eprintln!("             [--loads F,F,...] [--reps N] [--seed N] [--threads N]");
-    eprintln!("             [--estimates accurate|mixture] [--readahead N]");
+    eprintln!(
+        "             [--estimates accurate|mixture] [--overhead none|paper] [--readahead N]"
+    );
     eprintln!("             [--budget MS] [--retries N] [--format table|csv|json] [--out FILE]");
-    eprintln!("             [--timeline FILE] [--top]");
+    eprintln!("             [--progress|--no-progress] [--timeline FILE] [--top]");
     eprintln!("  sps report [--system <CTC|SDSC|KTH>] [--sched <SPEC>...] [--sf F]");
     eprintln!("             [--jobs N] [--load F] [--loads F,F,...] [--seed N] [--reps N]");
     eprintln!("             [--mtbf SECS] [--mttr SECS] [--out FILE] [--prom PREFIX]");
@@ -95,19 +100,21 @@ fn usage() -> ! {
     eprintln!();
     eprintln!("scheduler SPEC: fcfs | cons | ns | flex:<depth> | is | gang | ss:<sf> | tss:<sf>");
     eprintln!("                (a bare ss/tss takes its factor from --sf, default 2)");
-    eprintln!("mega: sweep an SWF log of any size with O(machine) memory — each run streams");
-    eprintln!("      the log through a bounded read-ahead ring (--readahead jobs, default 1024)");
-    eprintln!("      and folds outcomes in-simulator instead of materializing them; --loads");
-    eprintln!("      reshapes inter-arrival gaps around the log's own arrival pattern and");
-    eprintln!("      --estimates (if given) re-draws user estimates, seeded per replication");
     eprintln!("sweep: the full scheduler x load grid runs --reps seed replications per cell");
     eprintln!("       and reports per-cell means with 95% confidence half-widths;");
     eprintln!("       --threads defaults to the SPS_THREADS env var, then all cores;");
     eprintln!("       --progress streams done/total, runs/s, ETA and the worst health");
     eprintln!("       detector to stderr (default: only when stderr is a terminal)");
+    eprintln!("sweep --swf: sweep an SWF log of any size with O(machine) memory — each run");
+    eprintln!("       streams the log through a bounded read-ahead ring (--readahead jobs,");
+    eprintln!("       default 1024) and folds outcomes in-simulator instead of materializing");
+    eprintln!("       them; --loads reshapes inter-arrival gaps around the log's own arrival");
+    eprintln!("       pattern and --estimates (if given) re-draws user estimates, seeded per");
+    eprintln!("       replication; the synthetic grid's machine, fault, preemption, speed");
+    eprintln!("       and open-system flags do not apply and are rejected");
     eprintln!("observability: --timeline FILE writes a Chrome-trace / Perfetto JSON");
     eprintln!("       timeline (run: one lane per scheme with run-loop phase spans;");
-    eprintln!("       sweep/mega: one lane per worker with per-cell spans and in-run");
+    eprintln!("       sweep: one lane per worker with per-cell spans and in-run");
     eprintln!("       phase spans); --top redraws a live per-worker table on stderr");
     eprintln!("       (cells, steals, queue depth, busy share, peak RSS)");
     eprintln!("report: instrumented comparison runs (default SDSC, ns vs ss vs tss) with");
@@ -252,6 +259,132 @@ impl Args {
             model = model.with_rate(rate);
         }
         model.with_contention(self.ckpt_contention)
+    }
+
+    /// The experiment configuration the flags describe for one scheme on
+    /// `system`: the one place the CLI turns run flags into a config.
+    fn config(&self, system: SystemPreset, kind: SchedulerKind) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::new(system, kind)
+            .with_seed(self.seed)
+            .with_load_factor(self.load)
+            .with_estimates(self.estimates)
+            .with_overhead(self.overhead)
+            .with_faults(self.faults())
+            .with_preemption(self.preemption())
+            .with_checkpoint(self.checkpoint())
+            .with_arrivals(self.arrivals.unwrap_or(ArrivalSpec::Trace))
+            .with_admission(self.admission.unwrap_or_else(AdmissionModel::none))
+            .with_speed(self.speed.clone().unwrap_or_default())
+            .with_speed_aware(!self.speed_blind);
+        if let Some(n) = self.jobs {
+            cfg = cfg.with_jobs(n);
+        }
+        cfg
+    }
+
+    /// The synthetic scheduler × load grid the flags describe on
+    /// `system` (`sweep`, and `report --loads`).
+    fn sweep_spec(&self, system: SystemPreset, scheds: Vec<SchedulerKind>) -> SweepSpec {
+        reject(
+            &[
+                (self.procs.is_some(), "--procs"),
+                (self.readahead.is_some(), "--readahead"),
+            ],
+            "a synthetic sweep (SWF sweeps take --swf)",
+        );
+        let mut spec = SweepSpec::new(system)
+            .with_schedulers(scheds)
+            .with_loads(self.loads.clone().unwrap_or_else(|| vec![self.load]))
+            .with_seed(self.seed)
+            .with_reps(self.reps.unwrap_or(1))
+            .with_estimates(self.estimates)
+            .with_overhead(self.overhead)
+            .with_faults(self.faults())
+            .with_preemption(self.preemption())
+            .with_checkpoint(self.checkpoint())
+            .with_speed(self.speed.clone().unwrap_or_default())
+            .with_speed_aware(!self.speed_blind);
+        if let Some(n) = self.jobs {
+            spec = spec.with_jobs(n);
+        }
+        if let Some(budget) = self.budget {
+            spec = spec.with_wall_budget(budget);
+        }
+        if let Some(retries) = self.retries {
+            spec = spec.with_retries(retries);
+        }
+        if let Some(arrivals) = self.arrivals {
+            spec = spec.with_arrivals(arrivals);
+        }
+        if let Some(until) = self.until {
+            spec = spec.with_until(until);
+        }
+        if let Some(warmup) = self.warmup {
+            spec = spec.with_warmup(warmup);
+        }
+        if let Some(admission) = self.admission {
+            spec = spec.with_admission(admission);
+        }
+        spec
+    }
+
+    /// The SWF-log grid the flags describe (`sweep --swf`). A replayed
+    /// log fixes the machine and its arrivals, so the synthetic grid's
+    /// machine, fault, preemption, speed and open-system flags are
+    /// rejected rather than dropped.
+    fn swf_spec(&self, swf: &str) -> MegaSweepSpec {
+        reject(
+            &[
+                (self.system.is_some(), "--system"),
+                (self.jobs.is_some(), "--jobs"),
+                (self.mtbf.is_some(), "--mtbf"),
+                (self.mttr.is_some(), "--mttr"),
+                (self.recovery.is_some(), "--recovery"),
+                (self.fault_seed.is_some(), "--fault-seed"),
+                (self.preemption.is_some(), "--preemption"),
+                (self.ckpt_interval.is_some(), "--ckpt-interval"),
+                (self.ckpt_rate.is_some(), "--ckpt-rate"),
+                (self.ckpt_contention, "--ckpt-contention"),
+                (self.speed.is_some(), "--speed"),
+                (self.speed_blind, "--speed-blind"),
+                (self.arrivals.is_some(), "--arrivals"),
+                (self.until.is_some(), "--until"),
+                (self.warmup.is_some(), "--warmup"),
+                (self.admission.is_some(), "--admission"),
+            ],
+            "an SWF sweep (--swf)",
+        );
+        let procs = self
+            .procs
+            .unwrap_or_else(|| fail("--procs required with --swf"));
+        let mut spec = MegaSweepSpec::new(swf, procs)
+            .with_schedulers(self.scheds.clone())
+            .with_loads(self.loads.clone().unwrap_or_else(|| vec![self.load]))
+            .with_seed(self.seed)
+            .with_reps(self.reps.unwrap_or(1))
+            .with_overhead(self.overhead)
+            .with_timeline(self.timeline.is_some());
+        if self.estimates_given {
+            spec = spec.with_estimates(Some(self.estimates));
+        }
+        if let Some(n) = self.readahead {
+            spec = spec.with_readahead(n);
+        }
+        if let Some(budget) = self.budget {
+            spec = spec.with_wall_budget(budget);
+        }
+        if let Some(retries) = self.retries {
+            spec = spec.with_retries(retries);
+        }
+        spec
+    }
+}
+
+/// Fail on the first flag in `given` that was passed: it does not apply
+/// to `target`.
+fn reject(given: &[(bool, &str)], target: &str) {
+    if let Some((_, flag)) = given.iter().find(|(passed, _)| *passed) {
+        fail(&format!("{flag} does not apply to {target}"));
     }
 }
 
@@ -410,70 +543,47 @@ fn parse_args(mut argv: std::vec::IntoIter<String>) -> Args {
     args
 }
 
-fn report(jobs: Vec<Job>, procs: u32, args: &Args) {
+/// Simulate every scheme on `jobs` (one machine: `system`) and print the
+/// per-category comparison — the body of `run` and `replay`.
+fn report(jobs: Vec<Job>, system: SystemPreset, args: &Args) {
     if args.scheds.is_empty() {
         fail("at least one --sched required");
     }
-    let faults = args.faults();
-    let pmode = args.preemption();
-    let ckpt = args.checkpoint();
-    let admission = args.admission.unwrap_or_else(AdmissionModel::none);
+    let procs = system.procs;
+    let configs: Vec<ExperimentConfig> = args
+        .scheds
+        .iter()
+        .map(|&kind| args.config(system, kind))
+        .collect();
     let until = args.until.unwrap_or_default();
     let warmup = args.warmup.unwrap_or(0);
     // Simulate every scheme first — in parallel when --threads (or
     // SPS_THREADS) allows it — then print in input order.
-    let threads = args
-        .threads
-        .unwrap_or_else(default_threads)
-        .min(args.scheds.len())
-        .max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let jobs = &jobs;
-            let next = &next;
-            let scheds = &args.scheds;
-            let overhead = args.overhead;
-            let speed = &args.speed;
-            let blind = args.speed_blind;
-            let timeline = args.timeline.is_some();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= scheds.len() {
-                    break;
-                }
-                let mut sim =
-                    Simulator::with_overhead(jobs.clone(), procs, scheds[i].build(), overhead)
-                        .with_faults(faults)
-                        .with_preemption(pmode, ckpt)
-                        .with_admission(admission)
-                        .with_until(until)
-                        .with_warmup(warmup)
-                        .with_watchdog(Watchdog::generous());
-                if let Some(spec) = speed {
-                    sim = sim.with_speed(SpeedMap::from_spec(spec, procs).with_aware(!blind));
-                }
-                if timeline {
-                    sim = sim.with_profiler(SpanProfiler::with_timeline(0));
-                }
-                if tx.send((i, sim.run())).is_err() {
-                    break;
-                }
-            });
+    let threads = args.threads.unwrap_or_else(default_threads);
+    let simulate = |cfg: &ExperimentConfig| {
+        let mut run = cfg
+            .runner()
+            .source(Box::new(TraceSource::new(jobs.clone())))
+            .until(until)
+            .warmup(warmup);
+        if args.timeline.is_some() {
+            run = run.profiler(SpanProfiler::with_timeline(0));
         }
+        run.simulate()
+    };
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = configs
+            .chunks(configs.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(|| chunk.iter().map(simulate).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("scheme simulation panicked"))
+            .collect()
     });
-    drop(tx);
-    let mut results: Vec<Option<selective_preemption::core::sim::SimResult>> =
-        (0..args.scheds.len()).map(|_| None).collect();
-    for (i, res) in rx {
-        results[i] = Some(res);
-    }
     let mut grids: Vec<(String, [f64; 16])> = Vec::new();
     let mut lanes: Vec<(String, Vec<SpanEvent>)> = Vec::new();
-    for (&kind, res) in args.scheds.iter().zip(results) {
-        let mut res = res.expect("every scheme simulated");
+    for (&kind, mut res) in args.scheds.iter().zip(results) {
         let rep = CategoryReport::from_outcomes(&res.outcomes);
         println!(
             "{:<14} overall slowdown {:>7.2}  mean turnaround {:>8.0} s  utilization {:>5.1}%  preemptions {:>6}",
@@ -634,32 +744,14 @@ fn open_run(system: SystemPreset, args: &Args) {
     let configs: Vec<ExperimentConfig> = args
         .scheds
         .iter()
-        .map(|&kind| {
-            ExperimentConfig::new(system, kind)
-                .with_seed(args.seed)
-                .with_load_factor(args.load)
-                .with_estimates(args.estimates)
-                .with_overhead(args.overhead)
-                .with_faults(args.faults())
-                .with_preemption(args.preemption())
-                .with_checkpoint(args.checkpoint())
-                .with_arrivals(spec)
-                .with_admission(admission)
-                .with_speed(args.speed.clone().unwrap_or_default())
-                .with_speed_aware(!args.speed_blind)
-        })
+        .map(|&kind| args.config(system, kind))
         .collect();
     println!(
         "{}: open system — arrivals {spec}, until {until}, warmup {warmup} s, admission {admission}\n",
         system.name,
     );
-    let threads = args
-        .threads
-        .unwrap_or_else(default_threads)
-        .min(configs.len())
-        .max(1);
     let results = BatchRunner::new(configs)
-        .threads(threads)
+        .threads(args.threads.unwrap_or_else(default_threads))
         .until(until)
         .warmup(warmup)
         .run_checked();
@@ -721,25 +813,30 @@ fn open_run(system: SystemPreset, args: &Args) {
 /// `enabled` is false, so the same call site serves both modes).
 fn progress_line(enabled: bool) -> impl FnMut(&SweepProgress) {
     move |p: &SweepProgress| {
-        if !enabled {
-            return;
+        if enabled {
+            // Trailing spaces wipe leftovers of a longer previous line.
+            eprint!("\r{}        ", progress_summary(p));
         }
-        let mut line = format!(
-            "{}/{} runs  {}/{} cells  {:.1} runs/s",
-            p.done, p.total, p.cells_done, p.cells, p.runs_per_sec
-        );
-        if p.failed > 0 {
-            let _ = write!(line, "  {} failed", p.failed);
-        }
-        if let Some(eta) = p.eta_secs {
-            let _ = write!(line, "  ETA {}", fmt_eta(eta));
-        }
-        if let Some(worst) = &p.worst_detector {
-            let _ = write!(line, "  [{worst}]");
-        }
-        // Trailing spaces wipe leftovers of a longer previous line.
-        eprint!("\r{line}        ");
     }
+}
+
+/// One-line progress digest: runs and cells done, rate, failures, ETA
+/// and the worst health detector.
+fn progress_summary(p: &SweepProgress) -> String {
+    let mut line = format!(
+        "{}/{} runs  {}/{} cells  {:.1} runs/s",
+        p.done, p.total, p.cells_done, p.cells, p.runs_per_sec
+    );
+    if p.failed > 0 {
+        let _ = write!(line, "  {} failed", p.failed);
+    }
+    if let Some(eta) = p.eta_secs {
+        let _ = write!(line, "  ETA {}", fmt_eta(eta));
+    }
+    if let Some(worst) = &p.worst_detector {
+        let _ = write!(line, "  [{worst}]");
+    }
+    line
 }
 
 /// `--top`: a multi-line stderr view redrawn in place (cursor-up + clear
@@ -753,20 +850,7 @@ fn top_view() -> impl FnMut(&SweepProgress) {
         if drawn > 0 {
             let _ = write!(out, "\x1b[{drawn}A");
         }
-        let mut header = format!(
-            "{}/{} runs  {}/{} cells  {:.1} runs/s",
-            p.done, p.total, p.cells_done, p.cells, p.runs_per_sec
-        );
-        if p.failed > 0 {
-            let _ = write!(header, "  {} failed", p.failed);
-        }
-        if let Some(eta) = p.eta_secs {
-            let _ = write!(header, "  ETA {}", fmt_eta(eta));
-        }
-        if let Some(worst) = &p.worst_detector {
-            let _ = write!(header, "  [{worst}]");
-        }
-        let _ = writeln!(out, "\x1b[2K{header}");
+        let _ = writeln!(out, "\x1b[2K{}", progress_summary(p));
         let mut lines = 1usize;
         if let Some(workers) = &p.workers {
             let _ = writeln!(
@@ -994,68 +1078,57 @@ fn main() {
                 args.load,
                 args.seed
             );
-            report(jobs, system.procs, &args);
+            report(jobs, system, &args);
         }
         "sweep" => {
             let args = parse_args(argv.into_iter());
-            let system = args.system.unwrap_or_else(|| fail("--system required"));
             if args.scheds.is_empty() {
                 fail("at least one --sched required");
             }
             if args.diurnal > 0.0 {
                 fail("--diurnal is not supported by sweep");
             }
-            let mut spec = SweepSpec::new(system)
-                .with_schedulers(args.scheds.clone())
-                .with_loads(args.loads.clone().unwrap_or_else(|| vec![args.load]))
-                .with_seed(args.seed)
-                .with_reps(args.reps.unwrap_or(1))
-                .with_estimates(args.estimates)
-                .with_overhead(args.overhead)
-                .with_faults(args.faults())
-                .with_preemption(args.preemption())
-                .with_checkpoint(args.checkpoint())
-                .with_speed(args.speed.clone().unwrap_or_default())
-                .with_speed_aware(!args.speed_blind);
-            if let Some(n) = args.jobs {
-                spec = spec.with_jobs(n);
-            }
-            if let Some(budget) = args.budget {
-                spec = spec.with_wall_budget(budget);
-            }
-            if let Some(retries) = args.retries {
-                spec = spec.with_retries(retries);
-            }
-            if let Some(arrivals) = args.arrivals {
-                spec = spec.with_arrivals(arrivals);
-            }
-            if let Some(until) = args.until {
-                spec = spec.with_until(until);
-            }
-            if let Some(warmup) = args.warmup {
-                spec = spec.with_warmup(warmup);
-            }
-            if let Some(admission) = args.admission {
-                spec = spec.with_admission(admission);
-            }
-            spec = spec.with_timeline(args.timeline.is_some());
             let threads = args.threads.unwrap_or_else(default_threads);
-            eprintln!(
-                "{}: {} cells x {} reps = {} runs of {} jobs on {} threads",
-                system.name,
-                spec.cells(),
-                spec.reps,
-                spec.runs(),
-                spec.n_jobs,
-                threads,
-            );
             let progress = args
                 .progress
                 .unwrap_or_else(|| std::io::stderr().is_terminal());
-            let report = if args.top {
-                run_sweep_observed(&spec, threads, top_view())
+            let observe: Box<dyn FnMut(&SweepProgress)> = if args.top {
+                Box::new(top_view())
             } else {
-                run_sweep_observed(&spec, threads, progress_line(progress))
+                Box::new(progress_line(progress))
+            };
+            let report = match &args.swf {
+                // SWF grid: every run streams the log through a bounded
+                // read-ahead ring and folds outcomes in-simulator, so
+                // memory stays O(machine) however long the log is.
+                Some(swf_path) => {
+                    let spec = args.swf_spec(swf_path);
+                    eprintln!(
+                        "{}: {} cells x {} reps = {} streaming runs on {} threads",
+                        swf_path,
+                        spec.cells(),
+                        spec.reps,
+                        spec.runs(),
+                        threads,
+                    );
+                    run_mega_sweep_observed(&spec, threads, observe)
+                }
+                None => {
+                    let system = args.system.unwrap_or_else(|| fail("--system required"));
+                    let spec = args
+                        .sweep_spec(system, args.scheds.clone())
+                        .with_timeline(args.timeline.is_some());
+                    eprintln!(
+                        "{}: {} cells x {} reps = {} runs of {} jobs on {} threads",
+                        system.name,
+                        spec.cells(),
+                        spec.reps,
+                        spec.runs(),
+                        spec.n_jobs,
+                        threads,
+                    );
+                    run_sweep_observed(&spec, threads, observe)
+                }
             }
             .unwrap_or_else(|e| fail(&e.to_string()));
             if progress && !args.top {
@@ -1092,88 +1165,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "mega" => {
-            // Archive-scale SWF sweep: every run streams the log through a
-            // bounded read-ahead ring and folds outcomes in-simulator, so
-            // memory stays O(machine) however long the log is.
-            let args = parse_args(argv.into_iter());
-            let swf_path = args
-                .swf
-                .clone()
-                .unwrap_or_else(|| fail("--swf required (an SWF log to sweep)"));
-            let procs = args.procs.unwrap_or_else(|| fail("--procs required"));
-            if args.scheds.is_empty() {
-                fail("at least one --sched required");
-            }
-            let mut spec = MegaSweepSpec::new(&swf_path, procs)
-                .with_schedulers(args.scheds.clone())
-                .with_loads(args.loads.clone().unwrap_or_else(|| vec![args.load]))
-                .with_seed(args.seed)
-                .with_reps(args.reps.unwrap_or(1))
-                .with_overhead(args.overhead);
-            if args.estimates_given {
-                spec = spec.with_estimates(Some(args.estimates));
-            }
-            if let Some(n) = args.readahead {
-                spec = spec.with_readahead(n);
-            }
-            if let Some(budget) = args.budget {
-                spec = spec.with_wall_budget(budget);
-            }
-            if let Some(retries) = args.retries {
-                spec = spec.with_retries(retries);
-            }
-            spec = spec.with_timeline(args.timeline.is_some());
-            let threads = args.threads.unwrap_or_else(default_threads);
-            eprintln!(
-                "{}: {} cells x {} reps = {} streaming runs on {} threads",
-                swf_path,
-                spec.cells(),
-                spec.reps,
-                spec.runs(),
-                threads,
-            );
-            let progress = args
-                .progress
-                .unwrap_or_else(|| std::io::stderr().is_terminal());
-            let report = if args.top {
-                run_mega_sweep_observed(&spec, threads, top_view())
-            } else {
-                run_mega_sweep_observed(&spec, threads, progress_line(progress))
-            }
-            .unwrap_or_else(|e| fail(&e.to_string()));
-            if progress && !args.top {
-                eprintln!();
-            }
-            for failure in &report.failures {
-                eprintln!("warning: {failure}");
-            }
-            failure_summary(&report);
-            if let Some(path) = &args.timeline {
-                write_grid_timeline(path, &report, "sps mega");
-            }
-            let rendered = match args.format.as_deref().unwrap_or("table") {
-                "table" => report.render_table(),
-                "csv" => report.to_csv(),
-                "json" => {
-                    let mut s = report.to_json().render();
-                    s.push('\n');
-                    s
-                }
-                other => fail(&format!("unknown mega format {other:?} (table, csv, json)")),
-            };
-            match &args.out {
-                Some(path) => {
-                    std::fs::write(path, &rendered)
-                        .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-                    eprintln!("wrote {path}");
-                }
-                None => print!("{rendered}"),
-            }
-            if !report.failures.is_empty() {
-                std::process::exit(1);
-            }
-        }
         "report" => {
             let args = parse_args(argv.into_iter());
             let system = args
@@ -1191,34 +1182,30 @@ fn main() {
             } else {
                 args.scheds.clone()
             };
-            let n_jobs = args.jobs.unwrap_or(system.default_jobs);
-            let faults = args.faults();
-            let admission = args.admission.unwrap_or_else(AdmissionModel::none);
-            let config = |kind| {
-                ExperimentConfig::new(system, kind)
-                    .with_jobs(n_jobs)
-                    .with_seed(args.seed)
-                    .with_load_factor(args.load)
-                    .with_estimates(args.estimates)
-                    .with_overhead(args.overhead)
-                    .with_faults(faults)
-                    .with_preemption(args.preemption())
-                    .with_checkpoint(args.checkpoint())
-                    .with_admission(admission)
-                    .with_speed(args.speed.clone().unwrap_or_default())
-                    .with_speed_aware(!args.speed_blind)
-            };
-            config(scheds[0])
+            // Every report run replays one closed trace.
+            reject(
+                &[
+                    (args.arrivals.is_some_and(|a| !a.is_trace()), "--arrivals"),
+                    (args.until.is_some(), "--until"),
+                    (args.warmup.is_some(), "--warmup"),
+                ],
+                "report (it compares closed-trace runs)",
+            );
+            args.config(system, scheds[0])
                 .validate()
                 .unwrap_or_else(|e| fail(&e.to_string()));
             // One shared trace: the job list is scheduler-independent.
-            let jobs = config(scheds[0]).trace();
+            let jobs = args.config(system, scheds[0]).trace();
 
             let mut outs = Vec::with_capacity(scheds.len());
             for &kind in &scheds {
-                let cfg = config(kind);
                 let mut tel = Telemetry::new();
-                let sim = cfg.simulate_instrumented(jobs.clone(), &mut tel);
+                let sim = args
+                    .config(system, kind)
+                    .runner()
+                    .source(Box::new(TraceSource::new(jobs.clone())))
+                    .telemetry(&mut tel)
+                    .simulate();
                 let rep = CategoryReport::from_outcomes(&sim.outcomes);
                 outs.push((kind, sim, rep, tel));
             }
@@ -1380,21 +1367,8 @@ fn main() {
                 let _ = writeln!(w, "```text\n{}```", tel.health_report().render());
             }
 
-            if let Some(loads) = &args.loads {
-                let spec = SweepSpec::new(system)
-                    .with_schedulers(scheds.clone())
-                    .with_loads(loads.clone())
-                    .with_jobs(n_jobs)
-                    .with_seed(args.seed)
-                    .with_reps(args.reps.unwrap_or(1))
-                    .with_estimates(args.estimates)
-                    .with_overhead(args.overhead)
-                    .with_faults(faults)
-                    .with_preemption(args.preemption())
-                    .with_checkpoint(args.checkpoint())
-                    .with_speed(args.speed.clone().unwrap_or_default())
-                    .with_speed_aware(!args.speed_blind)
-                    .with_telemetry(true);
+            if args.loads.is_some() {
+                let spec = args.sweep_spec(system, scheds.clone()).with_telemetry(true);
                 let threads = args.threads.unwrap_or_else(default_threads);
                 let progress = args
                     .progress
@@ -1461,18 +1435,14 @@ fn main() {
             let procs = args.procs.unwrap_or_else(|| fail("--procs required"));
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let trace = swf::parse(&text).unwrap_or_else(|e| fail(&e.to_string()));
-            let jobs: Vec<Job> = trace
-                .jobs
-                .into_iter()
-                .filter(|j| j.procs <= procs)
-                .collect();
+            let mut trace = swf::parse(&text).unwrap_or_else(|e| fail(&e.to_string()));
+            trace.fit_to(procs);
             println!(
                 "{path}: {} usable jobs ({} skipped), machine {procs} procs\n",
-                jobs.len(),
+                trace.jobs.len(),
                 trace.skipped
             );
-            report(jobs, procs, &args);
+            report(trace.jobs, SystemPreset::swf(procs), &args);
         }
         "trace" => {
             let args = parse_args(argv.into_iter());
@@ -1487,27 +1457,9 @@ fn main() {
                 .out
                 .clone()
                 .unwrap_or_else(|| fail("--out FILE required"));
-            let mut cfg = ExperimentConfig::new(system, args.scheds[0])
-                .with_seed(args.seed)
-                .with_load_factor(args.load)
-                .with_estimates(args.estimates)
-                .with_overhead(args.overhead)
-                .with_faults(args.faults())
-                .with_preemption(args.preemption())
-                .with_checkpoint(args.checkpoint())
-                .with_speed(args.speed.clone().unwrap_or_default())
-                .with_speed_aware(!args.speed_blind);
-            if let Some(n) = args.jobs {
-                cfg = cfg.with_jobs(n);
-            }
-            if let Some(arrivals) = args.arrivals {
-                if !arrivals.is_trace() && args.until.is_none() {
-                    fail("tracing open arrivals needs --until (duration or <N>j)");
-                }
-                cfg = cfg.with_arrivals(arrivals);
-            }
-            if let Some(admission) = args.admission {
-                cfg = cfg.with_admission(admission);
+            let cfg = args.config(system, args.scheds[0]);
+            if !cfg.arrivals.is_trace() && args.until.is_none() {
+                fail("tracing open arrivals needs --until (duration or <N>j)");
             }
             let until = args.until.unwrap_or_default();
             let warmup = args.warmup.unwrap_or(0);

@@ -1,10 +1,11 @@
 //! Shared golden-trace machinery for the determinism suites.
 //!
-//! `golden_determinism.rs` runs the cases through the eager kernel entry
-//! point; `open_system.rs` replays the same cases through the
-//! `TraceSource` + `RunBuilder` path. Both must hash to the values in
-//! `tests/goldens/kernel_traces.txt` — keeping the case table and the
-//! hash fold in one place is what makes that comparison meaningful.
+//! `golden_determinism.rs` runs the cases through the kernel constructor
+//! (`Simulator::traced_source`); `open_system.rs` replays the same cases
+//! through the `TraceSource` + `RunBuilder` path. Both must hash to the
+//! values in `tests/goldens/kernel_traces.txt` — keeping the case table
+//! and the hash fold in one place is what makes that comparison
+//! meaningful.
 #![allow(dead_code)] // each test binary uses a subset of this module
 
 use selective_preemption::prelude::*;

@@ -266,6 +266,27 @@ fn watchdog_turns_livelock_into_aborted_result() {
 }
 
 #[test]
+fn watchdog_abort_counts_jobs_not_yet_submitted_as_unfinished() {
+    // The watchdog trips long before the last arrival, so most of the
+    // backlog is still in the job source, not in the simulator's table.
+    let n = 2_000;
+    let watchdog = Watchdog {
+        max_batches: Some(50),
+        max_events: None,
+        max_wall_ms: None,
+    };
+    let cfg = base(SchedulerKind::Easy).with_jobs(n);
+    let dead = Simulator::new(cfg.trace(), SDSC.procs, Box::new(DeadPolicy))
+        .with_watchdog(watchdog)
+        .run();
+    assert!(dead.status.is_aborted(), "got {:?}", dead.status);
+    assert_eq!(dead.unfinished, n - dead.outcomes.len());
+    let easy = cfg.runner().watchdog(watchdog).simulate();
+    assert!(easy.status.is_aborted(), "got {:?}", easy.status);
+    assert_eq!(easy.unfinished, n - easy.outcomes.len());
+}
+
+#[test]
 fn event_budget_also_trips_the_watchdog() {
     let jobs = base(SchedulerKind::Easy).with_jobs(20).trace();
     let sim = Simulator::new(jobs, SDSC.procs, Box::new(DeadPolicy)).with_watchdog(Watchdog {

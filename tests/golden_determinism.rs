@@ -30,8 +30,8 @@ fn run_case(c: &Case) -> u64 {
         .with_jobs(c.jobs)
         .generate();
     let mut sink = JsonlSink::new(Vec::<u8>::new());
-    let result = Simulator::traced(
-        jobs,
+    let result = Simulator::traced_source(
+        Box::new(TraceSource::new(jobs)),
         c.system.procs,
         kind.build(),
         c.overhead,

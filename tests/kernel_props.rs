@@ -156,10 +156,17 @@ fn run_validated_with(
         .with_interval(900)
         .with_contention(true);
     let jobs = SyntheticConfig::new(SDSC, seed).with_jobs(jobs).generate();
-    let res = Simulator::with_overhead(jobs, SDSC.procs, wrapped, overhead)
-        .with_faults(faults)
-        .with_preemption(pmode, ckpt)
-        .run();
+    let res = Simulator::traced_source(
+        Box::new(TraceSource::new(jobs)),
+        SDSC.procs,
+        wrapped,
+        overhead,
+        sps_core::sim::DEFAULT_TICK_PERIOD,
+        NullSink,
+    )
+    .with_faults(faults)
+    .with_preemption(pmode, ckpt)
+    .run();
     assert!(!res.status.is_aborted(), "run must complete");
     assert_eq!(res.unfinished, 0);
     checks.get()

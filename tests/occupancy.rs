@@ -16,12 +16,13 @@ use selective_preemption::prelude::*;
 use sps_workload::traces::SDSC;
 
 fn run(kind: SchedulerKind, overhead: OverheadModel, seed: u64) -> SimResult {
-    let jobs = ExperimentConfig::new(SDSC, kind)
+    ExperimentConfig::new(SDSC, kind)
         .with_jobs(600)
         .with_seed(seed)
         .with_load_factor(1.3)
-        .trace();
-    Simulator::with_overhead(jobs, SDSC.procs, kind.build(), overhead).run()
+        .with_overhead(overhead)
+        .runner()
+        .simulate()
 }
 
 fn preemptive_kinds() -> Vec<SchedulerKind> {

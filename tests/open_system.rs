@@ -2,10 +2,10 @@
 //! behavior, and the open generators must be seed-deterministic.
 //!
 //! Part one replays the twelve golden cases from `tests/common/mod.rs`
-//! through the new path — jobs wrapped in a `TraceSource`, run via
-//! `RunBuilder` — and demands bit-identical hashes against the *same*
-//! pre-refactor golden file the eager path is pinned to. If the lazy
-//! arrival path reorders even one trace record, this fails.
+//! through `RunBuilder` — jobs wrapped in a `TraceSource` — and demands
+//! bit-identical hashes against the *same* pre-refactor golden file the
+//! kernel constructor is pinned to. If the builder's assembly reorders
+//! even one trace record, this fails.
 //!
 //! Part two pins the generators themselves: Poisson and MMPP runs with a
 //! fixed seed must reproduce exactly, run-to-run and across batch thread
@@ -17,8 +17,8 @@ use common::{cases, fold_hash, load_goldens, Case};
 use selective_preemption::prelude::*;
 
 /// Run one golden case through `TraceSource` + `RunBuilder` and fold the
-/// same observables as the eager path. `.header(false)` because the
-/// goldens were captured without the config-header record.
+/// same observables as `golden_determinism.rs`. `.header(false)` because
+/// the goldens were captured without the config-header record.
 fn run_case_via_builder(c: &Case) -> u64 {
     let kind: SchedulerKind = c.spec.parse().expect("golden spec parses");
     let cfg = ExperimentConfig::new(c.system, kind)
@@ -59,7 +59,7 @@ fn builder_source_path_matches_golden_hashes() {
     }
     assert!(
         failures.is_empty(),
-        "TraceSource+RunBuilder path diverged from the eager goldens:\n{}",
+        "TraceSource+RunBuilder path diverged from the goldens:\n{}",
         failures.join("\n")
     );
 }

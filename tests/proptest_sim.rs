@@ -168,11 +168,13 @@ fn overhead_accounting_matches_suspensions() {
     for seed in 0..CASES {
         let mut rng = SimRng::seed_from_u64(seed ^ 0x66);
         let jobs = random_jobs(&mut rng);
-        let res = Simulator::with_overhead(
-            jobs,
+        let res = Simulator::traced_source(
+            Box::new(TraceSource::new(jobs)),
             PROCS,
             SchedulerKind::Ss { sf: 1.5 }.build(),
             OverheadModel::paper(),
+            sps_core::sim::DEFAULT_TICK_PERIOD,
+            NullSink,
         )
         .run();
         for o in &res.outcomes {

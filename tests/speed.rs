@@ -105,8 +105,8 @@ fn run_case_with_uniform_speed(c: &Case) -> u64 {
         .generate();
     let spec: SpeedSpec = "uniform:1.0".parse().unwrap();
     let mut sink = JsonlSink::new(Vec::<u8>::new());
-    let result = Simulator::traced(
-        jobs,
+    let result = Simulator::traced_source(
+        Box::new(TraceSource::new(jobs)),
         c.system.procs,
         kind.build(),
         c.overhead,

@@ -3,10 +3,8 @@
 //! *bit-identical* to the naive path it replaced — same traces, same
 //! simulation results, same per-cell statistics.
 
-use selective_preemption::core::sim::Simulator;
 use selective_preemption::core::sweep::{run_sweep, CellStats, RunSummary, SweepSpec};
 use selective_preemption::prelude::*;
-use sps_simcore::Watchdog;
 use sps_workload::traces::{CTC, SDSC};
 
 /// FNV-1a, 64-bit (stable across platforms, unlike `DefaultHasher`).
@@ -90,16 +88,7 @@ fn naive_cells(spec: &SweepSpec) -> Vec<CellStats> {
         .expand()
         .into_iter()
         .map(|cfg| {
-            let sim = Simulator::with_overhead_and_tick(
-                cfg.trace(),
-                cfg.system.procs,
-                cfg.scheduler.build(),
-                cfg.overhead,
-                cfg.tick_period,
-            )
-            .with_watchdog(Watchdog::generous())
-            .with_tick_elision(false);
-            let res = sim.run();
+            let res = cfg.runner().build().with_tick_elision(false).run();
             (cfg, res)
         })
         .collect();
@@ -148,14 +137,7 @@ fn heap_and_calendar_backends_agree_end_to_end() {
             .with_seed(3)
             .with_overhead(OverheadModel::paper());
         let run = |heap: bool| {
-            let sim = Simulator::with_overhead_and_tick(
-                cfg.trace(),
-                cfg.system.procs,
-                cfg.scheduler.build(),
-                cfg.overhead,
-                cfg.tick_period,
-            )
-            .with_watchdog(Watchdog::generous());
+            let sim = cfg.runner().build();
             if heap { sim.with_heap_queue() } else { sim }.run()
         };
         let (h, c) = (run(true), run(false));
@@ -198,17 +180,12 @@ fn reference_and_fast_decides_agree_end_to_end() {
                 .with_load_factor(load)
                 .with_overhead(OverheadModel::paper());
             let run = |reference: bool| {
-                let sim = Simulator::with_overhead_and_tick(
-                    cfg.trace(),
-                    cfg.system.procs,
-                    cfg.scheduler.build(),
-                    cfg.overhead,
-                    cfg.tick_period,
-                )
-                .with_watchdog(Watchdog::generous())
-                // Elision off so every tick actually reaches `decide`,
-                // exercising the fast path at maximum frequency.
-                .with_tick_elision(false);
+                let sim = cfg
+                    .runner()
+                    .build()
+                    // Elision off so every tick actually reaches `decide`,
+                    // exercising the fast path at maximum frequency.
+                    .with_tick_elision(false);
                 if reference {
                     sim.with_reference_decides()
                 } else {
@@ -260,15 +237,7 @@ fn traced_tss_log_is_identical_with_reference_decides() {
         .with_overhead(OverheadModel::paper());
     let log = |reference: bool| {
         let mut sink = JsonlSink::new(Vec::new());
-        let sim = Simulator::traced(
-            cfg.trace(),
-            cfg.system.procs,
-            cfg.scheduler.build(),
-            cfg.overhead,
-            cfg.tick_period,
-            &mut sink,
-        )
-        .with_watchdog(Watchdog::generous());
+        let sim = cfg.runner().trace_sink(&mut sink).build();
         let res = if reference {
             sim.with_reference_decides()
         } else {
@@ -308,18 +277,7 @@ fn tick_elision_preserves_simulation_results() {
                 .with_seed(9)
                 .with_load_factor(0.5)
                 .with_overhead(OverheadModel::paper());
-            let run = |elide: bool| {
-                Simulator::with_overhead_and_tick(
-                    cfg.trace(),
-                    cfg.system.procs,
-                    cfg.scheduler.build(),
-                    cfg.overhead,
-                    cfg.tick_period,
-                )
-                .with_watchdog(Watchdog::generous())
-                .with_tick_elision(elide)
-                .run()
-            };
+            let run = |elide: bool| cfg.runner().build().with_tick_elision(elide).run();
             let (with, without) = (run(true), run(false));
             let label = format!("{} on {}", spec, system.name);
             assert_eq!(with.makespan, without.makespan, "{label}: makespan");
