@@ -19,6 +19,8 @@
 //!   demand — the entries carry no borrows, so the table persists across
 //!   decides inside the arena), with a lazily built cumulative cover of
 //!   its sorted order that lets SS/TSS reject hopeless scans in O(words),
+//! * [`IdleOrder`] — SS/TSS's idle priority list, kept across decides and
+//!   repaired in O(n + inversions) instead of re-sorted,
 //! * [`alloc_avoiding_in`] — claim-aware placement for fresh dispatches,
 //! * [`ReservationLadder`] — the anchor-search/backfill view of the
 //!   availability profile shared by the reservation-based baselines,
@@ -209,6 +211,112 @@ impl VictimTable {
     }
 }
 
+/// The SS/TSS serving order of idle (queued + suspended) jobs: descending
+/// xfactor, ids breaking ties. The `(xfactor, id)` keys are unique, so
+/// there is exactly one such order.
+#[inline]
+fn idle_order(a: &(f64, JobId), b: &(f64, JobId)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// The idle priority list of SS/TSS, kept across decides.
+///
+/// Between two decides only a handful of idle jobs swap places, so
+/// [`repair`](Self::repair) brings the previous decide's order up to date
+/// in O(n + inversions) instead of re-sorting it: it drops the jobs that
+/// left the idle set, appends the ones that joined, re-keys every entry
+/// with its current xfactor and restores the order by insertion.
+/// Membership is a mark per job-window slot, realigned when lean trimming
+/// reclaims a prefix of the window. After every repair the list equals
+/// the from-scratch [`rebuild`](Self::rebuild) bit for bit (debug builds
+/// check it), so the kept order is a cache that never changes a decision.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct IdleOrder {
+    entries: Vec<(f64, JobId)>,
+    /// `member[id.index() - base]`: whether `id` is in `entries`.
+    member: Vec<bool>,
+    /// The job-window offset (`SimState::trimmed`) `member` is aligned to.
+    base: usize,
+}
+
+impl IdleOrder {
+    /// The idle jobs in serving order, as of the last repair or rebuild.
+    pub fn entries(&self) -> &[(f64, JobId)] {
+        &self.entries
+    }
+
+    /// Bring the kept order up to date with `state` (the fast path).
+    pub fn repair(&mut self, state: &SimState) {
+        // Realign the marks to the job window: drop those of the slots
+        // lean trimming reclaimed since the last repair, and cover every
+        // live slot.
+        let shift = (state.trimmed - self.base).min(self.member.len());
+        self.member.drain(..shift);
+        self.base = state.trimmed;
+        self.member.resize(state.jobs.len(), false);
+        let (member, base) = (&mut self.member, self.base);
+        self.entries.retain_mut(|e| {
+            if state.is_idle(e.1) {
+                e.0 = state.xfactor(e.1);
+                true
+            } else {
+                // A reclaimed slot's mark went with the trimmed prefix.
+                if let Some(i) = e.1.index().checked_sub(base) {
+                    member[i] = false;
+                }
+                false
+            }
+        });
+        for &id in state.queued().iter().chain(state.suspended()) {
+            let mark = &mut member[id.index() - base];
+            if !*mark {
+                *mark = true;
+                self.entries.push((state.xfactor(id), id));
+            }
+        }
+        // Insertion sort: each entry moves past exactly the entries it
+        // now outranks.
+        for i in 1..self.entries.len() {
+            let cur = self.entries[i];
+            let mut j = i;
+            while j > 0 && idle_order(&cur, &self.entries[j - 1]).is_lt() {
+                self.entries[j] = self.entries[j - 1];
+                j -= 1;
+            }
+            self.entries[j] = cur;
+        }
+        if cfg!(debug_assertions) {
+            let mut fresh = IdleOrder::default();
+            fresh.rebuild(state);
+            assert_eq!(
+                key_bits(&self.entries),
+                key_bits(&fresh.entries),
+                "kept idle order diverged from the from-scratch sort"
+            );
+        }
+    }
+
+    /// Build the order from scratch with a full sort (the reference
+    /// path). The marks are left alone: a run takes either this path or
+    /// [`repair`](Self::repair), never both.
+    pub fn rebuild(&mut self, state: &SimState) {
+        self.entries.clear();
+        self.entries.extend(
+            state
+                .queued()
+                .iter()
+                .chain(state.suspended())
+                .map(|&id| (state.xfactor(id), id)),
+        );
+        self.entries.sort_unstable_by(idle_order);
+    }
+}
+
+/// Keys in bit form, so a comparison is exact.
+fn key_bits(entries: &[(f64, JobId)]) -> Vec<(u64, JobId)> {
+    entries.iter().map(|&(x, id)| (x.to_bits(), id)).collect()
+}
+
 /// Scratch sets for [`alloc_avoiding_in`], reused across calls. The
 /// sets self-size on first use ([`ProcSet::copy_from`] adopts the source
 /// universe), so the zero-universe default is fine.
@@ -231,8 +339,7 @@ impl Default for AllocScratch {
 
 /// Policy-owned scratch for the decide path. Everything a decide
 /// allocates transiently — the planning free pool, the blocked/reserved
-/// claim sets, the victim mirror, index lists, the idle priority list —
-/// lives here and is reused across calls, so steady-state decides touch
+/// claim sets, the victim mirror, index lists — lives here and is reused across calls, so steady-state decides touch
 /// the allocator only for the `ProcSet`s they emit inside actions.
 ///
 /// [`DecideArena::reset`] re-clears every buffer for a new decide and
@@ -255,8 +362,6 @@ pub(crate) struct DecideArena {
     pub indices: Vec<usize>,
     /// Chosen-victim index list (alive together with `indices`).
     pub chosen: Vec<usize>,
-    /// The (priority, id) idle list, rebuilt every decide.
-    pub idle: Vec<(f64, JobId)>,
     /// The running-job victim mirror.
     pub table: VictimTable,
     /// Scratch for claim-aware placement.
@@ -273,7 +378,6 @@ impl Default for DecideArena {
             covered: ProcSet::empty(0),
             indices: Vec::new(),
             chosen: Vec::new(),
-            idle: Vec::new(),
             table: VictimTable::default(),
             alloc: AllocScratch::default(),
         }
@@ -299,7 +403,6 @@ impl DecideArena {
         }
         self.indices.clear();
         self.chosen.clear();
-        self.idle.clear();
         self.table.clear();
     }
 }
@@ -427,6 +530,177 @@ impl ReservationLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overhead::OverheadModel;
+    use crate::sim::Event;
+    use sps_metrics::OutcomeFold;
+    use sps_simcore::EventQueue;
+
+    /// A zero-overhead state on `procs` processors holding `jobs`, none
+    /// arrived yet; suspensions land directly in the Suspended phase.
+    fn idle_state(procs: u32, jobs: impl IntoIterator<Item = Job>) -> SimState {
+        let mut state = SimState::new(0, procs, OverheadModel::None);
+        for job in jobs {
+            state.push_job(job);
+        }
+        state
+    }
+
+    /// The kept order equals a from-scratch rebuild bit for bit, and the
+    /// membership marks are exactly its entries.
+    fn assert_is_rebuild(order: &IdleOrder, state: &SimState, label: &str) {
+        let mut fresh = IdleOrder::default();
+        fresh.rebuild(state);
+        assert_eq!(
+            key_bits(order.entries()),
+            key_bits(fresh.entries()),
+            "{label}: order"
+        );
+        let marked: Vec<usize> = (0..order.member.len())
+            .filter(|&i| order.member[i])
+            .map(|i| i + order.base)
+            .collect();
+        let mut listed: Vec<usize> = order.entries().iter().map(|e| e.1.index()).collect();
+        listed.sort_unstable();
+        assert_eq!(marked, listed, "{label}: marks");
+    }
+
+    fn ids(order: &IdleOrder) -> Vec<u32> {
+        order.entries().iter().map(|e| e.1 .0).collect()
+    }
+
+    #[test]
+    fn idle_order_follows_jobs_that_leave_and_come_back() {
+        // Estimates 1000/100/400/500/200 s; one processor each.
+        let ests = [1_000, 100, 400, 500, 200];
+        let mut state = idle_state(
+            8,
+            ests.iter()
+                .enumerate()
+                .map(|(i, &e)| Job::new(i as u32, 0, e, e, 1)),
+        );
+        let mut queue: EventQueue<Event> = EventQueue::with_capacity(16);
+        let mut order = IdleOrder::default();
+        for id in [0, 2, 3] {
+            state.arrive(JobId(id));
+        }
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "t=0");
+        assert_eq!(ids(&order), [0, 2, 3], "all tied at 1.0: by id");
+
+        // t=100: job 1 arrives behind job 0, which outranks it until the
+        // shorter job's xfactor overtakes: 1.1 vs 1.0 now, 1.2 vs 2.0 at
+        // t=200. Job 3 starts and leaves.
+        state.now = SimTime::new(100);
+        state.arrive(JobId(1));
+        assert!(state.start(JobId(3), &mut queue));
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "t=100");
+        assert_eq!(ids(&order), [2, 0, 1]);
+        state.now = SimTime::new(200);
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "t=200");
+        assert_eq!(ids(&order), [1, 2, 0], "the short job overtook");
+
+        // Between two repairs job 2 starts and a fault kills it (it leaves
+        // and comes back, re-queued), job 3 is suspended (it returns, now
+        // a suspended job) and job 1 starts and is suspended.
+        state.now = SimTime::new(250);
+        assert!(state.start(JobId(2), &mut queue));
+        assert!(state.start(JobId(1), &mut queue));
+        state.now = SimTime::new(300);
+        state.kill(JobId(2));
+        assert!(state.suspend(JobId(3), &mut queue));
+        assert!(state.suspend(JobId(1), &mut queue));
+        state.now = SimTime::new(320);
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "kill and suspend");
+        assert_eq!(order.entries().len(), 4, "no entry twice");
+
+        // Resume and re-suspend job 1 between repairs; job 4 arrives.
+        assert!(state.resume(JobId(1), &mut queue));
+        state.now = SimTime::new(330);
+        assert!(state.suspend(JobId(1), &mut queue));
+        state.arrive(JobId(4));
+        state.now = SimTime::new(400);
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "resume then suspend");
+        assert_eq!(order.entries().len(), 5, "no entry twice");
+
+        // Everything leaves (suspended jobs first, onto their own
+        // processors); the order empties.
+        for id in state.suspended().to_vec() {
+            assert!(state.resume(id, &mut queue));
+        }
+        for id in state.queued().to_vec() {
+            assert!(state.start(id, &mut queue));
+        }
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "all running");
+        assert!(order.entries().is_empty());
+    }
+
+    #[test]
+    fn idle_order_realigns_marks_after_lean_trimming() {
+        const N: u32 = 1_030;
+        let mut state = idle_state(4, (0..N).map(|i| Job::new(i, 0, 10, 10 + i as i64, 1)));
+        state.lean = Some(OutcomeFold::new());
+        let mut queue: EventQueue<Event> = EventQueue::with_capacity(16);
+        let mut order = IdleOrder::default();
+        for id in 0..N {
+            state.arrive(JobId(id));
+        }
+        state.now = SimTime::new(5);
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "before trimming");
+        assert_eq!(order.entries().len(), N as usize);
+
+        // The first 1,026 jobs run and complete; the Done prefix of the
+        // job window is reclaimed under the kept entries and marks.
+        for id in 0..1_026 {
+            assert!(state.start(JobId(id), &mut queue));
+            state.complete(JobId(id));
+        }
+        assert_eq!(state.trimmed, 1_024, "lean trimming reclaimed a prefix");
+        // Newcomers land in window slots past the shifted ones.
+        for id in N..N + 6 {
+            state.push_job(Job::new(id, 0, 5, 7, 1));
+            state.arrive(JobId(id));
+        }
+        state.now = SimTime::new(50);
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "after trimming");
+        assert_eq!(order.base, 1_024);
+        let mut live = ids(&order);
+        live.sort_unstable();
+        assert_eq!(live, (1_026..N + 6).collect::<Vec<_>>());
+        assert_eq!(ids(&order)[..6], [1_030, 1_031, 1_032, 1_033, 1_034, 1_035]);
+    }
+
+    #[test]
+    fn idle_order_breaks_xfactor_ties_by_id() {
+        let mut state = idle_state(4, (0..4).map(|i| Job::new(i, 0, 100, 100, 1)));
+        let mut queue: EventQueue<Event> = EventQueue::with_capacity(16);
+        let mut order = IdleOrder::default();
+        // Job 1 waits 0 s before it starts, is killed at t=50 and re-queued
+        // behind jobs 2 and 3, which arrive then: all three have waited
+        // the same 50 s at t=100.
+        state.arrive(JobId(0));
+        state.arrive(JobId(1));
+        assert!(state.start(JobId(1), &mut queue));
+        order.repair(&state);
+        state.now = SimTime::new(50);
+        state.arrive(JobId(3));
+        state.arrive(JobId(2));
+        order.repair(&state);
+        assert_eq!(ids(&order), [0, 2, 3]);
+        state.kill(JobId(1));
+        state.now = SimTime::new(100);
+        order.repair(&state);
+        assert_is_rebuild(&order, &state, "ties");
+        assert_eq!(ids(&order), [0, 1, 2, 3], "equal xfactors by id");
+        let keys: Vec<f64> = order.entries().iter().map(|e| e.0).collect();
+        assert_eq!(keys, [2.0, 1.5, 1.5, 1.5]);
+    }
 
     /// Disjoint sets on a 430-processor (7-word) machine, as running jobs
     /// hold them, straddling word boundaries; job `i` holds `sets[i]`.

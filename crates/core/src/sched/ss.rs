@@ -35,7 +35,7 @@ use sps_trace::Reason;
 use sps_workload::{Category, JobId};
 
 use crate::policy::{Action, DecideCtx, Policy};
-use crate::sched::planner::{self, DecideArena};
+use crate::sched::planner::{self, DecideArena, IdleOrder};
 use crate::sched::tss::TssLimits;
 use crate::sim::SimState;
 
@@ -86,11 +86,14 @@ impl SsConfig {
 pub struct SelectiveSuspension {
     cfg: SsConfig,
     /// Per-decide scratch. The preemption routine runs every minute for
-    /// the whole length of a run, so the planning mirror (idle list,
-    /// free/blocked/reserved sets, victim table, index lists) is rebuilt
-    /// tens of thousands of times per simulation; reusing one arena keeps
-    /// the entire decide path off the allocator.
+    /// the whole length of a run, so the planning mirror (free/blocked/
+    /// reserved sets, victim table, index lists) is rebuilt tens of
+    /// thousands of times per simulation; reusing one arena keeps the
+    /// entire decide path off the allocator.
     arena: DecideArena,
+    /// The idle jobs in serving order, repaired rather than re-sorted at
+    /// each full decide.
+    idle: IdleOrder,
 }
 
 impl SelectiveSuspension {
@@ -99,6 +102,7 @@ impl SelectiveSuspension {
         SelectiveSuspension {
             cfg,
             arena: DecideArena::default(),
+            idle: IdleOrder::default(),
         }
     }
 
@@ -147,8 +151,10 @@ impl Policy for SelectiveSuspension {
     }
 
     // The preemption routine only acts on idle (queued + suspended) jobs;
-    // with none, the loop body never runs. The only mutable state — the
-    // TSS per-category limits — changes in `on_completion`, not here.
+    // with none, the loop body never runs. The TSS per-category limits
+    // change in `on_completion`, not here, and the kept idle order is a
+    // cache that every full decide repairs against the state, so skipping
+    // a decide cannot change a later one.
     fn quiescent_noop(&self) -> bool {
         true
     }
@@ -164,8 +170,8 @@ impl Policy for SelectiveSuspension {
         //   TSS limits, and overlap checks only *remove* candidates.
         //
         // When neither holds, the decide provably produces nothing: skip
-        // the idle sort, the mirror, and every per-decide allocation.
-        // Traced runs take the full path — the scan can emit
+        // the idle order's repair, the mirror, and every per-decide
+        // allocation. Traced runs take the full path — the scan can emit
         // `BlockedByDisableLimit` records without acting — as do runs
         // that ask for the reference scan outright.
         if !ctx.reference && !ctx.trace.enabled() {
@@ -194,17 +200,13 @@ impl Policy for SelectiveSuspension {
 
         // Idle jobs (queued + suspended) in descending priority; ids break
         // ties deterministically. The `(xfactor, id)` keys are unique, so
-        // an unstable sort yields the one order a stable sort would.
-        arena.idle.extend(
-            state
-                .queued()
-                .iter()
-                .chain(state.suspended().iter())
-                .map(|&id| (state.xfactor(id), id)),
-        );
-        arena
-            .idle
-            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        // repairing the last decide's order and sorting from scratch (the
+        // reference path) yield the same list.
+        if ctx.reference {
+            self.idle.rebuild(state);
+        } else {
+            self.idle.repair(state);
+        }
 
         // Plan against free processors *plus* those whose suspension
         // drain is already in flight (see [`planner::working_free_set_into`]).
@@ -270,9 +272,16 @@ impl Policy for SelectiveSuspension {
             };
         }
 
-        for &(prio_i, id) in &arena.idle {
+        // The usable width `free ∖ blocked` a fresh job sees: processors
+        // inside `blocked` belong to a higher-priority suspended job and do
+        // not count. Cached until `free` or `blocked` next changes, which
+        // most fresh jobs of a backlogged queue leave alone.
+        let mut usable = None;
+        for &(prio_i, id) in self.idle.entries() {
             if state.is_suspended(id) && !self.cfg.migration && !state.can_remap(id) {
-                // Re-entry: needs exactly its original processors.
+                // Re-entry: needs exactly its original processors. Every
+                // outcome below grows `blocked` or changes `free`.
+                usable = None;
                 let needed = state.assigned_set(id).expect("suspended job keeps its set");
                 if state.is_stranded(id) {
                     // A reserved processor is down: re-entry cannot succeed
@@ -282,9 +291,7 @@ impl Policy for SelectiveSuspension {
                     arena.blocked.union_with(needed);
                     continue;
                 }
-                arena.missing.copy_from(needed);
-                arena.missing.subtract(&arena.free);
-                if arena.missing.is_empty() {
+                if needed.is_subset(&arena.free) {
                     arena.free.subtract(needed);
                     arena.reserved.subtract(needed);
                     actions.push(Action::Resume(id));
@@ -303,6 +310,8 @@ impl Policy for SelectiveSuspension {
                     arena.blocked.union_with(needed);
                     continue;
                 }
+                arena.missing.copy_from(needed);
+                arena.missing.subtract(&arena.free);
                 // Preemption routine: every running job overlapping the
                 // needed set must qualify as a victim (no width
                 // restriction for re-entry).
@@ -388,9 +397,13 @@ impl Policy for SelectiveSuspension {
                     }
                 };
                 let need = state.width(id);
-                // Usable width: processors inside `blocked` belong to a
-                // higher-priority suspended job and do not count.
-                let allowed = arena.free.count_excluding(&arena.blocked);
+                let allowed =
+                    *usable.get_or_insert_with(|| arena.free.count_excluding(&arena.blocked));
+                debug_assert_eq!(
+                    allowed,
+                    arena.free.count_excluding(&arena.blocked),
+                    "stale usable width"
+                );
                 if need <= allowed {
                     let set = planner::alloc_avoiding_in(
                         &arena.free,
@@ -402,6 +415,7 @@ impl Policy for SelectiveSuspension {
                     )
                     .expect("count checked");
                     arena.free.subtract(&set);
+                    usable = None;
                     actions.push(dispatch(set));
                     continue;
                 }
@@ -502,6 +516,7 @@ impl Policy for SelectiveSuspension {
                     actions.push(Action::Suspend(r.id));
                 });
                 arena.table.sort_ascending();
+                usable = None;
                 debug_assert!(arena.free.count_excluding(&arena.blocked) >= need);
                 let set = planner::alloc_avoiding_in(
                     &arena.free,

@@ -85,7 +85,8 @@ impl SimState {
         let rt = &mut self.jobs[i];
         rt.assigned = Some(set);
         rt.speed = speed;
-        rt.first_start = Some(now);
+        // A job a fault killed and requeued keeps its first start.
+        rt.first_start.get_or_insert(now);
         rt.seg_open = Some(now);
         rt.overhead_total += restore;
         let compute_start = now + restore;

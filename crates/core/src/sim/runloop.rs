@@ -1230,11 +1230,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
             }
             match ev {
                 Event::Arrival(id) => {
-                    let i = self.state.slot(id);
-                    debug_assert_eq!(self.state.jobs[i].phase, Phase::NotArrived);
-                    self.state.set_phase(id, Phase::Queued);
-                    self.state.hot.wait_since[i] = now;
-                    self.state.queued.push(id);
+                    self.state.arrive(id);
                     self.arrivals_now.push(id);
                     if self.sink.enabled() {
                         self.emit_job(id, JobEvent::Arrival, false);

@@ -423,6 +423,16 @@ impl SimState {
         id
     }
 
+    /// A job reaches its submit time: it joins the queue and its waiting
+    /// clock starts now.
+    pub(crate) fn arrive(&mut self, id: JobId) {
+        let i = self.slot(id);
+        debug_assert_eq!(self.jobs[i].phase, Phase::NotArrived);
+        self.set_phase(id, Phase::Queued);
+        self.hot.wait_since[i] = self.now;
+        self.queued.push(id);
+    }
+
     /// Set a job's phase, keeping the hot state tag coherent. Every phase
     /// write goes through here.
     pub(crate) fn set_phase(&mut self, id: JobId, phase: Phase) {
@@ -518,6 +528,19 @@ impl SimState {
         self.jobs[self.slot(id)].assigned.as_ref()
     }
 
+    /// Whether the job is idle in the SS/TSS sense: queued or suspended,
+    /// i.e. listed in [`queued`](Self::queued) or
+    /// [`suspended`](Self::suspended). False for a slot lean trimming
+    /// reclaimed (that job is Done).
+    #[inline]
+    pub(crate) fn is_idle(&self, id: JobId) -> bool {
+        !self.reclaimed(id)
+            && matches!(
+                self.hot.tag[self.slot(id)],
+                PhaseTag::Queued | PhaseTag::Suspended
+            )
+    }
+
     /// Whether the job has been suspended at least once and is waiting to
     /// re-enter.
     #[inline]
@@ -540,6 +563,11 @@ impl SimState {
     /// includes a down processor, so the paper's local-restart rule cannot
     /// be satisfied until repair.
     pub fn is_stranded(&self, id: JobId) -> bool {
+        // Without a down processor nothing is stranded; this spares the
+        // decide loop the cold-record read on every fault-free run.
+        if self.cluster.down_set().is_empty() {
+            return false;
+        }
         let rt = &self.jobs[self.slot(id)];
         rt.phase == Phase::Suspended
             && rt

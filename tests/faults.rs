@@ -9,7 +9,7 @@
 
 use selective_preemption::prelude::*;
 use selective_preemption::simcore::Watchdog;
-use selective_preemption::trace::{validate_records, ReplayOptions};
+use selective_preemption::trace::{validate_records, JobEvent, ReplayOptions};
 use selective_preemption::workload::traces::SDSC;
 use sps_core::policy::{Action, DecideCtx, Policy};
 use sps_core::SimState;
@@ -104,6 +104,44 @@ fn faulty_run_completes_with_consistent_accounting() {
     assert!(r.sim.outcomes.iter().any(|o| o.kills > 0));
     let killed_total: u64 = r.sim.outcomes.iter().map(|o| o.kills as u64).sum();
     assert_eq!(killed_total, f.jobs_killed + f.job_crashes);
+}
+
+/// A job a fault killed and resubmitted keeps the instant the machine
+/// first started it: its outcome's `first_start` is its first `Dispatch`
+/// record, not the restart's.
+#[test]
+fn killed_jobs_report_their_first_dispatch_as_first_start() {
+    let cfg = base(SchedulerKind::Ss { sf: 2.0 })
+        .with_jobs(300)
+        .with_faults(
+            FaultModel::proc_faults(1_000_000, 3_600, 13).with_recovery(RecoveryPolicy::Resubmit),
+        );
+    let mut sink = MemorySink::new();
+    let r = cfg.runner().trace_sink(&mut sink).run();
+    assert_eq!(r.sim.status, RunStatus::Completed);
+    let mut first_dispatch = std::collections::HashMap::new();
+    for rec in sink.records() {
+        if let TraceRecord::Job {
+            t,
+            job,
+            event: JobEvent::Dispatch,
+            ..
+        } = *rec
+        {
+            first_dispatch.entry(job).or_insert(t);
+        }
+    }
+    let killed: Vec<_> = r.sim.outcomes.iter().filter(|o| o.kills > 0).collect();
+    assert!(!killed.is_empty(), "the fault model must kill started jobs");
+    for o in killed {
+        assert_eq!(
+            Some(&o.first_start.secs()),
+            first_dispatch.get(&o.id.0),
+            "job {} ({} kills)",
+            o.id.0,
+            o.kills
+        );
+    }
 }
 
 #[test]

@@ -155,14 +155,80 @@ fn heap_and_calendar_backends_agree_end_to_end() {
     }
 }
 
-/// The fast decide paths (SS's no-op tick certification and prefix-cover
-/// victim-scan prunes, IS's empty-waiting exact-fit bound) must be
-/// *provably equivalent* shortcuts: a run with them active and a run
-/// forced onto the exhaustive reference scan must be bit-identical, down
-/// to the kernel's event and decide counts. Besides the paper-load
-/// inputs, CTC at load 2.0 keeps queues long enough that most victim and
-/// re-entry scans fail and, over 1,200 jobs, that TSS limits (25
-/// completions per category) engage.
+/// Run `cfg` once on the exhaustive reference scan and once on the fast
+/// decide paths — elision off, so every tick actually reaches `decide` and
+/// the fast path runs at maximum frequency — and assert the two runs are
+/// bit-identical, down to the kernel's event and decide counts. Returns
+/// the fast run.
+fn assert_fast_decides_match_reference(
+    cfg: &ExperimentConfig,
+    lean: bool,
+    label: &str,
+) -> SimResult {
+    let run = |reference: bool| {
+        let sim = cfg.runner().lean(lean).build().with_tick_elision(false);
+        if reference {
+            sim.with_reference_decides()
+        } else {
+            sim
+        }
+        .run()
+    };
+    let (r, f) = (run(true), run(false));
+    assert_eq!(r.makespan, f.makespan, "{label}: makespan");
+    assert_eq!(r.preemptions, f.preemptions, "{label}: preemptions");
+    assert_eq!(
+        r.dropped_actions, f.dropped_actions,
+        "{label}: dropped actions"
+    );
+    assert_eq!(r.kernel.events, f.kernel.events, "{label}: events");
+    assert_eq!(
+        r.kernel.decide_calls, f.kernel.decide_calls,
+        "{label}: decide calls"
+    );
+    assert_eq!(
+        r.kernel.reclaimed_slots, f.kernel.reclaimed_slots,
+        "{label}: reclaimed slots"
+    );
+    assert_eq!(r.faults, f.faults, "{label}: fault counters");
+    assert_eq!(
+        r.utilization.to_bits(),
+        f.utilization.to_bits(),
+        "{label}: utilization"
+    );
+    assert_eq!(r.outcomes.len(), f.outcomes.len(), "{label}: jobs");
+    for (a, b) in r.outcomes.iter().zip(&f.outcomes) {
+        assert_eq!(
+            (a.id, a.first_start, a.completion, a.suspensions, a.kills),
+            (b.id, b.first_start, b.completion, b.suspensions, b.kills),
+            "{label}: outcome {:?}",
+            a.id
+        );
+    }
+    let fold = |res: &SimResult| {
+        res.lean.as_ref().map(|l| {
+            (
+                l.count(),
+                l.makespan(),
+                l.mean_slowdown().to_bits(),
+                l.worst_slowdown().to_bits(),
+                l.mean_turnaround().to_bits(),
+                l.worst_turnaround().to_bits(),
+            )
+        })
+    };
+    assert_eq!(fold(&r), fold(&f), "{label}: lean fold");
+    f
+}
+
+/// The fast decide paths (SS's no-op tick certification, kept idle order
+/// and prefix-cover victim-scan prunes, IS's empty-waiting exact-fit
+/// bound) must be *provably equivalent* shortcuts of the reference scan.
+/// Besides the paper-load inputs, CTC at load 2.0 keeps queues long
+/// enough that most victim and re-entry scans fail and, over 1,200 jobs,
+/// that TSS limits (25 completions per category) engage. The last inputs
+/// cover every way a job enters or leaves the idle set SS/TSS keep
+/// ordered between decides.
 #[test]
 fn reference_and_fast_decides_agree_end_to_end() {
     const ALL: &[&str] = &["ss:1.5", "ss:2", "ss:10", "tss:1.5", "tss:2", "is"];
@@ -179,48 +245,50 @@ fn reference_and_fast_decides_agree_end_to_end() {
                 .with_seed(11)
                 .with_load_factor(load)
                 .with_overhead(OverheadModel::paper());
-            let run = |reference: bool| {
-                let sim = cfg
-                    .runner()
-                    .build()
-                    // Elision off so every tick actually reaches `decide`,
-                    // exercising the fast path at maximum frequency.
-                    .with_tick_elision(false);
-                if reference {
-                    sim.with_reference_decides()
-                } else {
-                    sim
-                }
-                .run()
-            };
-            let (r, f) = (run(true), run(false));
             let label = format!("{} on {} at load {}", spec, system.name, load);
-            assert_eq!(r.makespan, f.makespan, "{label}: makespan");
-            assert_eq!(r.preemptions, f.preemptions, "{label}: preemptions");
-            assert_eq!(
-                r.dropped_actions, f.dropped_actions,
-                "{label}: dropped actions"
+            assert_fast_decides_match_reference(&cfg, false, &label);
+        }
+    }
+    // Fault kills re-queue started jobs, `WaitForRepair` strands suspended
+    // ones, `Remap` and a migrating preemption mode send them through the
+    // fresh-job branch, and a lean run reclaims the Done prefix of the job
+    // window under the kept membership marks.
+    for spec in ["ss:2", "tss:2"] {
+        let kind: SchedulerKind = spec.parse().expect("spec parses");
+        let base = ExperimentConfig::new(CTC, kind)
+            .with_jobs(600)
+            .with_seed(11)
+            .with_load_factor(1.5)
+            .with_overhead(OverheadModel::paper());
+        let faults = FaultModel::proc_faults(2_000_000, 3_600, 5).with_job_crash(0.05);
+        for recovery in RecoveryPolicy::ALL {
+            let cfg = base.clone().with_faults(faults.with_recovery(recovery));
+            let label = format!("{spec} on CTC under faults, {recovery}");
+            let f = assert_fast_decides_match_reference(&cfg, false, &label);
+            assert!(
+                f.faults.jobs_killed + f.faults.job_crashes > 0,
+                "{label}: no kills"
             );
-            assert_eq!(r.kernel.events, f.kernel.events, "{label}: events");
-            assert_eq!(
-                r.kernel.decide_calls, f.kernel.decide_calls,
-                "{label}: decide calls"
-            );
-            assert_eq!(
-                r.utilization.to_bits(),
-                f.utilization.to_bits(),
-                "{label}: utilization"
-            );
-            assert_eq!(r.outcomes.len(), f.outcomes.len(), "{label}: jobs");
-            for (a, b) in r.outcomes.iter().zip(&f.outcomes) {
-                assert_eq!(
-                    (a.id, a.first_start, a.completion, a.suspensions),
-                    (b.id, b.first_start, b.completion, b.suspensions),
-                    "{label}: outcome {:?}",
-                    a.id
-                );
+            if recovery == RecoveryPolicy::Remap {
+                assert!(f.faults.migrations > 0, "{label}: no remapped re-entry");
             }
         }
+        let cfg = base
+            .clone()
+            .with_faults(faults)
+            .with_preemption(PreemptionMode::Migrate);
+        let label = format!("{spec} on CTC under faults, migrating");
+        let f = assert_fast_decides_match_reference(&cfg, false, &label);
+        assert!(f.faults.migrations > 0, "{label}: no migrated re-entry");
+
+        let cfg = ExperimentConfig::new(SDSC, kind)
+            .with_jobs(4_000)
+            .with_seed(11)
+            .with_load_factor(1.2)
+            .with_overhead(OverheadModel::paper());
+        let label = format!("{spec} on SDSC, lean");
+        let f = assert_fast_decides_match_reference(&cfg, true, &label);
+        assert!(f.kernel.reclaimed_slots > 0, "{label}: nothing reclaimed");
     }
 }
 
