@@ -149,7 +149,7 @@ fn main() {
         spec.cells(),
         spec.reps,
         spec.runs(),
-        spec.n_jobs,
+        spec.base.n_jobs,
         if smoke { " (smoke)" } else { "" },
     );
 

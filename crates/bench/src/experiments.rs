@@ -28,23 +28,10 @@ fn cache() -> &'static Mutex<HashMap<String, RunResult>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// The cache key: the configuration's JSON encoding, which names every
+/// setting that changes a run's result.
 fn key_of(cfg: &ExperimentConfig) -> String {
-    format!(
-        "{}|{}|{}|{:.4}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}|{}|{}",
-        cfg.system.name,
-        cfg.n_jobs,
-        cfg.seed,
-        cfg.load_factor,
-        cfg.estimates,
-        cfg.overhead,
-        cfg.scheduler,
-        cfg.tick_period,
-        cfg.faults,
-        cfg.preemption,
-        cfg.checkpoint,
-        cfg.speed,
-        cfg.speed_aware
-    )
+    cfg.to_json().render()
 }
 
 /// Run a batch of configurations through the cache; missing entries are

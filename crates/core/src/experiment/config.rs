@@ -22,7 +22,7 @@ use crate::policy::Policy;
 use crate::sched::{
     Conservative, Easy, Fcfs, FlexBackfill, GangScheduling, ImmediateService, SelectiveSuspension,
 };
-use crate::sim::{SimResult, DEFAULT_TICK_PERIOD};
+use crate::sim::{RunUntil, SimResult, DEFAULT_TICK_PERIOD};
 
 /// Which scheduler to run.
 ///
@@ -205,9 +205,16 @@ pub struct ExperimentConfig {
     pub faults: FaultModel,
     /// Workload boundary: the closed synthetic trace
     /// ([`ArrivalSpec::Trace`], the default) or an unbounded open-system
-    /// generator. Open specs run through
-    /// [`RunBuilder`](crate::runner::RunBuilder) with a stopping condition.
+    /// generator. Open specs never drain, so they need a stopping
+    /// condition in [`until`](ExperimentConfig::until).
     pub arrivals: ArrivalSpec,
+    /// When the run ends ([`RunUntil::Drained`] by default: every job
+    /// completes). Open arrival specs need a simulated-time horizon or a
+    /// completed-job count instead.
+    pub until: RunUntil,
+    /// Warmup window in simulated seconds (0 by default): the windowed
+    /// steady-state report counts only jobs submitted at or after it.
+    pub warmup: Secs,
     /// Admission control ([`AdmissionModel::none`] by default — every
     /// arrival is accepted and the rejection ledger stays empty).
     pub admission: AdmissionModel,
@@ -249,6 +256,8 @@ impl ExperimentConfig {
             tick_period: DEFAULT_TICK_PERIOD,
             faults: FaultModel::none(),
             arrivals: ArrivalSpec::Trace,
+            until: RunUntil::Drained,
+            warmup: 0,
             admission: AdmissionModel::none(),
             preemption: PreemptionMode::InPlace,
             checkpoint: CheckpointModel::default(),
@@ -316,6 +325,18 @@ impl ExperimentConfig {
     /// Set the workload boundary (closed trace or open generator).
     pub fn with_arrivals(mut self, arrivals: ArrivalSpec) -> Self {
         self.arrivals = arrivals;
+        self
+    }
+
+    /// Set the stopping condition.
+    pub fn with_until(mut self, until: RunUntil) -> Self {
+        self.until = until;
+        self
+    }
+
+    /// Set the warmup window in simulated seconds.
+    pub fn with_warmup(mut self, warmup: Secs) -> Self {
+        self.warmup = warmup;
         self
     }
 
@@ -416,10 +437,10 @@ impl ExperimentConfig {
 
     /// Start a [`RunBuilder`](crate::runner::RunBuilder) for this
     /// configuration — the only code that assembles a run from a
-    /// configuration. Attach sinks, an explicit
-    /// [`JobSource`](sps_workload::JobSource), a stopping condition, or a
-    /// warmup window, then call [`run()`](crate::runner::RunBuilder::run)
-    /// or [`simulate()`](crate::runner::RunBuilder::simulate).
+    /// configuration. Attach sinks or an explicit
+    /// [`JobSource`](sps_workload::JobSource), then call
+    /// [`run()`](crate::runner::RunBuilder::run) or
+    /// [`simulate()`](crate::runner::RunBuilder::simulate).
     pub fn runner(&self) -> crate::runner::RunBuilder {
         crate::runner::RunBuilder::new(Arc::new(self.clone()))
     }
@@ -428,9 +449,10 @@ impl ExperimentConfig {
     ///
     /// The simulator runs under a generous watchdog: a policy bug that
     /// livelocks the event loop surfaces as [`RunStatus::Aborted`] with
-    /// partial metrics instead of hanging the process. An open-system
-    /// arrival spec needs a stopping condition, so this panics on one;
-    /// use [`runner()`](ExperimentConfig::runner) with `.until(..)`.
+    /// partial metrics instead of hanging the process. The run stops at
+    /// [`until`](ExperimentConfig::until); open arrivals that never drain
+    /// panic without one, which [`run_checked`](ExperimentConfig::run_checked)
+    /// reports as an error instead.
     ///
     /// [`RunStatus::Aborted`]: crate::sim::RunStatus::Aborted
     pub fn run(&self) -> RunResult {
@@ -438,16 +460,8 @@ impl ExperimentConfig {
     }
 
     /// [`ExperimentConfig::run`] preceded by [`ExperimentConfig::validate`].
-    /// An open-system arrival spec is an error here rather than the panic
-    /// [`run`](ExperimentConfig::run) raises: it needs a stopping condition
-    /// only [`runner()`](ExperimentConfig::runner) can attach.
     pub fn run_checked(&self) -> Result<RunResult, crate::experiment::ConfigError> {
         self.validate()?;
-        if !self.arrivals.is_trace() {
-            return Err(crate::experiment::ConfigError::BadArrivals(
-                "open-system runs need a stopping condition (runner().until(..))".into(),
-            ));
-        }
         Ok(self.run())
     }
 
@@ -473,6 +487,12 @@ impl ExperimentConfig {
         // those of builds predating the open-system mode.
         if !self.arrivals.is_trace() {
             fields.push(("arrivals".into(), Json::Str(self.arrivals.to_string())));
+        }
+        if self.until != RunUntil::Drained {
+            fields.push(("until".into(), Json::Str(self.until.to_string())));
+        }
+        if self.warmup != 0 {
+            fields.push(("warmup".into(), Json::Int(self.warmup)));
         }
         if self.admission.enabled() {
             fields.push(("admission".into(), Json::Str(self.admission.to_string())));
@@ -558,6 +578,21 @@ impl ExperimentConfig {
                     .parse()
                     .map_err(|_| DecodeError::Bad("arrivals"))?,
                 None => ArrivalSpec::Trace,
+            },
+            until: match json.get("until") {
+                Some(u) => u
+                    .as_str()
+                    .ok_or(DecodeError::Bad("until"))?
+                    .parse()
+                    .map_err(|_| DecodeError::Bad("until"))?,
+                None => RunUntil::Drained,
+            },
+            warmup: match json.get("warmup") {
+                Some(w) => w
+                    .as_i64()
+                    .filter(|&w| w >= 0)
+                    .ok_or(DecodeError::Bad("warmup"))?,
+                None => 0,
             },
             admission: match json.get("admission") {
                 Some(a) => a

@@ -2,8 +2,9 @@
 //!
 //! One [`ExperimentConfig`] fully determines a run (machine, synthetic
 //! trace seed, load factor, estimate model, overhead model, scheduler,
-//! speed map), so every number in EXPERIMENTS.md is reproducible
-//! bit-for-bit. The harness compares several schedulers on the *same*
+//! speed map, arrival process, stopping condition, warmup window), so
+//! every number in EXPERIMENTS.md is reproducible bit-for-bit and every
+//! trace header reproduces its run. The harness compares several schedulers on the *same*
 //! trace by varying only [`ExperimentConfig::scheduler`];
 //! [`BatchRunner`](crate::runner::BatchRunner) fans a batch of
 //! configurations out over OS threads (simulations are independent and

@@ -5,7 +5,10 @@
 
 use std::fmt;
 
+use sps_simcore::Secs;
+
 use super::ExperimentConfig;
+use crate::sim::RunUntil;
 
 /// A structurally invalid [`ExperimentConfig`], caught by
 /// [`ExperimentConfig::validate`] before any simulation work starts.
@@ -22,8 +25,11 @@ pub enum ConfigError {
     BadFaults(&'static str),
     /// A sweep grid axis is empty (which axis is attached).
     EmptyGrid(&'static str),
-    /// The arrival spec is inconsistent (reason attached).
+    /// The arrival spec is inconsistent (reason attached), or open
+    /// arrivals have no stopping condition.
     BadArrivals(String),
+    /// The warmup window is negative (its value attached).
+    BadWarmup(Secs),
     /// The checkpoint model is unusable for the requested preemption mode
     /// (reason attached).
     BadCheckpoint(&'static str),
@@ -49,6 +55,9 @@ impl fmt::Display for ConfigError {
             ConfigError::BadFaults(reason) => write!(f, "bad fault model: {reason}"),
             ConfigError::EmptyGrid(axis) => write!(f, "sweep grid axis '{axis}' is empty"),
             ConfigError::BadArrivals(ref reason) => write!(f, "bad arrival spec: {reason}"),
+            ConfigError::BadWarmup(secs) => {
+                write!(f, "warmup must be at least 0 seconds, got {secs}")
+            }
             ConfigError::BadCheckpoint(reason) => write!(f, "bad checkpoint model: {reason}"),
             ConfigError::BadSpeed(ref spec) => {
                 write!(f, "bad speed spec {spec:?}: factors must be finite and > 0")
@@ -89,6 +98,16 @@ impl ExperimentConfig {
             ));
         }
         self.arrivals.validate().map_err(ConfigError::BadArrivals)?;
+        if !self.arrivals.is_trace() && self.until == RunUntil::Drained {
+            return Err(ConfigError::BadArrivals(format!(
+                "open arrivals `{}` never drain: set the stopping condition `until` \
+                 to a duration like 30d or a job count like 5000j",
+                self.arrivals
+            )));
+        }
+        if self.warmup < 0 {
+            return Err(ConfigError::BadWarmup(self.warmup));
+        }
         if self.preemption.checkpoints() && !self.checkpoint.valid() {
             return Err(ConfigError::BadCheckpoint(
                 "rate must be a positive finite MB/s and interval at least 1 second",
@@ -143,6 +162,10 @@ mod tests {
             Err(ConfigError::BadFaults(_))
         ));
         assert!(ok.clone().with_load_factor(f64::NAN).run_checked().is_err());
+        assert_eq!(
+            ok.clone().with_warmup(-1).validate(),
+            Err(ConfigError::BadWarmup(-1))
+        );
     }
 
     #[test]

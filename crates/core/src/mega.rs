@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use sps_simcore::Secs;
 use sps_workload::{EstimateModel, ShapedSource, StreamingSwfSource, SystemPreset};
 
-use crate::experiment::{ConfigError, SchedulerKind};
+use crate::experiment::{ConfigError, ExperimentConfig, SchedulerKind};
 use crate::overhead::OverheadModel;
 use crate::sim::DEFAULT_TICK_PERIOD;
 use crate::sweep::{drive_grid, SweepProgress, SweepReport, SweepSpec};
@@ -204,16 +204,18 @@ impl MegaSweepSpec {
     /// default estimates (re-drawn ones are applied by the source, not the
     /// configuration). `n_jobs` is pinned to 1: the run length comes from
     /// the log, but validation requires a nonzero count and the
-    /// explicit-source path never reads it.
+    /// explicit-source path never reads it. The base's scheduler is a
+    /// placeholder the scheduler axis replaces.
     fn grid(&self) -> SweepSpec {
-        let mut grid = SweepSpec::new(SystemPreset::swf(self.procs))
-            .with_schedulers(self.schedulers.clone())
-            .with_loads(self.loads.clone())
+        let base = ExperimentConfig::new(SystemPreset::swf(self.procs), SchedulerKind::Easy)
             .with_jobs(1)
             .with_seed(self.base_seed)
-            .with_reps(self.reps)
             .with_overhead(self.overhead)
-            .with_tick_period(self.tick_period)
+            .with_tick_period(self.tick_period);
+        let mut grid = SweepSpec::over(base)
+            .with_schedulers(self.schedulers.clone())
+            .with_loads(self.loads.clone())
+            .with_reps(self.reps)
             .with_retries(self.retries)
             .with_timeline(self.timeline)
             .with_lean(true);
@@ -283,7 +285,6 @@ pub fn peak_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentConfig;
     use crate::runner::RunBuilder;
     use crate::sweep::{run_sweep, RunSummary};
     use sps_workload::traces::SDSC;

@@ -2,13 +2,14 @@
 //! to a [`Simulator`].
 //!
 //! * [`RunBuilder`] (from [`ExperimentConfig::runner`]) configures and
-//!   executes **one** run: attach a trace sink, a telemetry sink, an
-//!   explicit [`JobSource`], a stopping condition, or a warmup window,
-//!   then call [`run`](RunBuilder::run) for a [`RunResult`] or
-//!   [`simulate`](RunBuilder::simulate) for the raw [`SimResult`]. It is
-//!   the only code that applies a configuration's `with_*` chain to a
-//!   simulator; [`build`](RunBuilder::build) hands that simulator back
-//!   for callers that flip a kernel switch before running it.
+//!   executes **one** run: attach a trace sink, a telemetry sink or an
+//!   explicit [`JobSource`], then call [`run`](RunBuilder::run) for a
+//!   [`RunResult`] or [`simulate`](RunBuilder::simulate) for the raw
+//!   [`SimResult`]. It is the only code that applies a configuration's
+//!   `with_*` chain to a simulator — stopping condition and warmup
+//!   window included, both read from the configuration;
+//!   [`build`](RunBuilder::build) hands that simulator back for callers
+//!   that flip a kernel switch before running it.
 //! * [`BatchRunner`] (from [`BatchRunner::new`]) fans a batch of
 //!   configurations out over OS threads with shared trace caching,
 //!   optional progress observation, and explicit loss semantics:
@@ -22,7 +23,7 @@
 
 use std::sync::Arc;
 
-use sps_simcore::{Secs, Watchdog};
+use sps_simcore::Watchdog;
 use sps_telemetry::{NullTelemetry, SpanProfiler, TelemetrySink};
 use sps_trace::{NullSink, TraceRecord, TraceSink, TRACE_VERSION};
 use sps_workload::{JobSource, TraceSource};
@@ -31,8 +32,11 @@ use crate::experiment::{default_threads, run_batch, ExperimentConfig, RunError, 
 use crate::sim::{RunUntil, SimResult, Simulator};
 
 /// Builder for a single experiment run. Start from
-/// [`ExperimentConfig::runner`]; every knob has a closed-system default,
-/// and `cfg.run()` is `cfg.runner().run()`.
+/// [`ExperimentConfig::runner`]; `cfg.run()` is `cfg.runner().run()`.
+/// Everything that changes the run's result — workload, scheduler,
+/// stopping condition, warmup window — comes from the configuration; the
+/// builder only attaches observers, an explicit job source and the
+/// execution knobs (watchdog, lean mode, profiler).
 ///
 /// The sink parameters default to the null implementations and switch
 /// types when attached ([`trace_sink`](RunBuilder::trace_sink),
@@ -45,8 +49,6 @@ pub struct RunBuilder<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry>
     sink: S,
     telemetry: T,
     source: Option<Box<dyn JobSource>>,
-    until: RunUntil,
-    warmup: Secs,
     header: bool,
     watchdog: Watchdog,
     lean: bool,
@@ -54,17 +56,15 @@ pub struct RunBuilder<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry>
 }
 
 impl RunBuilder {
-    /// Start a builder over `cfg` with closed-system defaults: no sinks,
-    /// the workload implied by [`ExperimentConfig::arrivals`], run to
-    /// drain, no warmup, header emission on, generous watchdog.
+    /// Start a builder over `cfg`: no sinks, the workload implied by
+    /// [`ExperimentConfig::arrivals`], header emission on, generous
+    /// watchdog.
     pub fn new(cfg: Arc<ExperimentConfig>) -> Self {
         RunBuilder {
             cfg,
             sink: NullSink,
             telemetry: NullTelemetry,
             source: None,
-            until: RunUntil::Drained,
-            warmup: 0,
             header: true,
             watchdog: Watchdog::generous(),
             lean: false,
@@ -84,8 +84,6 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
             sink,
             telemetry: self.telemetry,
             source: self.source,
-            until: self.until,
-            warmup: self.warmup,
             header: self.header,
             watchdog: self.watchdog,
             lean: self.lean,
@@ -102,8 +100,6 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
             sink: self.sink,
             telemetry,
             source: self.source,
-            until: self.until,
-            warmup: self.warmup,
             header: self.header,
             watchdog: self.watchdog,
             lean: self.lean,
@@ -119,21 +115,6 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     /// grid.
     pub fn source(mut self, source: Box<dyn JobSource>) -> Self {
         self.source = Some(source);
-        self
-    }
-
-    /// Set the stopping condition (default [`RunUntil::Drained`]).
-    /// Unbounded sources (Poisson, MMPP, …) require a horizon or a job
-    /// count; [`simulate`](RunBuilder::simulate) panics otherwise.
-    pub fn until(mut self, until: RunUntil) -> Self {
-        self.until = until;
-        self
-    }
-
-    /// Discard the first `warmup` simulated seconds from the windowed
-    /// report (steady-state measurement for open-system runs).
-    pub fn warmup(mut self, warmup: Secs) -> Self {
-        self.warmup = warmup;
         self
     }
 
@@ -184,8 +165,10 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     /// # Panics
     ///
     /// If the resolved source is unbounded
-    /// ([`JobSource::finite`] is false) while the stopping condition is
-    /// [`RunUntil::Drained`] — such a run would never end.
+    /// ([`JobSource::finite`] is false) while the configuration's stopping
+    /// condition is [`RunUntil::Drained`] — such a run would never end.
+    /// [`ExperimentConfig::validate`] rejects an open arrival spec without
+    /// a stop; this catches an unbounded explicit source too.
     pub fn build(mut self) -> Simulator<S, T> {
         if self.header && self.sink.enabled() {
             self.sink.record(&TraceRecord::Header {
@@ -200,9 +183,9 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
             None => Box::new(TraceSource::new(cfg.trace())),
         });
         assert!(
-            source.finite() || !matches!(self.until, RunUntil::Drained),
+            source.finite() || cfg.until != RunUntil::Drained,
             "unbounded job source `{}` needs a stopping condition: \
-             set `.until(..)` to a sim-time horizon or a job count",
+             set `ExperimentConfig::until` to a sim-time horizon or a job count",
             source.label()
         );
         let mut sim = Simulator::traced_source(
@@ -217,8 +200,8 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
         .with_faults(cfg.faults)
         .with_admission(cfg.admission)
         .with_preemption(cfg.preemption, cfg.checkpoint)
-        .with_until(self.until)
-        .with_warmup(self.warmup)
+        .with_until(cfg.until)
+        .with_warmup(cfg.warmup)
         .with_watchdog(self.watchdog);
         if cfg.is_heterogeneous() {
             sim = sim.with_speed(cfg.speed_map());
@@ -260,25 +243,22 @@ type BatchObserver<'a> = Box<dyn FnMut(usize, &Result<RunResult, RunError>) + 'a
 /// Results come back in input order. Configurations that share a trace
 /// (same [`TraceKey`](sps_workload::TraceKey)) generate it once through a
 /// batch-local [`TraceCache`](sps_workload::TraceCache); open-system
-/// configurations build their generator per run instead.
+/// configurations build their generator per run instead. Each run stops
+/// and warms up as its own configuration says.
 pub struct BatchRunner<'a> {
     configs: Vec<ExperimentConfig>,
     threads: usize,
-    until: RunUntil,
-    warmup: Secs,
     retries: u32,
     observer: BatchObserver<'a>,
 }
 
 impl<'a> BatchRunner<'a> {
-    /// Start a batch over `configs` with [`default_threads`] workers, no
-    /// observer, and closed-system stop/warmup defaults.
+    /// Start a batch over `configs` with [`default_threads`] workers and
+    /// no observer.
     pub fn new(configs: Vec<ExperimentConfig>) -> Self {
         BatchRunner {
             configs,
             threads: default_threads(),
-            until: RunUntil::Drained,
-            warmup: 0,
             retries: 0,
             observer: Box::new(|_, _| {}),
         }
@@ -287,20 +267,6 @@ impl<'a> BatchRunner<'a> {
     /// Override the worker-thread count (clamped to at least one).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Stopping condition applied to every run in the batch (default
-    /// [`RunUntil::Drained`]); required when any configuration uses an
-    /// unbounded arrival process.
-    pub fn until(mut self, until: RunUntil) -> Self {
-        self.until = until;
-        self
-    }
-
-    /// Warmup window applied to every run in the batch.
-    pub fn warmup(mut self, warmup: Secs) -> Self {
-        self.warmup = warmup;
         self
     }
 
@@ -334,8 +300,6 @@ impl<'a> BatchRunner<'a> {
         let BatchRunner {
             configs,
             threads,
-            until,
-            warmup,
             retries,
             mut observer,
         } = self;
@@ -347,7 +311,7 @@ impl<'a> BatchRunner<'a> {
             None,
             None,
             |_, cfg| {
-                let mut builder = RunBuilder::new(Arc::clone(cfg)).until(until).warmup(warmup);
+                let mut builder = RunBuilder::new(Arc::clone(cfg));
                 if cfg.arrivals.is_trace() {
                     let key = cfg.trace_key();
                     let source = cache.source(key, || cfg.trace());

@@ -21,91 +21,50 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sps_cluster::SpeedSpec;
 use sps_metrics::{goodput, JobOutcome, OutcomeFold, StreamingStats};
 use sps_simcore::{Secs, Watchdog};
 use sps_telemetry::{HealthSummary, PhaseProfile, SpanEvent, SpanProfiler, Telemetry};
 use sps_trace::Json;
-use sps_workload::{ArrivalSpec, EstimateModel, JobSource, SystemPreset, TraceCache};
+use sps_workload::{JobSource, SystemPreset, TraceCache};
 
-use crate::admission::AdmissionModel;
-use crate::checkpoint::{CheckpointModel, PreemptionMode};
 use crate::experiment::{
     batch_workers, run_batch, ConfigError, ExperimentConfig, RunError, RunResult, SchedulerKind,
     ShardBoard, ShardStats, WorkerSpan,
 };
-use crate::faults::FaultModel;
-use crate::overhead::OverheadModel;
 use crate::runner::RunBuilder;
-use crate::sim::{RunUntil, DEFAULT_TICK_PERIOD};
 
 /// A declarative scheduler × load × seed-replication grid over one
-/// workload model.
+/// configuration.
+///
+/// [`base`](SweepSpec::base) holds every setting the runs share — machine,
+/// trace length, estimates, overhead, arrivals, stopping condition,
+/// faults, preemption mode, speeds. Run `(scheduler, load, rep)` is
+/// `base` with that scheduler and load factor, trace seed
+/// `base.seed + rep`, and, when faults are enabled, fault seed
+/// `base.faults.seed + rep`. The remaining fields shape the batch, not
+/// the runs.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
-    /// Machine and calibrated job mix.
-    pub system: SystemPreset,
+    /// The configuration every run starts from. Its scheduler is replaced
+    /// by the scheduler axis and its load factor by the load axis.
+    pub base: ExperimentConfig,
     /// Scheduler axis (each entry is one column of cells).
     pub schedulers: Vec<SchedulerKind>,
     /// Load-factor axis.
     pub loads: Vec<f64>,
-    /// Trace length in jobs, per run.
-    pub n_jobs: usize,
-    /// Seed of replication 0; replication `r` uses `base_seed + r`.
-    pub base_seed: u64,
     /// Seed replications per cell.
     pub reps: usize,
-    /// User-estimate model applied to every run.
-    pub estimates: EstimateModel,
-    /// Suspension/restart overhead model applied to every run.
-    pub overhead: OverheadModel,
-    /// Preemption-routine period, seconds.
-    pub tick_period: Secs,
     /// Attach a [`Telemetry`] sink to every run. Off by default: the
     /// bench path must stay byte-identical to the uninstrumented kernel.
     /// When on, each [`RunSummary`] carries the run's [`HealthSummary`]
     /// and live progress reports the worst active detector.
     pub telemetry: bool,
-    /// Arrival process of every cell. The default ([`ArrivalSpec::Trace`])
-    /// is the closed system: each cell replays the finite calibrated
-    /// trace, shared through the batch [`TraceCache`]. Any other spec
-    /// turns the sweep open-system: each run streams jobs from its own
-    /// seeded generator and **must** set a stopping condition
-    /// ([`SweepSpec::with_until`]).
-    pub arrivals: ArrivalSpec,
-    /// Stopping condition applied to every run (default
-    /// [`RunUntil::Drained`]; required non-drain for open-system cells).
-    pub until: RunUntil,
-    /// Warmup window in simulated seconds: jobs submitted earlier are
-    /// excluded from the folded metrics (steady-state measurement).
-    pub warmup: Secs,
-    /// Admission-control model applied to every run (default off).
-    pub admission: AdmissionModel,
-    /// Failure-injection model applied to every run (default off —
-    /// bit-identical to a fault-free build). Replication `r` offsets the
-    /// fault seed by `r`, so fault streams are independent across seeds
-    /// like the traces they hit.
-    pub faults: FaultModel,
-    /// Preemption-continuum mode applied to every run (default
-    /// [`PreemptionMode::InPlace`], the paper's suspend-in-place).
-    pub preemption: PreemptionMode,
-    /// Checkpoint image cost model, consulted when [`SweepSpec::preemption`]
-    /// checkpoints.
-    pub checkpoint: CheckpointModel,
-    /// Processor-speed configuration applied to every run (default
-    /// homogeneous `uniform:1.0`, bit-identical to the pre-heterogeneity
-    /// sweeps). Heterogeneous cells report per-tier utilization and
-    /// slowdown columns.
-    pub speed: SpeedSpec,
-    /// Whether placement is speed-aware (default `true`; `false` is the
-    /// speed-blind ablation).
-    pub speed_aware: bool,
     /// Run every cell lean (outcome-streaming): per-job outcomes fold
     /// inside the simulator as they complete, so a replication's memory
     /// is O(machine) no matter how many jobs it simulates — required for
     /// million-job mega sweeps. Headline cell metrics are bit-identical
-    /// to a full run; per-tier heterogeneous columns are unavailable
-    /// (validation rejects the combination). Off by default.
+    /// to a full run; per-tier heterogeneous columns and warmup windows
+    /// are unavailable (validation rejects both). Off by default.
     pub lean: bool,
     /// Retry budget for panicked replications (see
     /// [`BatchRunner::retries`](crate::runner::BatchRunner::retries)).
@@ -125,30 +84,24 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// An empty grid on `system` with the preset's default trace length,
-    /// load 1.0, one replication, accurate estimates, and no overhead.
-    /// Add schedulers before running.
+    /// An empty grid on `system` over the default configuration
+    /// ([`ExperimentConfig::new`]): the preset's default trace length,
+    /// load 1.0, seed 42, one replication, accurate estimates, and no
+    /// overhead. Add schedulers before running.
     pub fn new(system: SystemPreset) -> Self {
+        SweepSpec::over(ExperimentConfig::new(system, SchedulerKind::Easy))
+    }
+
+    /// An empty grid over `base`: no schedulers yet, the load axis
+    /// `[base.load_factor]`, one replication, batch defaults (no
+    /// telemetry, full runs, no retries, no wall budget, no timeline).
+    pub fn over(base: ExperimentConfig) -> Self {
         SweepSpec {
-            system,
+            loads: vec![base.load_factor],
+            base,
             schedulers: Vec::new(),
-            loads: vec![1.0],
-            n_jobs: system.default_jobs,
-            base_seed: 42,
             reps: 1,
-            estimates: EstimateModel::Accurate,
-            overhead: OverheadModel::None,
-            tick_period: DEFAULT_TICK_PERIOD,
             telemetry: false,
-            arrivals: ArrivalSpec::Trace,
-            until: RunUntil::Drained,
-            warmup: 0,
-            admission: AdmissionModel::none(),
-            faults: FaultModel::none(),
-            preemption: PreemptionMode::InPlace,
-            checkpoint: CheckpointModel::default(),
-            speed: SpeedSpec::uniform_one(),
-            speed_aware: true,
             lean: false,
             retries: 0,
             wall_budget_ms: None,
@@ -169,36 +122,6 @@ impl SweepSpec {
         self
     }
 
-    /// Set the processor-speed configuration applied to every run.
-    pub fn with_speed(mut self, speed: SpeedSpec) -> Self {
-        self.speed = speed;
-        self
-    }
-
-    /// Toggle speed-aware placement (the speed-blind ablation when off).
-    pub fn with_speed_aware(mut self, aware: bool) -> Self {
-        self.speed_aware = aware;
-        self
-    }
-
-    /// Set the failure-injection model applied to every run.
-    pub fn with_faults(mut self, faults: FaultModel) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Set the preemption-continuum mode applied to every run.
-    pub fn with_preemption(mut self, mode: PreemptionMode) -> Self {
-        self.preemption = mode;
-        self
-    }
-
-    /// Set the checkpoint image cost model.
-    pub fn with_checkpoint(mut self, model: CheckpointModel) -> Self {
-        self.checkpoint = model;
-        self
-    }
-
     /// Retry panicked replications up to `retries` more times each.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
@@ -209,30 +132,6 @@ impl SweepSpec {
     /// partial results instead of an overrun).
     pub fn with_wall_budget(mut self, ms: u64) -> Self {
         self.wall_budget_ms = Some(ms);
-        self
-    }
-
-    /// Set the arrival process of every cell (open-system sweeps).
-    pub fn with_arrivals(mut self, arrivals: ArrivalSpec) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Set the stopping condition applied to every run.
-    pub fn with_until(mut self, until: RunUntil) -> Self {
-        self.until = until;
-        self
-    }
-
-    /// Set the warmup window in simulated seconds.
-    pub fn with_warmup(mut self, warmup: Secs) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Set the admission-control model applied to every run.
-    pub fn with_admission(mut self, admission: AdmissionModel) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -260,15 +159,16 @@ impl SweepSpec {
         self
     }
 
-    /// Set the per-run trace length.
+    /// Set the per-run trace length (on [`base`](SweepSpec::base)).
     pub fn with_jobs(mut self, n: usize) -> Self {
-        self.n_jobs = n;
+        self.base.n_jobs = n;
         self
     }
 
-    /// Set the base seed (replication `r` runs on `base_seed + r`).
+    /// Set the seed of replication 0 (on [`base`](SweepSpec::base));
+    /// replication `r` runs on `seed + r`.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
+        self.base.seed = seed;
         self
     }
 
@@ -278,27 +178,10 @@ impl SweepSpec {
         self
     }
 
-    /// Set the estimate model.
-    pub fn with_estimates(mut self, e: EstimateModel) -> Self {
-        self.estimates = e;
-        self
-    }
-
-    /// Set the overhead model.
-    pub fn with_overhead(mut self, o: OverheadModel) -> Self {
-        self.overhead = o;
-        self
-    }
-
-    /// Set the preemption-routine period in seconds.
-    pub fn with_tick_period(mut self, secs: Secs) -> Self {
-        self.tick_period = secs;
-        self
-    }
-
-    /// Grid shape checks, plus [`ExperimentConfig::validate`] on one
-    /// representative configuration (every cell shares everything but the
-    /// scheduler and load, which are checked per run anyway).
+    /// Grid shape and batch-setting checks, plus
+    /// [`ExperimentConfig::validate`] on one run per load (every cell
+    /// shares everything but the scheduler, which validation ignores, and
+    /// the seeds).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.schedulers.is_empty() {
             return Err(ConfigError::EmptyGrid("schedulers"));
@@ -309,18 +192,13 @@ impl SweepSpec {
         if self.reps == 0 {
             return Err(ConfigError::EmptyGrid("reps"));
         }
-        if !self.arrivals.is_trace() && matches!(self.until, RunUntil::Drained) {
-            return Err(ConfigError::BadArrivals(
-                "open-system sweeps need a stopping condition (with_until)".into(),
-            ));
-        }
-        if self.lean && !self.speed.is_uniform_one() {
+        if self.lean && !self.base.speed.is_uniform_one() {
             return Err(ConfigError::BadLean(
                 "lean sweeps drop the segment record and cannot report \
                  per-tier columns — run heterogeneous grids full",
             ));
         }
-        if self.lean && self.warmup > 0 {
+        if self.lean && self.base.warmup > 0 {
             return Err(ConfigError::BadLean(
                 "lean sweeps cannot build warmup-windowed reports",
             ));
@@ -343,26 +221,18 @@ impl SweepSpec {
 
     /// The configuration of one run.
     fn config(&self, scheduler: SchedulerKind, load: f64, rep: usize) -> ExperimentConfig {
+        let mut cfg = self
+            .base
+            .clone()
+            .with_scheduler(scheduler)
+            .with_load_factor(load)
+            .with_seed(self.base.seed + rep as u64);
         // Replications draw independent fault streams, mirroring the
         // per-rep trace seeds: same grid cell, different failure history.
-        let mut faults = self.faults;
-        if faults.enabled() {
-            faults.seed = faults.seed.wrapping_add(rep as u64);
+        if cfg.faults.enabled() {
+            cfg.faults.seed = cfg.faults.seed.wrapping_add(rep as u64);
         }
-        ExperimentConfig::new(self.system, scheduler)
-            .with_jobs(self.n_jobs)
-            .with_seed(self.base_seed + rep as u64)
-            .with_load_factor(load)
-            .with_estimates(self.estimates)
-            .with_overhead(self.overhead)
-            .with_tick_period(self.tick_period)
-            .with_arrivals(self.arrivals)
-            .with_admission(self.admission)
-            .with_faults(faults)
-            .with_preemption(self.preemption)
-            .with_checkpoint(self.checkpoint)
-            .with_speed(self.speed.clone())
-            .with_speed_aware(self.speed_aware)
+        cfg
     }
 
     /// Expand the grid cell-major: all replications of a cell are
@@ -1217,8 +1087,7 @@ where
         .wall_budget_ms
         .map(|ms| start + Duration::from_millis(ms));
     let cache = TraceCache::new();
-    let (telemetry, timeline) = (spec.telemetry, spec.timeline);
-    let (until, warmup, lean) = (spec.until, spec.warmup, spec.lean);
+    let (telemetry, timeline, lean) = (spec.telemetry, spec.timeline, spec.lean);
 
     let mut progress = ProgressTracker::new(start, spec.runs(), spec.cells(), spec.reps);
     let board = ShardBoard::new(batch_workers(threads, spec.runs()));
@@ -1237,10 +1106,7 @@ where
             // Simulate and fold directly: no RunResult (and no
             // per-category reports) is ever materialized on the sweep
             // path.
-            let mut builder = RunBuilder::new(Arc::clone(cfg))
-                .until(until)
-                .warmup(warmup)
-                .lean(lean);
+            let mut builder = RunBuilder::new(Arc::clone(cfg)).lean(lean);
             if let Some(src) = source(cfg, &cache) {
                 builder = builder.source(src);
             }
@@ -1284,7 +1150,7 @@ where
         &spec.schedulers,
         &spec.loads,
         spec.reps,
-        spec.base_seed,
+        spec.base.seed,
         &results,
     );
 
@@ -1466,17 +1332,12 @@ mod tests {
         let lean = run_sweep(&tiny().with_lean(true), 2).expect("valid spec");
         assert_eq!(full.to_csv(), lean.to_csv());
         // Combinations lean cannot honor are rejected up front.
-        assert!(matches!(
-            tiny()
-                .with_lean(true)
-                .with_speed("tiers:0.5x64+1.0x64".parse().unwrap())
-                .validate(),
-            Err(ConfigError::BadLean(_))
-        ));
-        assert!(matches!(
-            tiny().with_lean(true).with_warmup(600).validate(),
-            Err(ConfigError::BadLean(_))
-        ));
+        let mut hetero = tiny().with_lean(true);
+        hetero.base.speed = "tiers:0.5x64+1.0x64".parse().unwrap();
+        assert!(matches!(hetero.validate(), Err(ConfigError::BadLean(_))));
+        let mut warm = tiny().with_lean(true);
+        warm.base.warmup = 600;
+        assert!(matches!(warm.validate(), Err(ConfigError::BadLean(_))));
     }
 
     #[test]
@@ -1530,15 +1391,19 @@ mod tests {
 
     #[test]
     fn open_system_sweep_reports_windowed_cells() {
-        let spec = SweepSpec::new(SDSC)
-            .with_schedulers(vec![SchedulerKind::Easy, SchedulerKind::Ss { sf: 2.0 }])
-            .with_loads(vec![0.7])
+        use crate::admission::AdmissionModel;
+        use crate::sim::RunUntil;
+        use sps_workload::ArrivalSpec;
+        let base = ExperimentConfig::new(SDSC, SchedulerKind::Easy)
             .with_seed(5)
-            .with_reps(2)
             .with_arrivals(ArrivalSpec::Poisson { load: None })
             .with_until(RunUntil::SimTime(sps_simcore::SimTime::new(86_400 * 3)))
             .with_warmup(86_400 / 2)
             .with_admission(AdmissionModel::load_adaptive(4.0 * 3600.0, 1.0));
+        let spec = SweepSpec::over(base)
+            .with_schedulers(vec![SchedulerKind::Easy, SchedulerKind::Ss { sf: 2.0 }])
+            .with_loads(vec![0.7])
+            .with_reps(2);
         let report = run_sweep(&spec, 2).expect("valid open spec");
         assert_eq!(report.cells.len(), 2);
         assert!(report.failures.is_empty(), "{:?}", report.failures);
@@ -1557,18 +1422,20 @@ mod tests {
 
     #[test]
     fn faulty_checkpointing_sweep_reports_fault_columns() {
+        use crate::checkpoint::{CheckpointModel, PreemptionMode};
         use crate::faults::{FaultModel, RecoveryPolicy};
-        let spec = SweepSpec::new(SDSC)
-            .with_schedulers(vec![SchedulerKind::Ss { sf: 2.0 }])
-            .with_loads(vec![1.1])
+        let base = ExperimentConfig::new(SDSC, SchedulerKind::Easy)
             .with_jobs(150)
             .with_seed(7)
-            .with_reps(2)
             .with_faults(
                 FaultModel::proc_faults(40_000, 3_600, 13).with_recovery(RecoveryPolicy::Resubmit),
             )
             .with_preemption(PreemptionMode::Migrate)
             .with_checkpoint(CheckpointModel::paper().with_interval(1_800));
+        let spec = SweepSpec::over(base)
+            .with_schedulers(vec![SchedulerKind::Ss { sf: 2.0 }])
+            .with_loads(vec![1.1])
+            .with_reps(2);
         let report = run_sweep(&spec, 2).expect("valid faulty spec");
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         let cell = &report.cells[0];
@@ -1583,13 +1450,14 @@ mod tests {
 
     #[test]
     fn hetero_sweep_reports_tier_columns() {
-        let spec = SweepSpec::new(SDSC)
+        let base = ExperimentConfig::new(SDSC, SchedulerKind::Easy)
+            .with_speed("tiers:0.5x64+1.0x64".parse().unwrap());
+        let spec = SweepSpec::over(base)
             .with_schedulers(vec![SchedulerKind::Ss { sf: 2.0 }])
             .with_loads(vec![1.0])
             .with_jobs(120)
             .with_seed(11)
-            .with_reps(2)
-            .with_speed("tiers:0.5x64+1.0x64".parse().unwrap());
+            .with_reps(2);
         let report = run_sweep(&spec, 2).expect("valid hetero spec");
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         let cell = &report.cells[0];
@@ -1641,7 +1509,8 @@ mod tests {
 
     #[test]
     fn open_system_sweep_without_until_is_rejected() {
-        let spec = tiny().with_arrivals(ArrivalSpec::Poisson { load: None });
+        let mut spec = tiny();
+        spec.base.arrivals = sps_workload::ArrivalSpec::Poisson { load: None };
         assert!(matches!(spec.validate(), Err(ConfigError::BadArrivals(_))));
     }
 

@@ -273,6 +273,8 @@ impl Args {
             .with_preemption(self.preemption())
             .with_checkpoint(self.checkpoint())
             .with_arrivals(self.arrivals.unwrap_or(ArrivalSpec::Trace))
+            .with_until(self.until.unwrap_or_default())
+            .with_warmup(self.warmup.unwrap_or(0))
             .with_admission(self.admission.unwrap_or_else(AdmissionModel::none))
             .with_speed(self.speed.clone().unwrap_or_default())
             .with_speed_aware(!self.speed_blind);
@@ -280,6 +282,26 @@ impl Args {
             cfg = cfg.with_jobs(n);
         }
         cfg
+    }
+
+    /// [`Args::config`], failing with a usage error unless it passes
+    /// [`ExperimentConfig::validate`].
+    fn checked_config(&self, system: SystemPreset, kind: SchedulerKind) -> ExperimentConfig {
+        let cfg = self.config(system, kind);
+        cfg.validate().unwrap_or_else(|e| fail(&e.to_string()));
+        cfg
+    }
+
+    /// One validated configuration per `--sched` on `system` (`run` and
+    /// `replay`).
+    fn configs(&self, system: SystemPreset) -> Vec<ExperimentConfig> {
+        if self.scheds.is_empty() {
+            fail("at least one --sched required");
+        }
+        self.scheds
+            .iter()
+            .map(|&kind| self.checked_config(system, kind))
+            .collect()
     }
 
     /// The synthetic scheduler × load grid the flags describe on
@@ -292,38 +314,16 @@ impl Args {
             ],
             "a synthetic sweep (SWF sweeps take --swf)",
         );
-        let mut spec = SweepSpec::new(system)
+        // The scheduler axis replaces the base configuration's scheduler.
+        let mut spec = SweepSpec::over(self.config(system, SchedulerKind::Easy))
             .with_schedulers(scheds)
             .with_loads(self.loads.clone().unwrap_or_else(|| vec![self.load]))
-            .with_seed(self.seed)
-            .with_reps(self.reps.unwrap_or(1))
-            .with_estimates(self.estimates)
-            .with_overhead(self.overhead)
-            .with_faults(self.faults())
-            .with_preemption(self.preemption())
-            .with_checkpoint(self.checkpoint())
-            .with_speed(self.speed.clone().unwrap_or_default())
-            .with_speed_aware(!self.speed_blind);
-        if let Some(n) = self.jobs {
-            spec = spec.with_jobs(n);
-        }
+            .with_reps(self.reps.unwrap_or(1));
         if let Some(budget) = self.budget {
             spec = spec.with_wall_budget(budget);
         }
         if let Some(retries) = self.retries {
             spec = spec.with_retries(retries);
-        }
-        if let Some(arrivals) = self.arrivals {
-            spec = spec.with_arrivals(arrivals);
-        }
-        if let Some(until) = self.until {
-            spec = spec.with_until(until);
-        }
-        if let Some(warmup) = self.warmup {
-            spec = spec.with_warmup(warmup);
-        }
-        if let Some(admission) = self.admission {
-            spec = spec.with_admission(admission);
         }
         spec
     }
@@ -543,29 +543,18 @@ fn parse_args(mut argv: std::vec::IntoIter<String>) -> Args {
     args
 }
 
-/// Simulate every scheme on `jobs` (one machine: `system`) and print the
-/// per-category comparison — the body of `run` and `replay`.
-fn report(jobs: Vec<Job>, system: SystemPreset, args: &Args) {
-    if args.scheds.is_empty() {
-        fail("at least one --sched required");
-    }
-    let procs = system.procs;
-    let configs: Vec<ExperimentConfig> = args
-        .scheds
-        .iter()
-        .map(|&kind| args.config(system, kind))
-        .collect();
-    let until = args.until.unwrap_or_default();
-    let warmup = args.warmup.unwrap_or(0);
+/// Simulate every scheme's configuration on `jobs` (one configuration
+/// per `--sched`, from [`Args::configs`]) and print the per-category
+/// comparison — the body of `run` and `replay`.
+fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
+    let procs = configs[0].system.procs;
     // Simulate every scheme first — in parallel when --threads (or
     // SPS_THREADS) allows it — then print in input order.
     let threads = args.threads.unwrap_or_else(default_threads);
     let simulate = |cfg: &ExperimentConfig| {
         let mut run = cfg
             .runner()
-            .source(Box::new(TraceSource::new(jobs.clone())))
-            .until(until)
-            .warmup(warmup);
+            .source(Box::new(TraceSource::new(jobs.clone())));
         if args.timeline.is_some() {
             run = run.profiler(SpanProfiler::with_timeline(0));
         }
@@ -730,30 +719,16 @@ fn fmt_ns(ns: u64) -> String {
 
 /// `sps run --arrivals <open spec>`: stream jobs from seeded generators
 /// instead of replaying a finite trace, stop at `--until`, and report the
-/// warmup-windowed steady-state metrics per scheme.
-fn open_run(system: SystemPreset, args: &Args) {
-    if args.scheds.is_empty() {
-        fail("at least one --sched required");
-    }
-    let spec = args.arrivals.expect("caller checked --arrivals");
-    let until = args.until.unwrap_or_else(|| {
-        fail("open-system run needs --until (a duration like 30d, or a job count like 5000j)")
-    });
-    let warmup = args.warmup.unwrap_or(0);
-    let admission = args.admission.unwrap_or_else(AdmissionModel::none);
-    let configs: Vec<ExperimentConfig> = args
-        .scheds
-        .iter()
-        .map(|&kind| args.config(system, kind))
-        .collect();
+/// warmup-windowed steady-state metrics per scheme (one validated
+/// configuration per `--sched`, from [`Args::configs`]).
+fn open_run(configs: Vec<ExperimentConfig>, args: &Args) {
+    let cfg = &configs[0];
     println!(
-        "{}: open system — arrivals {spec}, until {until}, warmup {warmup} s, admission {admission}\n",
-        system.name,
+        "{}: open system — arrivals {}, until {}, warmup {} s, admission {}\n",
+        cfg.system.name, cfg.arrivals, cfg.until, cfg.warmup, cfg.admission,
     );
     let results = BatchRunner::new(configs)
         .threads(args.threads.unwrap_or_else(default_threads))
-        .until(until)
-        .warmup(warmup)
         .run_checked();
     let mut failed = false;
     for (&kind, result) in args.scheds.iter().zip(&results) {
@@ -1046,13 +1021,7 @@ fn main() {
         "run" => {
             let args = parse_args(argv.into_iter());
             let system = args.system.unwrap_or_else(|| fail("--system required"));
-            let n_jobs = args.jobs.unwrap_or(system.default_jobs);
-            if n_jobs == 0 {
-                fail("--jobs must be at least 1");
-            }
-            if args.load <= 0.0 {
-                fail("--load must be positive");
-            }
+            let configs = args.configs(system);
             if args.arrivals.is_some_and(|a| !a.is_trace()) {
                 if args.diurnal > 0.0 {
                     fail(
@@ -1060,11 +1029,11 @@ fn main() {
                           --arrivals diurnal:<amplitude> instead",
                     );
                 }
-                open_run(system, &args);
+                open_run(configs, &args);
                 return;
             }
             let mut synth = SyntheticConfig::new(system, args.seed)
-                .with_jobs(n_jobs)
+                .with_jobs(configs[0].n_jobs)
                 .with_load_factor(args.load);
             if args.diurnal > 0.0 {
                 synth = synth.with_diurnal(args.diurnal);
@@ -1078,7 +1047,7 @@ fn main() {
                 args.load,
                 args.seed
             );
-            report(jobs, system, &args);
+            report(jobs, &configs, &args);
         }
         "sweep" => {
             let args = parse_args(argv.into_iter());
@@ -1124,7 +1093,7 @@ fn main() {
                         spec.cells(),
                         spec.reps,
                         spec.runs(),
-                        spec.n_jobs,
+                        spec.base.n_jobs,
                         threads,
                     );
                     run_sweep_observed(&spec, threads, observe)
@@ -1191,11 +1160,8 @@ fn main() {
                 ],
                 "report (it compares closed-trace runs)",
             );
-            args.config(system, scheds[0])
-                .validate()
-                .unwrap_or_else(|e| fail(&e.to_string()));
             // One shared trace: the job list is scheduler-independent.
-            let jobs = args.config(system, scheds[0]).trace();
+            let jobs = args.checked_config(system, scheds[0]).trace();
 
             let mut outs = Vec::with_capacity(scheds.len());
             for &kind in &scheds {
@@ -1442,7 +1408,7 @@ fn main() {
                 trace.jobs.len(),
                 trace.skipped
             );
-            report(trace.jobs, SystemPreset::swf(procs), &args);
+            report(trace.jobs, &args.configs(SystemPreset::swf(procs)), &args);
         }
         "trace" => {
             let args = parse_args(argv.into_iter());
@@ -1457,33 +1423,18 @@ fn main() {
                 .out
                 .clone()
                 .unwrap_or_else(|| fail("--out FILE required"));
-            let cfg = args.config(system, args.scheds[0]);
-            if !cfg.arrivals.is_trace() && args.until.is_none() {
-                fail("tracing open arrivals needs --until (duration or <N>j)");
-            }
-            let until = args.until.unwrap_or_default();
-            let warmup = args.warmup.unwrap_or(0);
+            let cfg = args.checked_config(system, args.scheds[0]);
             let io_fail = |e: std::io::Error| -> ! { fail(&format!("cannot write {out}: {e}")) };
             let result = match args.format.as_deref().unwrap_or("jsonl") {
                 "jsonl" => {
                     let mut sink = JsonlSink::create(&out).unwrap_or_else(|e| io_fail(e));
-                    let r = cfg
-                        .runner()
-                        .trace_sink(&mut sink)
-                        .until(until)
-                        .warmup(warmup)
-                        .run();
+                    let r = cfg.runner().trace_sink(&mut sink).run();
                     sink.finish().unwrap_or_else(|e| io_fail(e));
                     r
                 }
                 "csv" => {
                     let mut sink = CsvSink::create(&out).unwrap_or_else(|e| io_fail(e));
-                    let r = cfg
-                        .runner()
-                        .trace_sink(&mut sink)
-                        .until(until)
-                        .warmup(warmup)
-                        .run();
+                    let r = cfg.runner().trace_sink(&mut sink).run();
                     sink.finish().unwrap_or_else(|e| io_fail(e));
                     r
                 }

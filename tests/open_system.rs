@@ -64,6 +64,9 @@ fn builder_source_path_matches_golden_hashes() {
     );
 }
 
+const THREE_DAYS: RunUntil = RunUntil::SimTime(SimTime::new(3 * 86_400));
+const HALF_DAY: i64 = 43_200;
+
 /// The configs the determinism tests sweep: paper-headline schemes under
 /// each open generator, capped at a few simulated days so the suite stays
 /// fast while still crossing thousands of arrivals.
@@ -75,12 +78,11 @@ fn open_configs(arrivals: ArrivalSpec) -> Vec<ExperimentConfig> {
             ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
                 .with_seed(23)
                 .with_arrivals(arrivals)
+                .with_until(THREE_DAYS)
+                .with_warmup(HALF_DAY)
         })
         .collect()
 }
-
-const THREE_DAYS: RunUntil = RunUntil::SimTime(SimTime::new(3 * 86_400));
-const HALF_DAY: i64 = 43_200;
 
 /// Hash everything observable about one open run.
 fn open_hash(r: &selective_preemption::core::experiment::RunResult) -> u64 {
@@ -101,8 +103,6 @@ fn open_hash(r: &selective_preemption::core::experiment::RunResult) -> u64 {
 fn open_batch(arrivals: ArrivalSpec, threads: usize) -> Vec<u64> {
     BatchRunner::new(open_configs(arrivals))
         .threads(threads)
-        .until(THREE_DAYS)
-        .warmup(HALF_DAY)
         .run()
         .iter()
         .map(open_hash)
@@ -142,8 +142,10 @@ fn warmup_window_excludes_ramp_in() {
     use sps_workload::traces::SDSC;
     let cfg = ExperimentConfig::new(SDSC, SchedulerKind::Easy)
         .with_seed(5)
-        .with_arrivals(ArrivalSpec::Poisson { load: Some(0.8) });
-    let res = cfg.runner().until(THREE_DAYS).warmup(HALF_DAY).run();
+        .with_arrivals(ArrivalSpec::Poisson { load: Some(0.8) })
+        .with_until(THREE_DAYS)
+        .with_warmup(HALF_DAY);
+    let res = cfg.run();
     let w = res.sim.windowed.as_ref().expect("warmup produces a window");
     assert_eq!(w.start, SimTime::new(HALF_DAY));
     assert!(w.end >= w.start);

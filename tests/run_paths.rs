@@ -19,6 +19,41 @@ fn faulty_config() -> ExperimentConfig {
         .with_faults(FaultModel::proc_faults(2_000_000, 1_800, 5).with_job_crash(0.05))
 }
 
+/// The configurations every entry point must agree on: the fault case, a
+/// closed system with every field off its default, and an open system
+/// with a stopping condition and a warmup window. A sweep takes the
+/// configuration whole as its base, so a field the sweep failed to pass
+/// on to its runs would show up as a differing cell.
+fn inputs() -> Vec<(&'static str, ExperimentConfig)> {
+    let every_field = ExperimentConfig::new(SDSC, SchedulerKind::Tss { sf: 2.0 })
+        .with_jobs(300)
+        .with_seed(9)
+        .with_load_factor(1.1)
+        .with_estimates(EstimateModel::paper_mixture())
+        .with_overhead(OverheadModel::paper())
+        .with_tick_period(30)
+        .with_faults(
+            FaultModel::proc_faults(2_000_000, 1_800, 5)
+                .with_job_crash(0.05)
+                .with_recovery(RecoveryPolicy::Resubmit),
+        )
+        .with_preemption(PreemptionMode::Migrate)
+        .with_checkpoint(CheckpointModel::paper().with_interval(1_800))
+        .with_speed("tiers:0.5x64+1.0x64".parse().expect("speed spec parses"))
+        .with_speed_aware(false)
+        .with_admission("load:4h".parse().expect("admission spec parses"));
+    let open = ExperimentConfig::new(SDSC, SchedulerKind::Ss { sf: 2.0 })
+        .with_seed(5)
+        .with_arrivals(ArrivalSpec::Poisson { load: Some(0.9) })
+        .with_until(RunUntil::SimTime(SimTime::new(2 * 86_400)))
+        .with_warmup(6 * 3_600);
+    vec![
+        ("faulty", faulty_config()),
+        ("every field", every_field),
+        ("open", open),
+    ]
+}
+
 /// The summary with its wall-clock field cleared, rendered exactly:
 /// `Debug` prints every float in its shortest round-tripping form, so
 /// equal strings mean bit-identical fields.
@@ -30,33 +65,39 @@ fn exact(summary: &RunSummary) -> String {
 
 #[test]
 fn every_entry_point_runs_the_same_simulation() {
-    let cfg = faulty_config();
-    let via_run = cfg.run();
-    assert!(
-        via_run.sim.faults.job_crashes > 0 && via_run.sim.faults.proc_failures > 0,
-        "the case must draw both crash and failure times from the fault RNG"
-    );
-    let summary = RunSummary::from_result(&via_run);
-    let via_runner = cfg.runner().run();
-    assert_eq!(via_run.sim.outcomes, via_runner.sim.outcomes);
-    let via_runner = RunSummary::from_result(&via_runner);
-    let via_batch = BatchRunner::new(vec![cfg.clone()]).threads(1).run();
-    let via_batch = RunSummary::from_result(&via_batch[0]);
-    assert_eq!(exact(&summary), exact(&via_runner), "cfg.runner().run()");
-    assert_eq!(exact(&summary), exact(&via_batch), "BatchRunner");
+    for (name, cfg) in inputs() {
+        let via_run = cfg.run();
+        if name == "faulty" {
+            assert!(
+                via_run.sim.faults.job_crashes > 0 && via_run.sim.faults.proc_failures > 0,
+                "the case must draw both crash and failure times from the fault RNG"
+            );
+        }
+        let summary = RunSummary::from_result(&via_run);
+        let via_runner = cfg.runner().run();
+        assert_eq!(via_run.sim.outcomes, via_runner.sim.outcomes, "{name}");
+        let via_runner = RunSummary::from_result(&via_runner);
+        let via_batch = BatchRunner::new(vec![cfg.clone()]).threads(1).run();
+        let via_batch = RunSummary::from_result(&via_batch[0]);
+        assert_eq!(
+            exact(&summary),
+            exact(&via_runner),
+            "{name}: cfg.runner().run()"
+        );
+        assert_eq!(exact(&summary), exact(&via_batch), "{name}: BatchRunner");
 
-    let spec = SweepSpec::new(SDSC)
-        .with_scheduler(cfg.scheduler)
-        .with_jobs(cfg.n_jobs)
-        .with_seed(cfg.seed)
-        .with_faults(cfg.faults);
-    let sweep = run_sweep(&spec, 1).expect("valid spec");
-    assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
-    assert_eq!(
-        sweep.cells[0],
-        CellStats::from_summaries(cfg.scheduler, cfg.load_factor, &[summary], 0),
-        "run_sweep"
-    );
+        let spec = SweepSpec::over(cfg.clone()).with_scheduler(cfg.scheduler);
+        let sweep = run_sweep(&spec, 1).expect("valid spec");
+        assert!(sweep.failures.is_empty(), "{name}: {:?}", sweep.failures);
+        // Compared as `Debug` strings: a tier column without samples is
+        // NaN, which never equals itself.
+        let by_hand = CellStats::from_summaries(cfg.scheduler, cfg.load_factor, &[summary], 0);
+        assert_eq!(
+            format!("{:?}", sweep.cells[0]),
+            format!("{by_hand:?}"),
+            "{name}: run_sweep"
+        );
+    }
 }
 
 #[test]

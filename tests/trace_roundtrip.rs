@@ -41,6 +41,9 @@ fn jsonl_trace_of_10k_sdsc_ss_run_validates_and_embeds_config() {
     };
     assert_eq!(scheduler, "ss:2.0");
     assert_eq!(scheduler.parse::<SchedulerKind>().unwrap(), cfg.scheduler);
+    // A closed run's header leaves the stopping condition and warmup at
+    // their defaults out, byte-identical to headers that predate them.
+    assert!(config.get("until").is_none() && config.get("warmup").is_none());
     let back = selective_preemption::core::experiment::ExperimentConfig::from_json(&config)
         .expect("embedded config decodes");
     assert_eq!(back.system.name, cfg.system.name);
@@ -55,4 +58,34 @@ fn jsonl_trace_of_10k_sdsc_ss_run_validates_and_embeds_config() {
     assert_eq!(back.trace(), cfg.trace());
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn open_system_header_reproduces_its_run() {
+    let cfg = ExperimentConfig::new(SDSC, SchedulerKind::Ss { sf: 2.0 })
+        .with_seed(5)
+        .with_arrivals(ArrivalSpec::Poisson { load: Some(0.9) })
+        .with_until(RunUntil::SimTime(SimTime::new(2 * 86_400)))
+        .with_warmup(6 * 3_600);
+    let mut sink = MemorySink::new();
+    let traced = cfg.runner().trace_sink(&mut sink).run();
+    let Some(TraceRecord::Header { config, .. }) = sink.records().first() else {
+        panic!("first record must be the header");
+    };
+    // Decode from the rendered text, as a reader of the log would.
+    let text = config.render();
+    assert!(text.contains(r#""until":"172800s""#), "{text}");
+    let back = ExperimentConfig::from_json(&Json::parse(&text).expect("header parses"))
+        .expect("embedded config decodes");
+    assert_eq!(back.arrivals, cfg.arrivals);
+    assert_eq!(back.until, cfg.until);
+    assert_eq!(back.warmup, cfg.warmup);
+
+    // The header alone reproduces the run.
+    let rerun = back
+        .run_checked()
+        .expect("an open header carries its stopping condition");
+    assert!(traced.sim.windowed.is_some(), "warmup makes a window");
+    assert_eq!(rerun.sim.outcomes, traced.sim.outcomes);
+    assert_eq!(rerun.sim.windowed, traced.sim.windowed);
 }
