@@ -408,24 +408,17 @@ impl ExperimentConfig {
         jobs
     }
 
-    /// The cache key of this experiment's trace: everything trace
-    /// generation depends on, and nothing the scheduler side varies.
-    /// Heterogeneous configurations fold their speed setup in so a cached
-    /// entry is never shared across speed configurations (homogeneous
-    /// keys are unchanged from builds predating the speed model).
+    /// The cache key of this experiment's trace: everything
+    /// [`ExperimentConfig::trace`] reads, and nothing the scheduler or
+    /// machine side (policy, overhead, faults, speeds) varies.
     pub fn trace_key(&self) -> TraceKey {
-        let key = TraceKey::new(
+        TraceKey::new(
             self.system,
             self.n_jobs,
             self.seed,
             self.load_factor,
             &self.estimates,
-        );
-        if self.is_heterogeneous() {
-            key.with_speed(&self.speed.to_string(), self.speed_aware)
-        } else {
-            key
-        }
+        )
     }
 
     /// This experiment's trace through a [`TraceCache`]: generated on the
@@ -938,17 +931,22 @@ mod tests {
     }
 
     #[test]
-    fn hetero_configs_get_their_own_trace_keys() {
+    fn speed_configs_share_one_trace_key_and_trace() {
+        // Trace generation never reads the speed spec, so homogeneous,
+        // tiered and speed-blind runs of one workload share its trace.
         let base = small(SchedulerKind::Easy);
         let tiers = base
             .clone()
             .with_speed("tiers:0.5x64+1.0x64".parse().unwrap());
         let blind = tiers.clone().with_speed_aware(false);
-        assert_eq!(base.trace_key(), base.clone().trace_key());
-        assert_ne!(base.trace_key(), tiers.trace_key());
-        assert_ne!(tiers.trace_key(), blind.trace_key());
-        // The jobs themselves are speed-independent even so.
-        assert_eq!(base.trace(), tiers.trace());
+        assert_eq!(base.trace_key(), tiers.trace_key());
+        assert_eq!(base.trace_key(), blind.trace_key());
+        let cache = TraceCache::new();
+        let shared = base.trace_shared(&cache);
+        for cfg in [&tiers, &blind] {
+            assert!(Arc::ptr_eq(&shared, &cfg.trace_shared(&cache)));
+        }
+        assert_eq!((cache.misses(), cache.hits()), (1, 2));
     }
 
     #[test]

@@ -75,6 +75,9 @@ impl ExperimentConfig {
     /// Check the configuration for values that would make the simulation
     /// meaningless (or hang the trace generator) before running it.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.system.procs == 0 {
+            return Err(ConfigError::NoProcs);
+        }
         if !self.load_factor.is_finite() || self.load_factor <= 0.0 {
             return Err(ConfigError::BadLoadFactor(self.load_factor));
         }
@@ -127,6 +130,7 @@ mod tests {
     use crate::experiment::SchedulerKind;
     use sps_cluster::SpeedSpec;
     use sps_workload::traces::SDSC;
+    use sps_workload::SystemPreset;
 
     fn small(scheduler: SchedulerKind) -> ExperimentConfig {
         ExperimentConfig::new(SDSC, scheduler)
@@ -155,6 +159,10 @@ mod tests {
             Err(ConfigError::ZeroTickPeriod)
         );
         assert_eq!(ok.clone().with_jobs(0).validate(), Err(ConfigError::NoJobs));
+        assert_eq!(
+            ok.clone().with_system(SystemPreset::swf(0)).validate(),
+            Err(ConfigError::NoProcs)
+        );
         let mut bad_faults = ok.clone();
         bad_faults.faults.job_crash = 1.5;
         assert!(matches!(

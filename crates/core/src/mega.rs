@@ -180,9 +180,6 @@ impl MegaSweepSpec {
     /// readability probe of the log (a missing file should fail the sweep
     /// up front, not every cell one by one).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.procs == 0 {
-            return Err(ConfigError::NoProcs);
-        }
         self.grid().validate()?;
         std::fs::File::open(&self.swf)
             .map_err(|e| ConfigError::BadSwf(format!("{}: {e}", self.swf.display())))?;

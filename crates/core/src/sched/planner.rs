@@ -578,7 +578,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &e)| Job::new(i as u32, 0, e, e, 1)),
         );
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity(16);
+        let mut queue: EventQueue<Event> = EventQueue::new();
         let mut order = IdleOrder::default();
         for id in [0, 2, 3] {
             state.arrive(JobId(id));
@@ -644,7 +644,7 @@ mod tests {
         const N: u32 = 1_030;
         let mut state = idle_state(4, (0..N).map(|i| Job::new(i, 0, 10, 10 + i as i64, 1)));
         state.lean = Some(OutcomeFold::new());
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity(16);
+        let mut queue: EventQueue<Event> = EventQueue::new();
         let mut order = IdleOrder::default();
         for id in 0..N {
             state.arrive(JobId(id));
@@ -679,7 +679,7 @@ mod tests {
     #[test]
     fn idle_order_breaks_xfactor_ties_by_id() {
         let mut state = idle_state(4, (0..4).map(|i| Job::new(i, 0, 100, 100, 1)));
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity(16);
+        let mut queue: EventQueue<Event> = EventQueue::new();
         let mut order = IdleOrder::default();
         // Job 1 waits 0 s before it starts, is killed at t=50 and re-queued
         // behind jobs 2 and 3, which arrive then: all three have waited

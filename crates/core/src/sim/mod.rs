@@ -261,7 +261,7 @@ mod tests {
         let jobs = vec![Job::new(0, 0, 100, 200, 8), Job::new(1, 0, 100, 100, 8)];
         let mut sim = Simulator::new(jobs, 8, Box::new(GreedyFifo));
         // Drive manually: pull the t=0 arrival group, advance to t=0.
-        let mut queue = EventQueue::with_capacity(4);
+        let mut queue = EventQueue::new();
         sim.schedule_next_arrivals(&mut queue);
         let mut engine = Engine::new().with_horizon(SimTime::new(50));
         let _ = engine.run(&mut sim, &mut queue);

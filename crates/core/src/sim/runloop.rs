@@ -269,12 +269,6 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     /// [`Simulator::with_tick_elision`] turns it off to reproduce the
     /// every-tick schedule event-for-event (benches, A/B comparisons).
     elide_idle: bool,
-    /// Use the reference [`EventQueue`] binary-heap backend instead of
-    /// the calendar queue. Both honor the same `(time, class, seq)` total
-    /// order, so results are bit-identical; the heap exists for
-    /// differential testing and as the faithful pre-calendar baseline in
-    /// `sweep_throughput`.
-    heap_queue: bool,
     /// Pass `reference: true` to every decide, disabling the policies'
     /// provably-equivalent fast paths (see [`DecideCtx::reference`]).
     reference_decides: bool,
@@ -356,7 +350,6 @@ impl<S: TraceSink> Simulator<S> {
             watchdog: Watchdog::none(),
             decide_calls: 0,
             elide_idle: true,
-            heap_queue: false,
             reference_decides: false,
             sink,
             telemetry: NullTelemetry,
@@ -386,7 +379,6 @@ impl<S: TraceSink> Simulator<S> {
             watchdog: self.watchdog,
             decide_calls: self.decide_calls,
             elide_idle: self.elide_idle,
-            heap_queue: self.heap_queue,
             reference_decides: self.reference_decides,
             sink: self.sink,
             telemetry,
@@ -434,23 +426,13 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         self
     }
 
-    /// Run on the binary-heap event queue instead of the calendar queue
-    /// (builder style, default calendar). The two backends share one
-    /// deterministic ordering contract, so every output is bit-identical;
-    /// this knob exists for differential tests and for benchmarks that
-    /// need the pre-calendar engine as their baseline.
-    pub fn with_heap_queue(mut self) -> Self {
-        self.heap_queue = true;
-        self
-    }
-
     /// Run every decide through the policies' exhaustive reference scan
     /// (builder style, default off). Fast paths like the SS/IS no-op tick
     /// certifications are provably decision-identical, so this changes
     /// only the work per decide, never the schedule — the differential
-    /// tests pin it. Used with [`Simulator::with_heap_queue`] and
-    /// [`Simulator::with_tick_elision`]`(false)` to reconstruct the
-    /// pre-sweep-engine execution profile as a benchmark baseline.
+    /// tests pin it. Used with [`Simulator::with_tick_elision`]`(false)`
+    /// to reconstruct the pre-sweep-engine execution profile as a
+    /// benchmark baseline.
     pub fn with_reference_decides(mut self) -> Self {
         self.reference_decides = true;
         self
@@ -616,14 +598,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// [`JobSource`] and [`RunUntil::SimTime`]/[`RunUntil::Jobs`] this is
     /// the open-system steady-state run.
     pub fn run(mut self) -> SimResult {
-        // Size for the source's hint when it has one (a finite replay),
-        // else a reasonable open-system default.
-        let capacity = self.source.remaining().unwrap_or(4_096).max(64) * 2;
-        let mut queue = if self.heap_queue {
-            EventQueue::with_capacity(capacity)
-        } else {
-            EventQueue::calendar_with_capacity(capacity)
-        };
+        let mut queue = EventQueue::new();
         // Materialize only the first arrival group; the batch handler
         // pulls the next group as each one is delivered.
         self.schedule_next_arrivals(&mut queue);

@@ -89,11 +89,6 @@ impl Watchdog {
         Watchdog::default()
     }
 
-    /// Whether any limit is configured.
-    pub fn armed(&self) -> bool {
-        self.max_batches.is_some() || self.max_events.is_some() || self.max_wall_ms.is_some()
-    }
-
     /// A generous guard for batch experiment harnesses: far above anything
     /// a legitimate trace produces (the full SDSC reproduction delivers
     /// ~10⁵ batches), yet finite, so a livelocked configuration degrades
@@ -125,7 +120,8 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with no horizon and a generous livelock guard.
+    /// An engine with no horizon and no abort limits (see
+    /// [`Engine::with_watchdog`]).
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
@@ -142,29 +138,6 @@ impl Engine {
     /// batch whose instant is strictly past `horizon`.
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
-        self
-    }
-
-    /// Abort after `max` delivered batches — a guard against schedulers that
-    /// reschedule themselves forever without making progress.
-    pub fn with_batch_limit(mut self, max: u64) -> Self {
-        self.max_batches = max;
-        self
-    }
-
-    /// Abort after `max` delivered events (livelock guard counting events
-    /// rather than instants).
-    pub fn with_event_limit(mut self, max: u64) -> Self {
-        self.max_events = max;
-        self
-    }
-
-    /// Abort once the run has consumed `ms` milliseconds of wall-clock time.
-    /// Checked every [`WALL_CHECK_INTERVAL`] batches, so short runs never pay
-    /// for a clock read and the effective budget overshoots by at most one
-    /// interval's worth of work.
-    pub fn with_wall_clock_limit_ms(mut self, ms: u64) -> Self {
-        self.max_wall = Some(std::time::Duration::from_millis(ms));
         self
     }
 
@@ -322,7 +295,10 @@ mod tests {
     fn batch_limit_trips_on_self_rescheduling() {
         let mut q = EventQueue::new();
         q.push(t(1), EventClass::Tick, ());
-        let mut engine = Engine::new().with_batch_limit(50);
+        let mut engine = Engine::new().with_watchdog(Watchdog {
+            max_batches: Some(50),
+            ..Watchdog::none()
+        });
         struct Resched;
         impl Simulation for Resched {
             type Event = ();

@@ -2,24 +2,19 @@
 //!
 //! Events are ordered by `(time, class, sequence number)`. The
 //! monotonically increasing sequence number gives FIFO delivery for events
-//! with identical time and class, which makes simulation results
-//! independent of queue internals and therefore reproducible.
+//! with identical time and class, so the comparator is a *total* order (no
+//! two entries compare equal): delivery never depends on how the store
+//! breaks ties, and simulation results are reproducible. The golden trace
+//! hashes in `tests/golden_determinism.rs` pin that order.
 //!
-//! Two interchangeable backends implement that single ordering contract:
-//!
-//! * a [`std::collections::BinaryHeap`] (the default) — `O(log n)` per
-//!   operation, no tuning knobs;
-//! * a *calendar queue* — fixed-width time buckets scanned by a rotating
-//!   cursor, giving amortized `O(1)` push/pop for the near-uniform event
-//!   spacing of a job-scheduling run (arrivals, completions, and periodic
-//!   ticks all land within a few minutes of the cursor).
-//!
-//! Because the comparator `(time, class, seq)` is a *total* order (no two
-//! entries compare equal), both backends pop exactly the same sequence for
-//! the same sequence of pushes; the equivalence tests below and the golden
-//! trace hashes in `tests/golden_determinism.rs` pin that.
+//! The store is a [`std::collections::BinaryHeap`], `O(log n)` per
+//! operation. A simulator's queue stays short — one pending arrival group
+//! plus O(machine) completion, drain, fault and tick events — so a
+//! bucketed calendar layout does not pay for itself (DESIGN.md,
+//! "Sweep-scale engine", records the measurement).
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::event::EventClass;
@@ -59,291 +54,9 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Bucket width in simulated seconds. A power of two close to the
-/// one-minute scheduler tick, so consecutive events usually land in the
-/// cursor bucket or its immediate successors.
-const CAL_WIDTH: i64 = 64;
-
-/// Calendar-queue backend: events hash into `buckets.len()` fixed-width
-/// time buckets by `(time / width) mod buckets`, and a cursor sweeps the
-/// buckets in time order, one width-sized window at a time. Events beyond
-/// one full rotation of the cursor (`span = width × buckets`) wait in
-/// `overflow` and are redistributed as the cursor approaches their window.
-struct Calendar<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// `buckets.len() - 1`; the bucket count is a power of two.
-    mask: usize,
-    /// One bit per bucket: set iff the bucket is non-empty. Lets the
-    /// cursor hop over empty stretches 64 buckets per word instead of
-    /// probing them one by one — sparse event streams (e.g. with idle
-    /// ticks elided) would otherwise pay a full bucket walk per pop.
-    occupied: Vec<u64>,
-    width: i64,
-    /// Start of the cursor bucket's current window; all live entries have
-    /// `time >= floor`.
-    floor: i64,
-    cursor: usize,
-    /// Floor value at which `overflow` must next be redistributed. The
-    /// invariant `floor + width <= migrate_at <= min overflow time` keeps
-    /// overflow entries from hiding inside the current scan window.
-    migrate_at: i64,
-    /// Entries at or beyond `floor + span` at push time.
-    overflow: Vec<Entry<E>>,
-    len: usize,
-}
-
-impl<E> Calendar<E> {
-    fn new(capacity: usize) -> Self {
-        let n = capacity.div_ceil(4).next_power_of_two().clamp(64, 4096);
-        Calendar {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
-            mask: n - 1,
-            occupied: vec![0u64; n / 64],
-            width: CAL_WIDTH,
-            floor: 0,
-            cursor: 0,
-            migrate_at: CAL_WIDTH * n as i64,
-            overflow: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn set_occupied(&mut self, b: usize) {
-        self.occupied[b >> 6] |= 1u64 << (b & 63);
-    }
-
-    fn clear_occupied(&mut self, b: usize) {
-        self.occupied[b >> 6] &= !(1u64 << (b & 63));
-    }
-
-    /// Cyclic distance (in buckets) from `from` to the nearest non-empty
-    /// bucket, `from` itself included; `None` when every bucket is empty.
-    /// Scans the occupancy bitmap a word (64 buckets) at a time.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let n = self.buckets.len();
-        // `occupied.len()` is n/64 with n a power of two ≥ 64, so wrapping
-        // word indices is a mask, not a division.
-        let wmask = self.occupied.len() - 1;
-        let w0 = from >> 6;
-        let head = self.occupied[w0] & (!0u64 << (from & 63));
-        if head != 0 {
-            return Some((w0 << 6) + head.trailing_zeros() as usize - from);
-        }
-        for step in 1..self.occupied.len() {
-            let w = (w0 + step) & wmask;
-            if self.occupied[w] != 0 {
-                let b = (w << 6) + self.occupied[w].trailing_zeros() as usize;
-                return Some((b + n - from) & self.mask);
-            }
-        }
-        let tail = self.occupied[w0] & !(!0u64 << (from & 63));
-        if tail != 0 {
-            let b = (w0 << 6) + tail.trailing_zeros() as usize;
-            return Some((b + n - from) & self.mask);
-        }
-        None
-    }
-
-    fn span(&self) -> i64 {
-        self.width * self.buckets.len() as i64
-    }
-
-    fn bucket_of(&self, t: i64) -> usize {
-        t.div_euclid(self.width) as usize & self.mask
-    }
-
-    /// Point the cursor at the window containing `t` and redistribute the
-    /// overflow for the new span.
-    fn align_to(&mut self, t: i64) {
-        self.floor = t.div_euclid(self.width) * self.width;
-        self.cursor = self.bucket_of(t);
-        self.migrate();
-    }
-
-    /// Move every overflow entry that now falls within one rotation of
-    /// the cursor into its bucket.
-    fn migrate(&mut self) {
-        let end = self.floor + self.span();
-        let pending = std::mem::take(&mut self.overflow);
-        for e in pending {
-            let t = e.time.secs();
-            if t < end {
-                let idx = self.bucket_of(t);
-                self.buckets[idx].push(e);
-                self.set_occupied(idx);
-            } else {
-                self.overflow.push(e);
-            }
-        }
-        self.migrate_at = end;
-    }
-
-    fn push(&mut self, e: Entry<E>) {
-        let t = e.time.secs();
-        if self.len == 0 || t < self.floor {
-            // Empty queue, or (through direct queue use only — the
-            // simulator never schedules into the past) an entry earlier
-            // than the scan position: re-anchor the cursor on it.
-            self.align_to(t);
-        }
-        self.len += 1;
-        if t >= self.floor + self.span() {
-            self.overflow.push(e);
-        } else {
-            let idx = self.bucket_of(t);
-            self.buckets[idx].push(e);
-            self.set_occupied(idx);
-        }
-    }
-
-    /// Index of the minimum-key entry in the cursor bucket whose time
-    /// falls inside the current window, if any. Every live entry has
-    /// `time >= floor`, and all times in `[floor, floor + width)` hash to
-    /// the cursor bucket, so this minimum — when present — is the global
-    /// one.
-    fn min_in_window(&self) -> Option<usize> {
-        let end = self.floor + self.width;
-        let bucket = &self.buckets[self.cursor];
-        let mut best: Option<usize> = None;
-        for (i, e) in bucket.iter().enumerate() {
-            if e.time.secs() >= end {
-                continue;
-            }
-            if best.is_none_or(|b| e.key() < bucket[b].key()) {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Minimum key over every live entry — the slow path for sparse
-    /// stretches.
-    fn global_min(&self) -> Option<(SimTime, EventClass)> {
-        self.buckets
-            .iter()
-            .flatten()
-            .chain(self.overflow.iter())
-            .min_by_key(|e| e.key())
-            .map(|e| (e.time, e.class))
-    }
-
-    fn peek(&self) -> Option<(SimTime, EventClass)> {
-        if self.len == 0 {
-            return None;
-        }
-        debug_assert!(self.floor + self.width <= self.migrate_at);
-        // Fast path: the nearest occupied bucket in cyclic (= time-window)
-        // order holds the global minimum, provided its window precedes the
-        // overflow horizon. The `t < end` filter rejects entries parked
-        // for a future rotation (only reachable through direct queue use
-        // after a cursor rewind); when it leaves nothing, fall through.
-        if let Some(d) = self.next_occupied(self.cursor) {
-            let wstart = self.floor + d as i64 * self.width;
-            if wstart < self.migrate_at {
-                let idx = (self.cursor + d) & self.mask;
-                let end = wstart + self.width;
-                if let Some(e) = self.buckets[idx]
-                    .iter()
-                    .filter(|e| e.time.secs() < end)
-                    .min_by_key(|e| e.key())
-                {
-                    return Some((e.time, e.class));
-                }
-            }
-        }
-        self.global_min()
-    }
-
-    /// Advance the cursor to the window holding the earliest live entry
-    /// and return that entry's index within the cursor bucket. Requires
-    /// `len > 0`.
-    fn position(&mut self) -> usize {
-        let mut advanced = 0usize;
-        loop {
-            if self.floor + self.width > self.migrate_at {
-                self.migrate();
-            }
-            if let Some(i) = self.min_in_window() {
-                return i;
-            }
-            advanced += 1;
-            if advanced > self.buckets.len() {
-                // Many landings found nothing (a rewound cursor can park
-                // entries for a future rotation): jump straight to the
-                // earliest pending entry.
-                let (t, _) = self.global_min().expect("len > 0 entries exist");
-                self.align_to(t.secs());
-                advanced = 0;
-                continue;
-            }
-            // The cursor window is empty: hop straight to the next
-            // occupied bucket — capped at the migrate boundary so overflow
-            // is pulled in before the cursor passes it — instead of
-            // probing empty windows one width at a time.
-            match self.next_occupied((self.cursor + 1) & self.mask) {
-                Some(d) => {
-                    let to_boundary = ((self.migrate_at - self.floor) / self.width) as usize;
-                    let hop = (d + 1).min(to_boundary.max(1));
-                    self.cursor = (self.cursor + hop) & self.mask;
-                    self.floor += hop as i64 * self.width;
-                }
-                None => {
-                    // Every live entry waits in overflow beyond the span.
-                    let (t, _) = self.global_min().expect("len > 0 entries exist");
-                    self.align_to(t.secs());
-                }
-            }
-        }
-    }
-
-    /// Remove and return the entry at `i` in the cursor bucket,
-    /// maintaining `len` and the occupancy bitmap.
-    fn take(&mut self, i: usize) -> Entry<E> {
-        self.len -= 1;
-        let e = self.buckets[self.cursor].swap_remove(i);
-        if self.buckets[self.cursor].is_empty() {
-            self.clear_occupied(self.cursor);
-        }
-        e
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        let i = self.position();
-        Some(self.take(i))
-    }
-
-    /// Pop the earliest entry at exactly `t`, which must be inside the
-    /// cursor window (true right after an entry at `t` was popped). Every
-    /// remaining entry at `t` then shares the cursor bucket — times in
-    /// `[floor, floor + width)` have a single residue — so this is one
-    /// bucket scan with no cursor movement. Moving the cursor here would
-    /// be worse than wasted work: parking it in a *later* window makes the
-    /// simulator's next push (at or just after `t`) look like a push into
-    /// the past, forcing a full overflow migration per batch.
-    fn pop_if_at(&mut self, t: SimTime) -> Option<Entry<E>> {
-        debug_assert!(self.floor <= t.secs() && t.secs() < self.floor + self.width);
-        let bucket = &self.buckets[self.cursor];
-        let mut best: Option<usize> = None;
-        for (i, e) in bucket.iter().enumerate() {
-            if e.time == t && best.is_none_or(|b| e.key() < bucket[b].key()) {
-                best = Some(i);
-            }
-        }
-        best.map(|i| self.take(i))
-    }
-}
-
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
-
 /// A priority queue of timestamped events with stable, deterministic order.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
@@ -354,28 +67,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue (binary-heap backend).
+    /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty heap-backed queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(cap)),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty calendar-backed queue sized for roughly `cap` concurrent
-    /// events. Delivery order is identical to the heap backend (the
-    /// `(time, class, seq)` contract is total); only the constants differ.
-    pub fn calendar_with_capacity(cap: usize) -> Self {
-        EventQueue {
-            backend: Backend::Calendar(Calendar::new(cap)),
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -384,33 +79,22 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, class: EventClass, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
+        self.heap.push(Entry {
             time,
             class,
             seq,
             payload,
-        };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(c) => c.push(entry),
-        }
+        });
     }
 
     /// Time and class of the next event to fire, if any.
     pub fn peek(&self) -> Option<(SimTime, EventClass)> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| (e.time, e.class)),
-            Backend::Calendar(c) => c.peek(),
-        }
+        self.heap.peek().map(|e| (e.time, e.class))
     }
 
     /// Remove and return the next event as `(time, class, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventClass, E)> {
-        let e = match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Calendar(c) => c.pop(),
-        };
-        e.map(|e| (e.time, e.class, e.payload))
+        self.heap.pop().map(|e| (e.time, e.class, e.payload))
     }
 
     /// Pop *all* events scheduled for the earliest pending instant into
@@ -420,37 +104,23 @@ impl<E> EventQueue<E> {
     pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
         let (t, _, payload) = self.pop()?;
         batch.push(payload);
-        loop {
-            // One search per drained event: conditionally pop in place
-            // rather than peeking first and searching again to pop.
-            let next = match &mut self.backend {
-                Backend::Heap(h) => {
-                    if h.peek().is_some_and(|e| e.time == t) {
-                        h.pop()
-                    } else {
-                        None
-                    }
-                }
-                Backend::Calendar(c) => c.pop_if_at(t),
-            };
-            match next {
-                Some(e) => batch.push(e.payload),
-                None => return Some(t),
+        while let Some(top) = self.heap.peek_mut() {
+            if top.time != t {
+                break;
             }
+            batch.push(PeekMut::pop(top).payload);
         }
+        Some(t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -463,101 +133,96 @@ mod tests {
         SimTime::new(s)
     }
 
-    fn both() -> [EventQueue<i64>; 2] {
-        [EventQueue::new(), EventQueue::calendar_with_capacity(8)]
+    /// A plain list model of the delivery order. Payloads are pushed in
+    /// increasing order, so each one doubles as its entry's sequence
+    /// number and the model's minimum is the earliest
+    /// `(time, class, seq)` entry.
+    type Model = Vec<(SimTime, EventClass, i64)>;
+
+    fn model_min(model: &Model) -> Option<usize> {
+        (0..model.len()).min_by_key(|&i| model[i])
+    }
+
+    fn model_pop(model: &mut Model) -> Option<(SimTime, EventClass, i64)> {
+        model_min(model).map(|i| model.swap_remove(i))
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(t(30), EventClass::Arrival, 3);
-            q.push(t(10), EventClass::Arrival, 1);
-            q.push(t(20), EventClass::Arrival, 2);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(30), EventClass::Arrival, 3);
+        q.push(t(10), EventClass::Arrival, 1);
+        q.push(t(20), EventClass::Arrival, 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn class_breaks_time_ties() {
-        for mut q in [EventQueue::new(), EventQueue::calendar_with_capacity(8)] {
-            q.push(t(5), EventClass::Tick, "tick");
-            q.push(t(5), EventClass::Arrival, "arrival");
-            q.push(t(5), EventClass::Completion, "completion");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
-            assert_eq!(order, vec!["completion", "arrival", "tick"]);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(5), EventClass::Tick, "tick");
+        q.push(t(5), EventClass::Arrival, "arrival");
+        q.push(t(5), EventClass::Completion, "completion");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        assert_eq!(order, vec!["completion", "arrival", "tick"]);
     }
 
     #[test]
     fn fifo_within_same_time_and_class() {
-        for mut q in both() {
-            for i in 0..100 {
-                q.push(t(7), EventClass::Arrival, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
-            let expect: Vec<_> = (0..100).collect();
-            assert_eq!(order, expect);
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(t(7), EventClass::Arrival, i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        let expect: Vec<_> = (0..100).collect();
+        assert_eq!(order, expect);
     }
 
     #[test]
     fn peek_matches_pop() {
-        for mut q in both() {
-            q.push(t(42), EventClass::Completion, 0);
-            assert_eq!(q.peek(), Some((t(42), EventClass::Completion)));
-            assert_eq!(q.len(), 1);
-            let (time, class, _) = q.pop().unwrap();
-            assert_eq!((time, class), (t(42), EventClass::Completion));
-            assert!(q.is_empty());
-            assert_eq!(q.peek(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(42), EventClass::Completion, 0);
+        assert_eq!(q.peek(), Some((t(42), EventClass::Completion)));
+        assert_eq!(q.len(), 1);
+        let (time, class, _) = q.pop().unwrap();
+        assert_eq!((time, class), (t(42), EventClass::Completion));
+        assert!(q.is_empty());
+        assert_eq!(q.peek(), None);
     }
 
     #[test]
-    fn calendar_handles_far_future_and_overflow_migration() {
-        // Events far beyond one cursor rotation (span = 64 buckets × 64 s
-        // at this capacity) must come back in order, exercising overflow
-        // parking, migration, and the empty-rotation jump.
-        let mut q = EventQueue::calendar_with_capacity(8);
-        q.push(t(5), EventClass::Arrival, 0);
-        q.push(t(10_000_000), EventClass::Arrival, 3);
-        q.push(t(500_000), EventClass::Arrival, 2);
-        q.push(t(4_100), EventClass::Arrival, 1);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn calendar_accepts_pushes_before_the_cursor() {
-        // The simulator never schedules into the past, but the queue API
-        // is total: popping far ahead and then pushing an earlier event
-        // must still deliver in global time order.
-        let mut q = EventQueue::calendar_with_capacity(8);
-        q.push(t(1_000_000), EventClass::Tick, "late");
-        q.push(t(999_999), EventClass::Tick, "mid");
-        assert_eq!(q.pop().unwrap().2, "mid");
+    fn far_future_and_earlier_than_popped_pushes_keep_time_order() {
+        // Widely spread times come back in order, and so does an event
+        // pushed earlier than one already popped. The simulator never
+        // schedules into the past, but the queue API is total.
+        let mut q = EventQueue::new();
+        q.push(t(5), EventClass::Arrival, "first");
+        q.push(t(10_000_000), EventClass::Arrival, "last");
+        q.push(t(500_000), EventClass::Arrival, "far");
+        q.push(t(4_100), EventClass::Arrival, "near");
+        assert_eq!(q.pop().unwrap().2, "first");
+        assert_eq!(q.pop().unwrap().2, "near");
         q.push(t(3), EventClass::Tick, "early");
         assert_eq!(q.pop().unwrap().2, "early");
-        assert_eq!(q.pop().unwrap().2, "late");
+        assert_eq!(q.pop().unwrap().2, "far");
+        assert_eq!(q.pop().unwrap().2, "last");
         assert!(q.pop().is_none());
     }
 
-    /// Property: both backends pop the identical sequence for the same
-    /// randomized interleaving of pushes and pops (the comparator is a
-    /// total order, so delivery order is backend-independent).
+    /// Property: for a randomized interleaving of pushes and pops, the
+    /// queue pops exactly the list model's `(time, class, seq)` order.
     #[test]
-    fn backends_agree_on_randomized_workloads() {
+    fn matches_list_model_on_randomized_workloads() {
         for seed in 0..8u64 {
             let mut rng = SimRng::seed_from_u64(0xCA1E_0000 + seed);
-            let mut heap = EventQueue::new();
-            let mut cal = EventQueue::calendar_with_capacity(32);
+            let mut q = EventQueue::new();
+            let mut model = Model::new();
             let mut now = 0i64;
             let mut popped = 0usize;
             for step in 0..4_000 {
-                if rng.chance(0.6) || heap.is_empty() {
+                if rng.chance(0.6) || q.is_empty() {
                     // Mixed spacing: mostly near-future, occasional big
-                    // jumps to force overflow and rotation-jump paths.
+                    // jumps far past the rest of the queue.
                     let dt = if rng.chance(0.05) {
                         rng.range_i64(0, 2_000_000)
                     } else {
@@ -568,44 +233,56 @@ mod tests {
                         1 => EventClass::Arrival,
                         _ => EventClass::Tick,
                     };
-                    heap.push(t(now + dt), class, step);
-                    cal.push(t(now + dt), class, step);
+                    q.push(t(now + dt), class, step);
+                    model.push((t(now + dt), class, step));
                 } else {
-                    assert_eq!(heap.peek(), cal.peek(), "seed {seed} step {step}");
-                    let a = heap.pop().unwrap();
-                    let b = cal.pop().unwrap();
-                    assert_eq!(a, b, "seed {seed} step {step}");
-                    now = a.0.secs(); // pops advance the clock, as in a sim
+                    let expect = model_pop(&mut model);
+                    assert_eq!(
+                        q.peek(),
+                        expect.map(|(t, c, _)| (t, c)),
+                        "seed {seed} step {step}"
+                    );
+                    let a = q.pop();
+                    assert_eq!(a, expect, "seed {seed} step {step}");
+                    now = a.unwrap().0.secs(); // pops advance the clock, as in a sim
                     popped += 1;
                 }
-                assert_eq!(heap.len(), cal.len());
+                assert_eq!(q.len(), model.len());
             }
-            while let Some(a) = heap.pop() {
-                assert_eq!(Some(a), cal.pop(), "seed {seed} drain");
+            while let Some(a) = q.pop() {
+                assert_eq!(Some(a), model_pop(&mut model), "seed {seed} drain");
                 popped += 1;
             }
-            assert!(cal.is_empty());
+            assert!(model.is_empty());
             assert!(popped > 500, "workload actually exercised pops");
         }
     }
 
     #[test]
-    fn backends_agree_on_pop_batch() {
+    fn pop_batch_matches_list_model() {
         let mut rng = SimRng::seed_from_u64(77);
-        let mut heap = EventQueue::with_capacity(64);
-        let mut cal = EventQueue::calendar_with_capacity(64);
+        let mut q = EventQueue::new();
+        let mut model = Model::new();
         for i in 0..1_000 {
             // Coarse times force many same-instant batches.
             let at = t(rng.range_i64(0, 50) * 60);
-            heap.push(at, EventClass::Arrival, i);
-            cal.push(at, EventClass::Arrival, i);
+            q.push(at, EventClass::Arrival, i);
+            model.push((at, EventClass::Arrival, i));
         }
         loop {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let (ta, tb) = (heap.pop_batch(&mut a), cal.pop_batch(&mut b));
-            assert_eq!(ta, tb);
-            assert_eq!(a, b);
-            if ta.is_none() {
+            let mut batch = Vec::new();
+            let at = q.pop_batch(&mut batch);
+            let mut expect = Vec::new();
+            let expect_at = model_pop(&mut model).map(|(t, _, p)| {
+                expect.push(p);
+                while let Some(i) = model_min(&model).filter(|&i| model[i].0 == t) {
+                    expect.push(model.swap_remove(i).2);
+                }
+                t
+            });
+            assert_eq!(at, expect_at);
+            assert_eq!(batch, expect);
+            if at.is_none() {
                 break;
             }
         }

@@ -109,7 +109,7 @@ pub enum Obs {
         draining_procs: u32,
         /// Processors in the free set still claimed by suspended jobs.
         claimed_idle: u32,
-        /// Pending entries in the event queue (calendar occupancy).
+        /// Pending entries in the event queue.
         queue_events: u32,
         /// Worst queued xfactor per coarse job category.
         cat_xfactor: [f64; 4],

@@ -33,12 +33,6 @@ pub struct TraceKey {
     pub load_bits: u64,
     /// Estimate model discriminant plus its parameters' bit patterns.
     pub estimates: (u8, u64, u64),
-    /// Hash of the processor-speed configuration, 0 for the homogeneous
-    /// default (see [`TraceKey::with_speed`]). The job list itself is
-    /// speed-independent, but batch result caches key whole runs by this
-    /// struct — without the field, a heterogeneous run and its homogeneous
-    /// twin would collide the same way preemption configs once did.
-    pub speed_bits: u64,
 }
 
 impl TraceKey {
@@ -68,92 +62,24 @@ impl TraceKey {
             seed,
             load_bits: load_factor.to_bits(),
             estimates: est,
-            speed_bits: 0,
         }
     }
-
-    /// Fold a processor-speed configuration into the key: `spec` is the
-    /// canonical speed spec string and `aware` whether placement is
-    /// speed-aware. Callers with the homogeneous default skip this call,
-    /// keeping their keys (and cache sharing) byte-identical to the
-    /// pre-heterogeneity ones.
-    pub fn with_speed(mut self, spec: &str, aware: bool) -> Self {
-        // FNV-1a over the spec bytes plus an awareness byte: cheap, stable
-        // across runs (unlike `DefaultHasher`), and collision-free for the
-        // short canonical spec strings in practice.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in spec.as_bytes().iter().chain(&[b'|', aware as u8]) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.speed_bits = h;
-        self
-    }
 }
 
-/// One cached trace plus its LRU clock reading.
-struct Entry {
-    jobs: Arc<[Job]>,
-    last_use: u64,
-}
-
-/// The lock-guarded interior: the entry map plus the LRU accounting.
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<TraceKey, Entry>,
-    /// Monotone access clock driving LRU order.
-    tick: u64,
-    /// Resident bytes across all entries (job payloads only).
-    bytes: usize,
-}
-
-impl Inner {
-    fn touch(&mut self, key: &TraceKey) -> Option<Arc<[Job]>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.last_use = tick;
-            Arc::clone(&e.jobs)
-        })
-    }
-}
-
-/// Resident payload size of a trace.
-fn trace_bytes(jobs: &Arc<[Job]>) -> usize {
-    jobs.len() * std::mem::size_of::<Job>()
-}
-
-/// A memoized map from [`TraceKey`] to immutable shared traces, with an
-/// optional LRU byte budget ([`TraceCache::with_byte_budget`]). Without a
-/// budget every generated trace is retained forever — right for paper
-/// grids that revisit a handful of traces; archive-scale sweeps over many
-/// distinct traces cap residency instead, spilling the least-recently-used
-/// entries (outstanding [`Arc`] clones keep in-flight runs valid; the
-/// cache merely drops its own reference, so a re-request regenerates).
+/// A memoized map from [`TraceKey`] to immutable shared traces. Every
+/// generated trace stays resident until the cache is dropped; callers
+/// hold one cache per batch, which revisits a handful of traces.
 #[derive(Default)]
 pub struct TraceCache {
-    map: Mutex<Inner>,
-    budget: Option<usize>,
+    map: Mutex<HashMap<TraceKey, Arc<[Job]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl TraceCache {
-    /// An empty cache with unbounded residency.
+    /// An empty cache.
     pub fn new() -> Self {
         TraceCache::default()
-    }
-
-    /// An empty cache that keeps at most ~`bytes` of trace payload
-    /// resident, evicting least-recently-used entries past that. The most
-    /// recent trace is always retained, so a budget smaller than one
-    /// trace degrades to per-trace memoization rather than thrashing.
-    pub fn with_byte_budget(bytes: usize) -> Self {
-        TraceCache {
-            budget: Some(bytes),
-            ..TraceCache::default()
-        }
     }
 
     /// The trace for `key`, generating it with `generate` on first
@@ -165,61 +91,19 @@ impl TraceCache {
         key: TraceKey,
         generate: impl FnOnce() -> Vec<Job>,
     ) -> Arc<[Job]> {
-        if let Some(hit) = self.map.lock().expect("cache lock").touch(&key) {
+        if let Some(hit) = self.map.lock().expect("cache lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+            return Arc::clone(hit);
         }
         let fresh: Arc<[Job]> = generate().into();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.map.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let jobs = Arc::clone(
-            &inner
-                .entries
-                .entry(key)
-                .or_insert_with(|| {
-                    // First insertion wins a cold-key race; account bytes
-                    // only for the copy actually retained.
-                    Entry {
-                        jobs: fresh,
-                        last_use: tick,
-                    }
-                })
-                .jobs,
-        );
-        inner.bytes = inner.entries.values().map(|e| trace_bytes(&e.jobs)).sum();
-        if let Some(budget) = self.budget {
-            while inner.bytes > budget && inner.entries.len() > 1 {
-                let oldest = inner
-                    .entries
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, e)| e.last_use)
-                    .map(|(k, _)| *k);
-                let Some(victim) = oldest else { break };
-                if let Some(e) = inner.entries.remove(&victim) {
-                    inner.bytes -= trace_bytes(&e.jobs);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        jobs
+        let mut map = self.map.lock().expect("cache lock");
+        Arc::clone(map.entry(key).or_insert(fresh))
     }
 
     /// Distinct traces currently resident.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").entries.len()
-    }
-
-    /// Resident trace payload bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.map.lock().expect("cache lock").bytes
-    }
-
-    /// Entries spilled to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.map.lock().expect("cache lock").len()
     }
 
     /// Whether nothing has been cached yet.
@@ -291,51 +175,6 @@ mod tests {
             base,
             TraceKey::new(SDSC, 50, 7, 1.0, &EstimateModel::Accurate)
         );
-    }
-
-    #[test]
-    fn keys_separate_speed_configs() {
-        let base = TraceKey::new(SDSC, 50, 7, 1.0, &EstimateModel::Accurate);
-        let tiers = base.with_speed("tiers:0.5x64+1.0x64", true);
-        let blind = base.with_speed("tiers:0.5x64+1.0x64", false);
-        assert_ne!(base, tiers, "heterogeneous runs get their own key");
-        assert_ne!(tiers, blind, "placement awareness is part of the key");
-        assert_eq!(tiers, base.with_speed("tiers:0.5x64+1.0x64", true));
-    }
-
-    #[test]
-    fn byte_budget_evicts_least_recently_used() {
-        let per_trace = 50 * std::mem::size_of::<Job>();
-        // Room for two traces, not three.
-        let cache = TraceCache::with_byte_budget(2 * per_trace + per_trace / 2);
-        let key = |seed| TraceKey::new(SDSC, 50, seed, 1.0, &EstimateModel::Accurate);
-        let a = cache.get_or_generate(key(1), || gen(1));
-        let _b = cache.get_or_generate(key(2), || gen(2));
-        // Touch `a` so `b` is the LRU victim when `c` arrives.
-        let a2 = cache.get_or_generate(key(1), || panic!("must hit"));
-        assert!(Arc::ptr_eq(&a, &a2));
-        let _c = cache.get_or_generate(key(3), || gen(3));
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.resident_bytes() <= 2 * per_trace + per_trace / 2);
-        // `a` survived (recently used); `b` regenerates on re-request.
-        cache.get_or_generate(key(1), || panic!("a was evicted"));
-        let miss_before = cache.misses();
-        cache.get_or_generate(key(2), || gen(2));
-        assert_eq!(cache.misses(), miss_before + 1, "b was spilled");
-    }
-
-    #[test]
-    fn budget_smaller_than_one_trace_keeps_latest() {
-        let cache = TraceCache::with_byte_budget(1);
-        let key = |seed| TraceKey::new(SDSC, 50, seed, 1.0, &EstimateModel::Accurate);
-        let a = cache.get_or_generate(key(1), || gen(1));
-        assert_eq!(a.len(), 50);
-        assert_eq!(cache.len(), 1, "most recent trace always retained");
-        let b = cache.get_or_generate(key(2), || gen(2));
-        assert_eq!(b.len(), 50);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
     }
 
     #[test]

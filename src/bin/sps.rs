@@ -1399,6 +1399,7 @@ fn main() {
             let args = parse_args(argv.into_iter());
             let path = args.swf.clone().unwrap_or_else(|| fail("--swf required"));
             let procs = args.procs.unwrap_or_else(|| fail("--procs required"));
+            let configs = args.configs(SystemPreset::swf(procs));
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
             let mut trace = swf::parse(&text).unwrap_or_else(|e| fail(&e.to_string()));
@@ -1408,7 +1409,7 @@ fn main() {
                 trace.jobs.len(),
                 trace.skipped
             );
-            report(trace.jobs, &args.configs(SystemPreset::swf(procs)), &args);
+            report(trace.jobs, &configs, &args);
         }
         "trace" => {
             let args = parse_args(argv.into_iter());

@@ -1,8 +1,8 @@
 //! The `sps` CLI turns an invalid configuration into a usage error: exit
 //! status 2 and a message starting with `error: `, never a panic (exit
-//! 101) and never a run over a meaningless configuration. `run` and
-//! `trace` check their configuration through `ExperimentConfig::validate`
-//! before any simulation work starts.
+//! 101) and never a run over a meaningless configuration. `run`, `trace`
+//! and `replay` check their configuration through
+//! `ExperimentConfig::validate` before any simulation work starts.
 
 use std::process::Command;
 
@@ -81,4 +81,18 @@ fn trace_rejects_open_arrivals_without_a_stop() {
         "the message must say what a stopping condition looks like: {stderr}"
     );
     assert!(!std::path::Path::new(&out).exists());
+}
+
+#[test]
+fn replay_rejects_a_machine_without_processors() {
+    let log = std::env::temp_dir().join(format!("sps-cli-errors-procs-{}.swf", std::process::id()));
+    std::fs::write(
+        &log,
+        "1 0 12 3600 16 -1 -1 16 7200 -1 1 3 5 -1 1 -1 -1 -1\n",
+    )
+    .expect("write SWF log");
+    let path = log.display().to_string();
+    let stderr = refused(&["replay", "--swf", &path, "--procs", "0", "--sched", "ns"]);
+    let _ = std::fs::remove_file(&log);
+    assert!(stderr.contains("at least 1 processor"), "{stderr}");
 }

@@ -1,5 +1,5 @@
-//! Sweep-engine equivalence: the fast path (shared trace cache, calendar
-//! event queue, quiescent tick elision, streaming per-run folds) must be
+//! Sweep-engine equivalence: the fast path (shared trace cache, quiescent
+//! tick elision, fast no-op decides, streaming per-run folds) must be
 //! *bit-identical* to the naive path it replaced — same traces, same
 //! simulation results, same per-cell statistics.
 
@@ -122,36 +122,6 @@ fn sweep_cells_are_bit_identical_to_naive_path() {
             "cell {} @ load {} diverged between sweep and naive paths",
             slow.scheduler, slow.load_factor
         );
-    }
-}
-
-/// The two event-queue backends implement one total order, so a whole
-/// simulation — not just the queue in isolation — must be bit-identical
-/// whichever one carries it.
-#[test]
-fn heap_and_calendar_backends_agree_end_to_end() {
-    for spec in ["easy", "ss:2", "gang"] {
-        let kind: SchedulerKind = spec.parse().expect("spec parses");
-        let cfg = ExperimentConfig::new(SDSC, kind)
-            .with_jobs(150)
-            .with_seed(3)
-            .with_overhead(OverheadModel::paper());
-        let run = |heap: bool| {
-            let sim = cfg.runner().build();
-            if heap { sim.with_heap_queue() } else { sim }.run()
-        };
-        let (h, c) = (run(true), run(false));
-        assert_eq!(h.makespan, c.makespan, "{spec}: makespan");
-        assert_eq!(h.preemptions, c.preemptions, "{spec}: preemptions");
-        assert_eq!(h.utilization.to_bits(), c.utilization.to_bits(), "{spec}");
-        for (a, b) in h.outcomes.iter().zip(&c.outcomes) {
-            assert_eq!(
-                (a.id, a.first_start, a.completion, a.suspensions),
-                (b.id, b.first_start, b.completion, b.suspensions),
-                "{spec}: outcome {:?}",
-                a.id
-            );
-        }
     }
 }
 
