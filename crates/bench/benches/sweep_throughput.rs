@@ -17,8 +17,11 @@
 //!   checks active inside the decides, and each run folded to a
 //!   fixed-size [`RunSummary`] as soon as it finishes.
 //!
-//! Both sides run on one worker thread so the ratio measures the engine,
-//! not the scheduler's parallelism. Peak RSS is read from `VmHWM` in
+//! Both sides run on one spawned worker thread, so the ratio measures the
+//! engine, not the scheduler's parallelism, nor which core the main thread
+//! happens to sit on (with *before* on the main thread, a 2-core host whose
+//! cores ran at different speeds swung the smoke ratio between 0.9x and
+//! 2.7x from one process to the next). Peak RSS is read from `VmHWM` in
 //! `/proc/self/status`; the *after* phase runs first so its high-water
 //! mark is not polluted by the retained-results phase.
 //!
@@ -29,7 +32,10 @@
 //! array so the trajectory across PRs survives. `--guard` additionally
 //! gates on the measured speedup staying within 50% of the best prior
 //! recorded speedup (full runs) or simply ≥ 1.0 (smoke runs, whose tiny
-//! grid is not comparable to the recorded full-grid numbers).
+//! grid is not comparable to the recorded full-grid numbers). A smoke grid
+//! takes milliseconds per side, so a smoke run times each side as the
+//! fastest of three alternating repetitions (after, before, after, before,
+//! after, before); peak RSS still comes from the first repetition of each.
 
 use std::time::Instant;
 
@@ -132,11 +138,24 @@ fn run_before(spec: &SweepSpec) -> (Vec<CellStats>, u64) {
     (cells, events)
 }
 
+/// [`run_before`] on a spawned thread, as [`run_sweep`] runs its worker.
+fn run_before_on_worker(spec: &SweepSpec) -> (Vec<CellStats>, u64) {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| run_before(spec))
+            .join()
+            .expect("the before path must not panic")
+    })
+}
+
 /// Path of the sweep bench report at the workspace root.
 const REPORT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
 
 /// Fraction of the best prior speedup a full guarded run must reach.
 const GUARD_FLOOR: f64 = 0.5;
+
+/// Timed repetitions per side in a smoke run; each side keeps its fastest.
+const SMOKE_REPS: usize = 3;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
@@ -154,14 +173,25 @@ fn main() {
     // After first, so its VmHWM reading is its own.
     let t0 = Instant::now();
     let report = run_sweep(&spec, 1).expect("valid spec");
-    let after_wall = t0.elapsed();
+    let mut after_wall = t0.elapsed();
     let after_rss_kb = vm_hwm_kb();
     assert!(report.failures.is_empty(), "sweep runs must not fail");
 
     let t1 = Instant::now();
-    let (before_cells, before_events) = run_before(&spec);
-    let before_wall = t1.elapsed();
+    let (before_cells, before_events) = run_before_on_worker(&spec);
+    let mut before_wall = t1.elapsed();
     let before_rss_kb = vm_hwm_kb();
+
+    if smoke {
+        for _ in 1..SMOKE_REPS {
+            let t = Instant::now();
+            run_sweep(&spec, 1).expect("valid spec");
+            after_wall = after_wall.min(t.elapsed());
+            let t = Instant::now();
+            run_before_on_worker(&spec);
+            before_wall = before_wall.min(t.elapsed());
+        }
+    }
 
     // The tentpole's correctness bar: identical per-cell statistics.
     assert_eq!(

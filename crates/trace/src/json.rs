@@ -82,7 +82,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact rendering to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -90,21 +91,7 @@ impl Json {
                 use fmt::Write;
                 let _ = write!(out, "{i}");
             }
-            Json::Num(f) => {
-                use fmt::Write;
-                if f.is_finite() {
-                    // Keep the token recognizably a float: integral values
-                    // get a ".0" so they re-parse as Num, not Int.
-                    if f.fract() == 0.0 && f.abs() < 1.0e15 {
-                        let _ = write!(out, "{f:.1}");
-                    } else {
-                        let _ = write!(out, "{f}");
-                    }
-                } else {
-                    // JSON has no Inf/NaN; encode as null like most emitters.
-                    out.push_str("null");
-                }
-            }
+            Json::Num(f) => write_num(*f, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -148,7 +135,26 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `f` as a JSON number token.
+pub(crate) fn write_num(f: f64, out: &mut String) {
+    use fmt::Write;
+    if f.is_finite() {
+        // Keep the token recognizably a float: integral values get a ".0"
+        // so they re-parse as Num, not Int.
+        if f.fract() == 0.0 && f.abs() < 1.0e15 {
+            let _ = write!(out, "{f:.1}");
+        } else {
+            let _ = write!(out, "{f}");
+        }
+    } else {
+        // JSON has no Inf/NaN; encode as null like most emitters.
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

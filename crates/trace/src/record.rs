@@ -17,7 +17,7 @@
 //! * **Gauges**: per-tick counts of queue depth, idle processors, draining
 //!   occupancy, and suspended jobs, plus end-of-run engine statistics.
 
-use crate::json::{Json, JsonError};
+use crate::json::{write_escaped, write_num, Json, JsonError};
 
 /// Schema version written into [`TraceRecord::Header`].
 pub const TRACE_VERSION: u32 = 1;
@@ -264,20 +264,25 @@ impl TraceRecord {
         }
     }
 
-    /// Encode as a JSON value (one JSONL line when rendered).
-    pub fn to_json(&self) -> Json {
-        let mut obj: Vec<(String, Json)> = Vec::with_capacity(8);
-        let mut put = |k: &str, v: Json| obj.push((k.to_string(), v));
+    /// Append the record's JSONL line (one JSON object, no newline) to
+    /// `out`, keys in a fixed order per variant; [`TraceRecord::parse_line`]
+    /// decodes it. Wire names (`type`, `event`, `reason`) need no escaping;
+    /// free-form strings go through the JSON string escaper.
+    pub fn write_json(&self, out: &mut String) {
+        use std::fmt::Write;
         match self {
             TraceRecord::Header {
                 version,
                 scheduler,
                 config,
             } => {
-                put("type", Json::Str("header".into()));
-                put("version", Json::Int(*version as i64));
-                put("scheduler", Json::Str(scheduler.clone()));
-                put("config", config.clone());
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"header\",\"version\":{version},\"scheduler\":"
+                );
+                write_escaped(scheduler, out);
+                out.push_str(",\"config\":");
+                config.write(out);
             }
             TraceRecord::Job {
                 t,
@@ -285,25 +290,31 @@ impl TraceRecord {
                 event,
                 procs,
             } => {
-                put("type", Json::Str("job".into()));
-                put("t", Json::Int(*t));
-                put("job", Json::Int(*job as i64));
-                put("event", Json::Str(event.name().into()));
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"job\",\"t\":{t},\"job\":{job},\"event\":\"{}\"",
+                    event.name()
+                );
                 if let Some(procs) = procs {
-                    put(
-                        "procs",
-                        Json::Arr(procs.iter().map(|&p| Json::Int(p as i64)).collect()),
-                    );
+                    out.push_str(",\"procs\":[");
+                    for (i, p) in procs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        let _ = write!(out, "{p}");
+                    }
+                    out.push(']');
                 }
             }
             TraceRecord::Decision { t, reason } => {
-                put("type", Json::Str("decision".into()));
-                put("t", Json::Int(*t));
-                put("reason", Json::Str(reason.name().into()));
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"decision\",\"t\":{t},\"reason\":\"{}\"",
+                    reason.name()
+                );
                 match reason {
                     Reason::Backfilled { job, shadow } => {
-                        put("job", Json::Int(*job as i64));
-                        put("shadow", Json::Int(*shadow));
+                        let _ = write!(out, ",\"job\":{job},\"shadow\":{shadow}");
                     }
                     Reason::PreemptedVictim {
                         victim,
@@ -311,10 +322,13 @@ impl TraceRecord {
                         victim_xf,
                         suspender_xf,
                     } => {
-                        put("victim", Json::Int(*victim as i64));
-                        put("suspender", Json::Int(*suspender as i64));
-                        put("victim_xf", Json::Num(*victim_xf));
-                        put("suspender_xf", Json::Num(*suspender_xf));
+                        let _ = write!(
+                            out,
+                            ",\"victim\":{victim},\"suspender\":{suspender},\"victim_xf\":"
+                        );
+                        write_num(*victim_xf, out);
+                        out.push_str(",\"suspender_xf\":");
+                        write_num(*suspender_xf, out);
                     }
                     Reason::BlockedByDisableLimit {
                         victim,
@@ -322,17 +336,18 @@ impl TraceRecord {
                         xfactor,
                         limit,
                     } => {
-                        put("victim", Json::Int(*victim as i64));
-                        put("category", Json::Str(category.clone()));
-                        put("xfactor", Json::Num(*xfactor));
-                        put("limit", Json::Num(*limit));
+                        let _ = write!(out, ",\"victim\":{victim},\"category\":");
+                        write_escaped(category, out);
+                        out.push_str(",\"xfactor\":");
+                        write_num(*xfactor, out);
+                        out.push_str(",\"limit\":");
+                        write_num(*limit, out);
                     }
                     Reason::ReentryOnOriginalProcs { job, victims } => {
-                        put("job", Json::Int(*job as i64));
-                        put("victims", Json::Int(*victims as i64));
+                        let _ = write!(out, ",\"job\":{job},\"victims\":{victims}");
                     }
                     Reason::MigratedResume { job } => {
-                        put("job", Json::Int(*job as i64));
+                        let _ = write!(out, ",\"job\":{job}");
                     }
                 }
             }
@@ -344,25 +359,24 @@ impl TraceRecord {
                 suspended,
                 running,
             } => {
-                put("type", Json::Str("gauge".into()));
-                put("t", Json::Int(*t));
-                put("queued", Json::Int(*queued as i64));
-                put("idle", Json::Int(*idle as i64));
-                put("draining", Json::Int(*draining as i64));
-                put("suspended", Json::Int(*suspended as i64));
-                put("running", Json::Int(*running as i64));
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"gauge\",\"t\":{t},\"queued\":{queued},\"idle\":{idle},\
+                     \"draining\":{draining},\"suspended\":{suspended},\"running\":{running}"
+                );
             }
             TraceRecord::Proc { t, proc, event } => {
-                put("type", Json::Str("proc".into()));
-                put("t", Json::Int(*t));
-                put("proc", Json::Int(*proc as i64));
-                put("event", Json::Str(event.name().into()));
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"proc\",\"t\":{t},\"proc\":{proc},\"event\":\"{}\"",
+                    event.name()
+                );
             }
             TraceRecord::EngineStats { t, batches, events } => {
-                put("type", Json::Str("engine".into()));
-                put("t", Json::Int(*t));
-                put("batches", Json::Int(*batches as i64));
-                put("events", Json::Int(*events as i64));
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"engine\",\"t\":{t},\"batches\":{batches},\"events\":{events}"
+                );
             }
             TraceRecord::Health {
                 t,
@@ -370,16 +384,16 @@ impl TraceRecord {
                 job,
                 value,
             } => {
-                put("type", Json::Str("health".into()));
-                put("t", Json::Int(*t));
-                put("detector", Json::Str(detector.clone()));
+                let _ = write!(out, "{{\"type\":\"health\",\"t\":{t},\"detector\":");
+                write_escaped(detector, out);
                 if let Some(job) = job {
-                    put("job", Json::Int(*job as i64));
+                    let _ = write!(out, ",\"job\":{job}");
                 }
-                put("value", Json::Num(*value));
+                out.push_str(",\"value\":");
+                write_num(*value, out);
             }
         }
-        Json::Obj(obj)
+        out.push('}');
     }
 
     /// Decode a record from one parsed JSONL line.
@@ -828,7 +842,8 @@ mod tests {
     #[test]
     fn jsonl_roundtrip_every_variant() {
         for rec in samples() {
-            let line = rec.to_json().render();
+            let mut line = String::new();
+            rec.write_json(&mut line);
             let back = TraceRecord::parse_line(&line).unwrap();
             assert_eq!(back, rec, "line: {line}");
         }

@@ -904,10 +904,11 @@ mod tests {
 
     #[test]
     fn validates_jsonl_text_end_to_end() {
-        let text: String = good_trace()
-            .iter()
-            .map(|r| r.to_json().render() + "\n")
-            .collect();
+        let mut text = String::new();
+        for r in good_trace() {
+            r.write_json(&mut text);
+            text.push('\n');
+        }
         let stats = validate_jsonl(text.as_bytes(), ReplayOptions::default()).unwrap();
         assert_eq!(stats.completions, 2);
         let violations =

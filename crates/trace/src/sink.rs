@@ -79,12 +79,15 @@ impl TraceSink for MemorySink {
 
 /// Writes one JSON object per line (JSONL). The format round-trips through
 /// [`TraceRecord::parse_line`] and is what the replay validator consumes.
+/// Each record is encoded by [`TraceRecord::write_json`] into one reused
+/// line buffer and handed to the writer in a single `write_all`.
 ///
 /// I/O errors are deferred: the first error stops further writes and is
 /// reported by [`TraceSink::flush`] (and by [`JsonlSink::finish`]).
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     w: W,
+    line: String,
     error: Option<io::Error>,
 }
 
@@ -92,7 +95,11 @@ impl<W: Write> JsonlSink<W> {
     /// Wrap a writer. For files, prefer [`JsonlSink::create`], which
     /// buffers.
     pub fn new(w: W) -> Self {
-        JsonlSink { w, error: None }
+        JsonlSink {
+            w,
+            line: String::new(),
+            error: None,
+        }
     }
 
     /// Flush and return the underlying writer, or the first deferred error.
@@ -122,12 +129,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = rec.to_json().render();
-        if let Err(e) = self
-            .w
-            .write_all(line.as_bytes())
-            .and_then(|()| self.w.write_all(b"\n"))
-        {
+        self.line.clear();
+        rec.write_json(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.w.write_all(self.line.as_bytes()) {
             self.error = Some(e);
         }
     }

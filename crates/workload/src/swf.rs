@@ -108,10 +108,13 @@ pub struct SwfTrace {
 impl SwfTrace {
     /// Drop the jobs wider than a `procs`-processor machine (archive logs
     /// can include special partitions) and renumber the rest densely, as
-    /// [`parse`] does: the simulator indexes jobs by dense id.
-    pub fn fit_to(&mut self, procs: u32) {
+    /// [`parse`] does: the simulator indexes jobs by dense id. Returns how
+    /// many jobs were dropped.
+    pub fn fit_to(&mut self, procs: u32) -> usize {
+        let before = self.jobs.len();
         self.jobs.retain(|j| j.procs <= procs);
         renumber(&mut self.jobs);
+        before - self.jobs.len()
     }
 }
 
@@ -563,7 +566,7 @@ mod tests {
 3 9 0 10 2 -1 -1 2 10 -1 1 -1 -1 -1 -1 -1 -1 -1
 ";
         let mut trace = parse(text).unwrap();
-        trace.fit_to(32);
+        assert_eq!(trace.fit_to(32), 1);
         let kept: Vec<_> = trace.jobs.iter().map(|j| (j.id, j.procs)).collect();
         assert_eq!(kept, [(JobId(0), 4), (JobId(1), 2)]);
     }

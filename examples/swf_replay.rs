@@ -53,9 +53,12 @@ fn main() {
     );
     // Drop jobs wider than the simulated machine (some archive logs
     // contain special partitions).
-    trace.fit_to(procs);
+    let wide = trace.fit_to(procs);
     let jobs = trace.jobs;
-    println!("replaying {} jobs on {procs} processors\n", jobs.len());
+    println!(
+        "replaying {} jobs on {procs} processors ({wide} wider than the machine dropped)\n",
+        jobs.len()
+    );
 
     let mut grids = Vec::new();
     for kind in [SchedulerKind::Easy, SchedulerKind::Tss { sf: 2.0 }] {

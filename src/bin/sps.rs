@@ -1072,6 +1072,7 @@ fn main() {
                 // memory stays O(machine) however long the log is.
                 Some(swf_path) => {
                     let spec = args.swf_spec(swf_path);
+                    spec.validate().unwrap_or_else(|e| fail(&e.to_string()));
                     eprintln!(
                         "{}: {} cells x {} reps = {} streaming runs on {} threads",
                         swf_path,
@@ -1087,6 +1088,7 @@ fn main() {
                     let spec = args
                         .sweep_spec(system, args.scheds.clone())
                         .with_timeline(args.timeline.is_some());
+                    spec.validate().unwrap_or_else(|e| fail(&e.to_string()));
                     eprintln!(
                         "{}: {} cells x {} reps = {} runs of {} jobs on {} threads",
                         system.name,
@@ -1403,9 +1405,10 @@ fn main() {
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
             let mut trace = swf::parse(&text).unwrap_or_else(|e| fail(&e.to_string()));
-            trace.fit_to(procs);
+            let wide = trace.fit_to(procs);
             println!(
-                "{path}: {} usable jobs ({} skipped), machine {procs} procs\n",
+                "{path}: {} usable jobs ({} skipped, {wide} wider than the machine), \
+                 machine {procs} procs\n",
                 trace.jobs.len(),
                 trace.skipped
             );

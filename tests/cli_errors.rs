@@ -2,7 +2,8 @@
 //! status 2 and a message starting with `error: `, never a panic (exit
 //! 101) and never a run over a meaningless configuration. `run`, `trace`
 //! and `replay` check their configuration through
-//! `ExperimentConfig::validate` before any simulation work starts.
+//! `ExperimentConfig::validate`, and `sweep` its grid through the spec's
+//! `validate`, before any simulation work starts or any output is printed.
 
 use std::process::Command;
 
@@ -83,16 +84,37 @@ fn trace_rejects_open_arrivals_without_a_stop() {
     assert!(!std::path::Path::new(&out).exists());
 }
 
-#[test]
-fn replay_rejects_a_machine_without_processors() {
-    let log = std::env::temp_dir().join(format!("sps-cli-errors-procs-{}.swf", std::process::id()));
+/// Write a one-job SWF log unique to `tag` and return its path.
+fn one_job_log(tag: &str) -> std::path::PathBuf {
+    let log = std::env::temp_dir().join(format!("sps-cli-errors-{tag}-{}.swf", std::process::id()));
     std::fs::write(
         &log,
         "1 0 12 3600 16 -1 -1 16 7200 -1 1 3 5 -1 1 -1 -1 -1\n",
     )
     .expect("write SWF log");
+    log
+}
+
+#[test]
+fn replay_rejects_a_machine_without_processors() {
+    let log = one_job_log("procs");
     let path = log.display().to_string();
     let stderr = refused(&["replay", "--swf", &path, "--procs", "0", "--sched", "ns"]);
     let _ = std::fs::remove_file(&log);
     assert!(stderr.contains("at least 1 processor"), "{stderr}");
+}
+
+#[test]
+fn swf_sweep_rejects_a_machine_without_processors() {
+    let log = one_job_log("sweep-procs");
+    let path = log.display().to_string();
+    let stderr = refused(&["sweep", "--swf", &path, "--procs", "0", "--sched", "ns"]);
+    let _ = std::fs::remove_file(&log);
+    assert!(stderr.contains("at least 1 processor"), "{stderr}");
+}
+
+#[test]
+fn sweep_rejects_zero_jobs() {
+    let stderr = refused(&["sweep", "--system", "SDSC", "--sched", "ns", "--jobs", "0"]);
+    assert!(stderr.contains("n_jobs"), "{stderr}");
 }

@@ -75,3 +75,33 @@ fn foreign_log_with_noise_is_importable() {
     let res = Simulator::new(parsed.jobs, 128, SchedulerKind::Easy.build()).run();
     assert_eq!(res.outcomes.len(), 3);
 }
+
+/// `sps replay` drops the jobs wider than `--procs` (the job table is
+/// indexed densely) and says how many it dropped, beside the records the
+/// parser skipped.
+#[test]
+fn replay_reports_jobs_wider_than_the_machine() {
+    let log = std::env::temp_dir().join(format!("sps-replay-wide-{}.swf", std::process::id()));
+    std::fs::write(
+        &log,
+        "\
+1 0 0 10 4 -1 -1 4 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+2 5 0 10 64 -1 -1 64 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+3 9 0 10 2 -1 -1 2 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+",
+    )
+    .expect("write SWF log");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sps"))
+        .args(["replay", "--swf"])
+        .arg(&log)
+        .args(["--procs", "32", "--sched", "ns"])
+        .output()
+        .expect("sps runs");
+    let _ = std::fs::remove_file(&log);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("2 usable jobs (0 skipped, 1 wider than the machine)"),
+        "{stdout}"
+    );
+}

@@ -89,3 +89,153 @@ fn open_system_header_reproduces_its_run() {
     assert_eq!(rerun.sim.outcomes, traced.sim.outcomes);
     assert_eq!(rerun.sim.windowed, traced.sim.windowed);
 }
+
+/// The JSONL bytes of every record variant, pinned line by line. The
+/// goldens cover only the job, decision, gauge and engine lines of runs
+/// without faults or telemetry; this pins the header (with a nested
+/// config), proc and health encodings too, plus the number edge cases:
+/// shortest round-trip floats, integral floats at and past 1e15, a
+/// non-finite value and an escaped string.
+#[test]
+fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
+    use selective_preemption::trace::{JobEvent, ProcEvent, Reason, TRACE_VERSION};
+
+    let records = [
+        TraceRecord::Header {
+            version: TRACE_VERSION,
+            scheduler: "ss:2.0".into(),
+            config: Json::Obj(vec![
+                (
+                    "system".into(),
+                    Json::Obj(vec![
+                        ("name".into(), Json::Str("SDSC".into())),
+                        ("procs".into(), Json::Int(128)),
+                    ]),
+                ),
+                (
+                    "loads".into(),
+                    Json::Arr(vec![Json::Num(0.85), Json::Num(1.0)]),
+                ),
+                ("seed".into(), Json::Int(42)),
+                ("faults".into(), Json::Null),
+                ("speed_blind".into(), Json::Bool(false)),
+            ]),
+        },
+        TraceRecord::Job {
+            t: 0,
+            job: 3,
+            event: JobEvent::Arrival,
+            procs: None,
+        },
+        TraceRecord::Job {
+            t: 5,
+            job: 3,
+            event: JobEvent::Dispatch,
+            procs: Some(vec![0, 1, 7]),
+        },
+        TraceRecord::Job {
+            t: 6,
+            job: 4,
+            event: JobEvent::Reject,
+            procs: None,
+        },
+        TraceRecord::Decision {
+            t: 9,
+            reason: Reason::Backfilled {
+                job: 7,
+                shadow: 1_000,
+            },
+        },
+        TraceRecord::Decision {
+            t: 10,
+            reason: Reason::PreemptedVictim {
+                victim: 1,
+                suspender: 2,
+                victim_xf: 0.1 + 0.2,
+                suspender_xf: 1e16,
+            },
+        },
+        TraceRecord::Decision {
+            t: 11,
+            reason: Reason::BlockedByDisableLimit {
+                victim: 4,
+                category: "L W".into(),
+                xfactor: 9.5,
+                limit: 4.25,
+            },
+        },
+        TraceRecord::Decision {
+            t: 12,
+            reason: Reason::ReentryOnOriginalProcs { job: 1, victims: 2 },
+        },
+        TraceRecord::Decision {
+            t: 13,
+            reason: Reason::MigratedResume { job: 6 },
+        },
+        TraceRecord::Gauge {
+            t: 60,
+            queued: 3,
+            idle: 10,
+            draining: 4,
+            suspended: 1,
+            running: 9,
+        },
+        TraceRecord::Proc {
+            t: 40,
+            proc: 17,
+            event: ProcEvent::Failed,
+        },
+        TraceRecord::Proc {
+            t: 90,
+            proc: 17,
+            event: ProcEvent::Repaired,
+        },
+        TraceRecord::EngineStats {
+            t: 99,
+            batches: 1_234,
+            events: 5_678,
+        },
+        TraceRecord::Health {
+            t: 50,
+            detector: "thrash".into(),
+            job: Some(3),
+            value: f64::NAN,
+        },
+        TraceRecord::Health {
+            t: 95,
+            detector: "x\"y".into(),
+            job: None,
+            value: 460_800.0,
+        },
+    ];
+    let expected = [
+        r#"{"type":"header","version":1,"scheduler":"ss:2.0","config":{"system":{"name":"SDSC","procs":128},"loads":[0.85,1.0],"seed":42,"faults":null,"speed_blind":false}}"#,
+        r#"{"type":"job","t":0,"job":3,"event":"arrival"}"#,
+        r#"{"type":"job","t":5,"job":3,"event":"dispatch","procs":[0,1,7]}"#,
+        r#"{"type":"job","t":6,"job":4,"event":"reject"}"#,
+        r#"{"type":"decision","t":9,"reason":"backfilled","job":7,"shadow":1000}"#,
+        r#"{"type":"decision","t":10,"reason":"preempted_victim","victim":1,"suspender":2,"victim_xf":0.30000000000000004,"suspender_xf":10000000000000000}"#,
+        r#"{"type":"decision","t":11,"reason":"blocked_by_disable_limit","victim":4,"category":"L W","xfactor":9.5,"limit":4.25}"#,
+        r#"{"type":"decision","t":12,"reason":"reentry_on_original_procs","job":1,"victims":2}"#,
+        r#"{"type":"decision","t":13,"reason":"migrated_resume","job":6}"#,
+        r#"{"type":"gauge","t":60,"queued":3,"idle":10,"draining":4,"suspended":1,"running":9}"#,
+        r#"{"type":"proc","t":40,"proc":17,"event":"failed"}"#,
+        r#"{"type":"proc","t":90,"proc":17,"event":"repaired"}"#,
+        r#"{"type":"engine","t":99,"batches":1234,"events":5678}"#,
+        r#"{"type":"health","t":50,"detector":"thrash","job":3,"value":null}"#,
+        r#"{"type":"health","t":95,"detector":"x\"y","value":460800.0}"#,
+    ];
+
+    let mut sink = JsonlSink::new(Vec::new());
+    for rec in &records {
+        sink.record(rec);
+    }
+    let text = String::from_utf8(sink.finish().expect("in-memory writes succeed"))
+        .expect("JSONL is UTF-8");
+    let lines: Vec<&str> = text.split_terminator('\n').collect();
+    assert_eq!(lines.len(), expected.len(), "{text}");
+    for (got, want) in lines.iter().zip(expected) {
+        assert_eq!(*got, want);
+    }
+    assert!(text.ends_with('\n'), "every line is newline-terminated");
+}
