@@ -68,6 +68,7 @@ pub fn find_case<'a>(doc: &'a Json, case: &str) -> Option<&'a Json> {
 }
 
 /// Best recorded value of `metric` for `case`: the max over the case's
+/// top-level `<metric>` (where `sweep_throughput` writes its speedup),
 /// `after.<metric>` and every `history[].<metric>`. `None` when the case
 /// is absent or records the metric nowhere.
 pub fn best_metric(doc: &Json, case: &str, metric: &str) -> Option<f64> {
@@ -78,6 +79,7 @@ pub fn best_metric(doc: &Json, case: &str, metric: &str) -> Option<f64> {
             best = Some(best.map_or(v, |b| b.max(v)));
         }
     };
+    consider(case.get(metric).and_then(Json::as_f64));
     consider(
         case.get("after")
             .and_then(|a| a.get(metric))
@@ -237,6 +239,28 @@ mod tests {
         assert_eq!(best_metric(&doc, "b", "events_per_sec"), Some(50.0));
         assert_eq!(best_metric(&doc, "c", "events_per_sec"), None);
         assert_eq!(best_metric(&doc, "a", "nope"), None);
+    }
+
+    #[test]
+    fn best_metric_reads_a_top_level_metric() {
+        // The shape of BENCH_sweep.json's `sdsc_paper_grid`: the speedup
+        // sits beside `before`/`after`, and there is no history yet.
+        let doc = Json::parse(
+            r#"{"cases": [
+              {"case": "sdsc_paper_grid",
+               "before": {"wall_ms": 900.0}, "after": {"wall_ms": 276.0},
+               "speedup": 3.26, "identical_cells": true}
+            ]}"#,
+        )
+        .unwrap();
+        assert_eq!(best_metric(&doc, "sdsc_paper_grid", "speedup"), Some(3.26));
+        let mut doc = doc;
+        append_entry(
+            &mut doc,
+            "sdsc_paper_grid",
+            obj(vec![("speedup", Json::Num(2.16))]),
+        );
+        assert_eq!(best_metric(&doc, "sdsc_paper_grid", "speedup"), Some(3.26));
     }
 
     #[test]

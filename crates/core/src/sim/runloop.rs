@@ -195,6 +195,27 @@ pub struct SimResult {
     pub spans: Option<Vec<SpanEvent>>,
 }
 
+/// Ticks of the every-tick schedule that idle elision let lapse. Nothing
+/// runs between two executed batches, so the machine a lapsed tick would
+/// have seen is the one the last batch left: each lapsed tick is replayed
+/// from the current state when the next batch (or the end of the run)
+/// passes it. Its trace gauge is written and it is counted in the trace's
+/// `engine` record, but nothing is simulated.
+#[derive(Default)]
+struct LapsedTicks {
+    /// The next tick the every-tick schedule would deliver while the
+    /// ticker is disarmed: set when a batch leaves work pending without
+    /// arming the ticker, cleared whenever the ticker is armed, and left
+    /// alone when the machine empties (the every-tick schedule's armed
+    /// tick still fires once on the emptied machine).
+    next: Option<SimTime>,
+    /// Lapsed ticks replayed as tick-only batches of their own.
+    batches: u64,
+    /// Lapsed ticks that fell on an executed batch's instant, which then
+    /// decided as a tick batch.
+    merged: u64,
+}
+
 /// The simulator: a trace, a machine, a policy, an overhead model.
 ///
 /// ```
@@ -269,6 +290,8 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     /// [`Simulator::with_tick_elision`] turns it off to reproduce the
     /// every-tick schedule event-for-event (benches, A/B comparisons).
     elide_idle: bool,
+    /// The ticks elision let lapse, replayed for the trace.
+    lapsed: LapsedTicks,
     /// Pass `reference: true` to every decide, disabling the policies'
     /// provably-equivalent fast paths (see [`DecideCtx::reference`]).
     reference_decides: bool,
@@ -350,6 +373,7 @@ impl<S: TraceSink> Simulator<S> {
             watchdog: Watchdog::none(),
             decide_calls: 0,
             elide_idle: true,
+            lapsed: LapsedTicks::default(),
             reference_decides: false,
             sink,
             telemetry: NullTelemetry,
@@ -379,6 +403,7 @@ impl<S: TraceSink> Simulator<S> {
             watchdog: self.watchdog,
             decide_calls: self.decide_calls,
             elide_idle: self.elide_idle,
+            lapsed: self.lapsed,
             reference_decides: self.reference_decides,
             sink: self.sink,
             telemetry,
@@ -415,12 +440,15 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// the simulator skips `decide()` at instants with nothing to schedule
     /// and stops re-arming the periodic tick while only running jobs
     /// remain. [`Ticker`] phase is absolute (ticks land on multiples of
-    /// the period), so re-arming after the next real event hits the exact
-    /// instants continuous ticking would have — the schedule, outcomes,
-    /// and every trace byte are unchanged; only [`KernelStats`] sees fewer
-    /// events and decides. Pass `false` to force the pre-elision event
-    /// stream (the before-side of `sweep_throughput`, and any bench that
-    /// pins event counts).
+    /// the period), so the tick continuous ticking would deliver next is
+    /// known throughout: a batch that lands on it decides as a tick batch,
+    /// and the ticks that lapse before it are replayed from the unchanged
+    /// state — each writes its trace gauge and counts in the trace's
+    /// `engine` record. The schedule, outcomes, and every trace byte are
+    /// unchanged, traced or not; only [`KernelStats`] and telemetry, which
+    /// count executed work, see fewer events, decides and instants. Pass
+    /// `false` to execute the every-tick schedule (the before-side of
+    /// `sweep_throughput`, and any bench that pins event counts).
     pub fn with_tick_elision(mut self, enabled: bool) -> Self {
         self.elide_idle = enabled;
         self
@@ -577,17 +605,68 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
             && self.state.index.draining_jobs() == 0
     }
 
+    /// Whether any arrived job is unfinished, which keeps ticks flowing.
+    /// The draining check reads the index counter — a job-table scan here
+    /// made every batch O(jobs).
+    fn work_pending(&self) -> bool {
+        !self.state.queued.is_empty()
+            || !self.state.suspended.is_empty()
+            || !self.state.running.is_empty()
+            || self.state.index.draining_jobs() > 0
+    }
+
+    /// The per-tick gauge record at `t`, read from the current state.
+    fn gauge(&self, t: SimTime) -> TraceRecord {
+        TraceRecord::Gauge {
+            t: t.secs(),
+            queued: self.state.queued.len() as u32,
+            idle: self.state.free_count(),
+            draining: self.state.draining_set().count(),
+            suspended: self.state.suspended.len() as u32,
+            running: self.state.running.len() as u32,
+        }
+    }
+
+    /// Replay the lapsed ticks before `end` (exclusive) and return the
+    /// last one. Each is a tick-only batch of the every-tick schedule whose
+    /// decide is a certified no-op, so only its gauge and its count
+    /// remain. While work is pending that schedule ticks every period up
+    /// to `end`; an emptied machine gets only the tick already armed.
+    fn replay_lapsed_ticks(&mut self, end: SimTime) -> Option<SimTime> {
+        let first = self.lapsed.next.filter(|&at| at < end)?;
+        let period = self
+            .ticker
+            .as_ref()
+            .expect("only a ticking run lets ticks lapse")
+            .period();
+        let pending = self.work_pending();
+        let n = if pending {
+            (end - first - 1) / period + 1
+        } else {
+            1
+        };
+        if self.sink.enabled() {
+            for k in 0..n {
+                let gauge = self.gauge(first + k * period);
+                self.sink.record(&gauge);
+            }
+        }
+        self.lapsed.batches += n as u64;
+        self.lapsed.next = pending.then_some(first + n * period);
+        Some(first + (n - 1) * period)
+    }
+
     /// Whether idle elision applies to this run: opted in, the policy
-    /// certifies quiescent no-ops, no tracing (traced runs emit per-tick
-    /// gauges), no telemetry (instrumented runs sample gauges per instant),
-    /// and no fault injection (kept conservative: fault delivery
-    /// interleaves with ticks in ways the certification doesn't cover).
-    /// (Admission-controlled runs also opt out: the certification predates
-    /// the admit hook, and rejection-heavy instants are not hot.)
+    /// certifies quiescent no-ops, and no fault injection (kept
+    /// conservative: fault delivery interleaves with ticks in ways the
+    /// certification doesn't cover). (Admission-controlled runs also opt
+    /// out: the certification predates the admit hook, and rejection-heavy
+    /// instants are not hot.) Observation does not opt out: a lapsed
+    /// tick's trace gauge is replayed from the unchanged state
+    /// ([`LapsedTicks`]), and telemetry samples the executed instants,
+    /// which change nothing its health detectors read.
     fn elision_active(&self) -> bool {
         self.elide_idle
-            && !self.sink.enabled()
-            && !self.telemetry.enabled()
             && self.faults.is_none()
             && !self.admission.enabled()
             && self.policy.quiescent_noop()
@@ -618,34 +697,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         let wall_start = Instant::now();
         let outcome = engine.run(&mut self, &mut queue);
         let wall_micros = wall_start.elapsed().as_micros() as u64;
-        let health = if self.telemetry.enabled() {
-            // Close open detector integrals, then forward any final health
-            // events into the trace before the engine-stats record.
-            self.telemetry.finish(engine.now().secs());
-            self.drain_health();
-            self.telemetry.health_summary()
-        } else {
-            None
-        };
-        if self.sink.enabled() {
-            let sink_start = self.profiler.is_some().then(Instant::now);
-            self.sink.record(&TraceRecord::EngineStats {
-                t: engine.now().secs(),
-                batches: engine.batches(),
-                events: engine.events(),
-            });
-            let _ = self.sink.flush();
-            if let Some(t0) = sink_start {
-                self.span(SpanPhase::TraceSink, t0);
-            }
-        }
-        let kernel = KernelStats {
-            events: engine.events(),
-            decide_calls: self.decide_calls,
-            wall_micros,
-            reclaimed_slots: self.state.trimmed as u64,
-            phases: self.profiler.as_ref().map(|p| *p.profile()),
-        };
         let status = match outcome {
             RunOutcome::BatchLimit => RunStatus::Aborted(AbortReason::BatchLimit),
             RunOutcome::EventLimit => RunStatus::Aborted(AbortReason::EventLimit),
@@ -664,6 +715,48 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
                 );
                 RunStatus::Completed
             }
+        };
+        // The every-tick schedule's trailing ticks: those up to the
+        // horizon, inclusive, or a drained run's one armed tick on the
+        // emptied machine. A job-count stop or an abort ends both
+        // schedules at the same batch.
+        let trailing = match (outcome, self.until) {
+            (RunOutcome::Drained | RunOutcome::HorizonReached, RunUntil::SimTime(h)) => {
+                self.replay_lapsed_ticks(h.saturating_add(1))
+            }
+            (RunOutcome::Drained, _) => self.replay_lapsed_ticks(SimTime::MAX),
+            _ => None,
+        };
+        let health = if self.telemetry.enabled() {
+            // Close open detector integrals, then forward any final health
+            // events into the trace before the engine-stats record.
+            self.telemetry.finish(engine.now().secs());
+            self.drain_health();
+            self.telemetry.health_summary()
+        } else {
+            None
+        };
+        if self.sink.enabled() {
+            let sink_start = self.profiler.is_some().then(Instant::now);
+            // The every-tick schedule's counts, lapsed ticks included;
+            // `KernelStats` keeps the executed ones. Trailing ticks lie
+            // past the last executed batch.
+            self.sink.record(&TraceRecord::EngineStats {
+                t: trailing.unwrap_or(engine.now()).secs(),
+                batches: engine.batches() + self.lapsed.batches,
+                events: engine.events() + self.lapsed.batches + self.lapsed.merged,
+            });
+            let _ = self.sink.flush();
+            if let Some(t0) = sink_start {
+                self.span(SpanPhase::TraceSink, t0);
+            }
+        }
+        let kernel = KernelStats {
+            events: engine.events(),
+            decide_calls: self.decide_calls,
+            wall_micros,
+            reclaimed_slots: self.state.trimmed as u64,
+            phases: self.profiler.as_ref().map(|p| *p.profile()),
         };
         // Window end: the horizon itself when the horizon stopped the run
         // (the machine kept working up to it), else the last event instant.
@@ -1197,7 +1290,18 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         self.repairs_now.clear();
         let tel = self.telemetry.enabled();
         let prof = self.profiler.is_some();
+        // Ticks that lapsed while the machine sat quiescent: those before
+        // `now` are replayed, and one at `now` makes this a tick batch, as
+        // it is in the every-tick schedule.
         let mut tick = false;
+        if self.lapsed.next.is_some_and(|at| at <= now) {
+            self.replay_lapsed_ticks(now);
+            if self.lapsed.next == Some(now) {
+                self.lapsed.next = None;
+                self.lapsed.merged += 1;
+                tick = true;
+            }
+        }
         let drain_start = prof.then(Instant::now);
         for ev in batch.drain(..) {
             if tel {
@@ -1344,14 +1448,8 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
 
         // Per-tick gauges, after the instant's decisions have been applied.
         if tick && self.sink.enabled() {
-            self.sink.record(&TraceRecord::Gauge {
-                t: now.secs(),
-                queued: self.state.queued.len() as u32,
-                idle: self.state.free_count(),
-                draining: self.state.draining_set().count(),
-                suspended: self.state.suspended.len() as u32,
-                running: self.state.running.len() as u32,
-            });
+            let gauge = self.gauge(now);
+            self.sink.record(&gauge);
         }
 
         // Per-instant telemetry sample + health-event drain, after the
@@ -1362,24 +1460,29 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
             self.drain_health();
         }
 
-        // Keep ticks flowing while any arrived job is unfinished. The
-        // draining check reads the index counter — the old job-table scan
-        // here made every batch O(jobs).
+        // Keep ticks flowing while any arrived job is unfinished.
         //
         // Elision: while the machine is quiescent (running jobs only),
         // certified policies can't act on a tick, so don't re-arm one.
         // The ticker's phase is absolute — `next_after` rounds up to a
         // multiple of the period — so re-arming at the event that ends the
         // quiescence lands on exactly the instants continuous ticking
-        // would have hit, and the schedule is bit-identical.
-        let work_pending = !self.state.queued.is_empty()
-            || !self.state.suspended.is_empty()
-            || !self.state.running.is_empty()
-            || self.state.index.draining_jobs() > 0;
-        if work_pending && !(elidable && self.quiescent()) {
+        // would have hit, and the schedule is bit-identical. The tick that
+        // continuous ticking has next is kept as the lapsed-tick cursor.
+        if self.work_pending() {
+            let rearm = !(elidable && self.quiescent());
             if let Some(t) = &mut self.ticker {
-                if let Some(at) = t.arm(now) {
-                    queue.push(at, EventClass::Tick, Event::Tick);
+                if rearm {
+                    if let Some(at) = t.arm(now) {
+                        queue.push(at, EventClass::Tick, Event::Tick);
+                    }
+                }
+                if t.is_armed() {
+                    self.lapsed.next = None;
+                } else if self.lapsed.next.is_none() {
+                    // A cursor that outlived this batch's replay already
+                    // lies past `now`: it is `next_after(now)`.
+                    self.lapsed.next = Some(t.next_after(now));
                 }
             }
         }

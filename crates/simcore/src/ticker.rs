@@ -63,8 +63,9 @@ impl Ticker {
         self.pending.is_some()
     }
 
-    /// First multiple of the period strictly after `now`.
-    fn next_after(&self, now: SimTime) -> SimTime {
+    /// First multiple of the period strictly after `now`: the instant
+    /// [`Ticker::arm`] would schedule from `now`.
+    pub fn next_after(&self, now: SimTime) -> SimTime {
         let p = self.period;
         let s = now.secs();
         let next = (s.div_euclid(p) + 1) * p;

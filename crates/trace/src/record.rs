@@ -17,6 +17,8 @@
 //! * **Gauges**: per-tick counts of queue depth, idle processors, draining
 //!   occupancy, and suspended jobs, plus end-of-run engine statistics.
 
+use std::fmt::Write;
+
 use crate::json::{write_escaped, write_num, Json, JsonError};
 
 /// Schema version written into [`TraceRecord::Header`].
@@ -269,7 +271,6 @@ impl TraceRecord {
     /// decodes it. Wire names (`type`, `event`, `reason`) need no escaping;
     /// free-form strings go through the JSON string escaper.
     pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
         match self {
             TraceRecord::Header {
                 version,
@@ -584,20 +585,20 @@ impl TraceRecord {
         "value",
     ];
 
-    /// Encode as one CSV row matching [`TraceRecord::CSV_COLUMNS`]. The
-    /// header's embedded config is omitted (CSV cannot nest; use JSONL
-    /// when the config must travel with the trace).
-    pub fn to_csv_row(&self) -> String {
-        let mut cols: Vec<String> = vec![String::new(); Self::CSV_COLUMNS.len()];
-        let idx = |name: &str| Self::CSV_COLUMNS.iter().position(|&c| c == name).unwrap();
-        let mut set = |name: &str, value: String| cols[idx(name)] = value;
+    /// Append the record's CSV row (no newline) to `out`, one field per
+    /// [`TraceRecord::CSV_COLUMNS`] entry. The header's embedded config is
+    /// omitted (CSV cannot nest; use JSONL when the config must travel
+    /// with the trace). Numbers use their `Display` form; free-form
+    /// strings are quoted when they hold a comma, quote or newline.
+    pub fn write_csv_row(&self, out: &mut String) {
+        let mut row = CsvRow { out, at: 0 };
         match self {
             TraceRecord::Header {
                 version, scheduler, ..
             } => {
-                set("record", "header".into());
-                set("version", version.to_string());
-                set("scheduler", scheduler.clone());
+                row.raw(Col::Record, "header");
+                row.num(Col::Version, version);
+                row.text(Col::Scheduler, scheduler);
             }
             TraceRecord::Job {
                 t,
@@ -605,23 +606,28 @@ impl TraceRecord {
                 event,
                 procs,
             } => {
-                set("record", "job".into());
-                set("t", t.to_string());
-                set("job", job.to_string());
-                set("event", event.name().into());
+                row.raw(Col::Record, "job");
+                row.num(Col::T, t);
+                row.num(Col::Job, job);
+                row.raw(Col::Event, event.name());
                 if let Some(procs) = procs {
-                    let list: Vec<String> = procs.iter().map(u32::to_string).collect();
-                    set("procs", list.join(" "));
+                    let out = row.seek(Col::Procs);
+                    for (i, p) in procs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(' ');
+                        }
+                        let _ = write!(out, "{p}");
+                    }
                 }
             }
             TraceRecord::Decision { t, reason } => {
-                set("record", "decision".into());
-                set("t", t.to_string());
-                set("reason", reason.name().into());
+                row.raw(Col::Record, "decision");
+                row.num(Col::T, t);
                 match reason {
                     Reason::Backfilled { job, shadow } => {
-                        set("job", job.to_string());
-                        set("shadow", shadow.to_string());
+                        row.num(Col::Job, job);
+                        row.raw(Col::Reason, reason.name());
+                        row.num(Col::Shadow, shadow);
                     }
                     Reason::PreemptedVictim {
                         victim,
@@ -629,10 +635,11 @@ impl TraceRecord {
                         victim_xf,
                         suspender_xf,
                     } => {
-                        set("victim", victim.to_string());
-                        set("suspender", suspender.to_string());
-                        set("victim_xf", format!("{victim_xf}"));
-                        set("suspender_xf", format!("{suspender_xf}"));
+                        row.raw(Col::Reason, reason.name());
+                        row.num(Col::Victim, victim);
+                        row.num(Col::Suspender, suspender);
+                        row.num(Col::VictimXf, victim_xf);
+                        row.num(Col::SuspenderXf, suspender_xf);
                     }
                     Reason::BlockedByDisableLimit {
                         victim,
@@ -640,17 +647,20 @@ impl TraceRecord {
                         xfactor,
                         limit,
                     } => {
-                        set("victim", victim.to_string());
-                        set("category", category.clone());
-                        set("xfactor", format!("{xfactor}"));
-                        set("limit", format!("{limit}"));
+                        row.raw(Col::Reason, reason.name());
+                        row.num(Col::Victim, victim);
+                        row.text(Col::Category, category);
+                        row.num(Col::Xfactor, xfactor);
+                        row.num(Col::Limit, limit);
                     }
                     Reason::ReentryOnOriginalProcs { job, victims } => {
-                        set("job", job.to_string());
-                        set("victims", victims.to_string());
+                        row.num(Col::Job, job);
+                        row.raw(Col::Reason, reason.name());
+                        row.num(Col::Victims, victims);
                     }
                     Reason::MigratedResume { job } => {
-                        set("job", job.to_string());
+                        row.num(Col::Job, job);
+                        row.raw(Col::Reason, reason.name());
                     }
                 }
             }
@@ -662,25 +672,25 @@ impl TraceRecord {
                 suspended,
                 running,
             } => {
-                set("record", "gauge".into());
-                set("t", t.to_string());
-                set("queued", queued.to_string());
-                set("idle", idle.to_string());
-                set("draining", draining.to_string());
-                set("suspended", suspended.to_string());
-                set("running", running.to_string());
+                row.raw(Col::Record, "gauge");
+                row.num(Col::T, t);
+                row.num(Col::Queued, queued);
+                row.num(Col::Idle, idle);
+                row.num(Col::Draining, draining);
+                row.num(Col::Suspended, suspended);
+                row.num(Col::Running, running);
             }
             TraceRecord::Proc { t, proc, event } => {
-                set("record", "proc".into());
-                set("t", t.to_string());
-                set("proc", proc.to_string());
-                set("event", event.name().into());
+                row.raw(Col::Record, "proc");
+                row.num(Col::T, t);
+                row.raw(Col::Event, event.name());
+                row.num(Col::Proc, proc);
             }
             TraceRecord::EngineStats { t, batches, events } => {
-                set("record", "engine".into());
-                set("t", t.to_string());
-                set("batches", batches.to_string());
-                set("events", events.to_string());
+                row.raw(Col::Record, "engine");
+                row.num(Col::T, t);
+                row.num(Col::Batches, batches);
+                row.num(Col::Events, events);
             }
             TraceRecord::Health {
                 t,
@@ -688,25 +698,93 @@ impl TraceRecord {
                 job,
                 value,
             } => {
-                set("record", "health".into());
-                set("t", t.to_string());
+                row.raw(Col::Record, "health");
+                row.num(Col::T, t);
                 if let Some(job) = job {
-                    set("job", job.to_string());
+                    row.num(Col::Job, job);
                 }
-                set("detector", detector.clone());
-                set("value", format!("{value}"));
+                row.text(Col::Detector, detector);
+                row.num(Col::Value, value);
             }
         }
-        let escaped: Vec<String> = cols.iter().map(|c| csv_escape(c)).collect();
-        escaped.join(",")
+        row.seek(Col::Value);
     }
 }
 
-fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Positions in [`TraceRecord::CSV_COLUMNS`].
+#[derive(Clone, Copy)]
+enum Col {
+    Record,
+    T,
+    Job,
+    Event,
+    Procs,
+    Reason,
+    Victim,
+    Suspender,
+    VictimXf,
+    SuspenderXf,
+    Category,
+    Xfactor,
+    Limit,
+    Shadow,
+    Victims,
+    Queued,
+    Idle,
+    Draining,
+    Suspended,
+    Running,
+    Batches,
+    Events,
+    Proc,
+    Version,
+    Scheduler,
+    Detector,
+    Value,
+}
+
+const _: () = assert!(Col::Value as usize + 1 == TraceRecord::CSV_COLUMNS.len());
+
+/// One CSV row written left to right: each field lands in its column, and
+/// the columns passed over on the way stay empty.
+struct CsvRow<'a> {
+    out: &'a mut String,
+    /// The column the write position is in.
+    at: usize,
+}
+
+impl CsvRow<'_> {
+    /// Move the write position to the start of `col`, which must not lie
+    /// behind it.
+    fn seek(&mut self, col: Col) -> &mut String {
+        let col = col as usize;
+        debug_assert!(col >= self.at, "CSV fields are written in column order");
+        for _ in self.at..col {
+            self.out.push(',');
+        }
+        self.at = col;
+        self.out
+    }
+
+    /// A field that never needs quoting (a wire name).
+    fn raw(&mut self, col: Col, field: &str) {
+        self.seek(col).push_str(field);
+    }
+
+    fn num(&mut self, col: Col, value: impl std::fmt::Display) {
+        let _ = write!(self.seek(col), "{value}");
+    }
+
+    /// A free-form string, quoted when it holds a comma, quote or newline.
+    fn text(&mut self, col: Col, field: &str) {
+        let out = self.seek(col);
+        if field.contains([',', '"', '\n']) {
+            out.push('"');
+            out.push_str(&field.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
     }
 }
 
@@ -852,7 +930,8 @@ mod tests {
     #[test]
     fn csv_rows_match_column_count() {
         for rec in samples() {
-            let row = rec.to_csv_row();
+            let mut row = String::new();
+            rec.write_csv_row(&mut row);
             assert_eq!(
                 row.split(',').count(),
                 TraceRecord::CSV_COLUMNS.len(),

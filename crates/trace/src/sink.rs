@@ -147,10 +147,14 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 
 /// Writes the flat CSV encoding (header row first). Lossier than JSONL —
 /// the embedded experiment config is dropped — but loads directly into
-/// spreadsheets and dataframe libraries.
+/// spreadsheets and dataframe libraries. Like [`JsonlSink`], each record
+/// is encoded by [`TraceRecord::write_csv_row`] into one reused line
+/// buffer and handed to the writer in a single `write_all`; I/O errors
+/// are deferred the same way.
 #[derive(Debug)]
 pub struct CsvSink<W: Write> {
     w: W,
+    line: String,
     wrote_header: bool,
     error: Option<io::Error>,
 }
@@ -160,6 +164,7 @@ impl<W: Write> CsvSink<W> {
     pub fn new(w: W) -> Self {
         CsvSink {
             w,
+            line: String::new(),
             wrote_header: false,
             error: None,
         }
@@ -192,15 +197,15 @@ impl<W: Write> TraceSink for CsvSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut out = String::new();
+        self.line.clear();
         if !self.wrote_header {
-            out.push_str(&TraceRecord::CSV_COLUMNS.join(","));
-            out.push('\n');
+            self.line.push_str(&TraceRecord::CSV_COLUMNS.join(","));
+            self.line.push('\n');
             self.wrote_header = true;
         }
-        out.push_str(&rec.to_csv_row());
-        out.push('\n');
-        if let Err(e) = self.w.write_all(out.as_bytes()) {
+        rec.write_csv_row(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.w.write_all(self.line.as_bytes()) {
             self.error = Some(e);
         }
     }

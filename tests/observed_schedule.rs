@@ -1,0 +1,221 @@
+//! Observing a run never changes its schedule. A run with a JSONL trace
+//! sink and telemetry attached elides quiescent ticks exactly as a plain
+//! run does, so it executes the plain run's events and decides. Its trace
+//! is still byte-identical to the every-tick schedule's: the ticks that
+//! lapse while the machine is quiescent are replayed from the unchanged
+//! state, and the `engine` record counts them.
+
+use selective_preemption::prelude::*;
+use selective_preemption::workload::traces::{CTC, SDSC};
+
+/// What one observed run leaves behind.
+struct Observed {
+    trace: String,
+    health: HealthReport,
+    sim: SimResult,
+}
+
+/// Run `cfg` with a JSONL sink and telemetry, eliding idle ticks or not.
+fn observed(cfg: &ExperimentConfig, elide: bool) -> Observed {
+    let mut sink = JsonlSink::new(Vec::new());
+    let mut tel = Telemetry::new();
+    let sim = cfg
+        .runner()
+        .trace_sink(&mut sink)
+        .telemetry(&mut tel)
+        .build()
+        .with_tick_elision(elide)
+        .run();
+    let bytes = sink.finish().expect("in-memory writes succeed");
+    Observed {
+        trace: String::from_utf8(bytes).expect("JSONL is UTF-8"),
+        health: tel.health_report(),
+        sim,
+    }
+}
+
+/// Panic at the first line where two traces differ, instead of printing
+/// both traces whole.
+fn assert_same_trace(got: &str, want: &str, label: &str) {
+    if got == want {
+        return;
+    }
+    let (got, want): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
+    let i = got
+        .iter()
+        .zip(&want)
+        .position(|(a, b)| a != b)
+        .unwrap_or(got.len().min(want.len()));
+    panic!(
+        "{label}: the observed trace leaves the every-tick trace at line {} \
+         ({} vs {} lines)\n  observed:   {:?}\n  every-tick: {:?}",
+        i + 1,
+        got.len(),
+        want.len(),
+        got.get(i),
+        want.get(i),
+    );
+}
+
+/// The observed run writes the every-tick run's trace bytes and health
+/// report, and its results equal the plain run's. Returns the observed
+/// run and the every-tick one for case-specific checks.
+fn check(cfg: &ExperimentConfig, label: &str) -> (Observed, Observed) {
+    let every_tick = observed(cfg, false);
+    let obs = observed(cfg, true);
+    assert_same_trace(&obs.trace, &every_tick.trace, label);
+    assert_eq!(obs.health, every_tick.health, "{label}: health report");
+
+    let plain = cfg.runner().simulate();
+    let (o, p) = (&obs.sim, &plain);
+    assert_eq!(o.kernel.events, p.kernel.events, "{label}: events");
+    assert_eq!(
+        o.kernel.decide_calls, p.kernel.decide_calls,
+        "{label}: decides"
+    );
+    assert_eq!(o.status, p.status, "{label}: status");
+    assert_eq!(o.outcomes, p.outcomes, "{label}: outcomes");
+    assert_eq!(o.windowed, p.windowed, "{label}: windowed report");
+    assert_eq!(o.preemptions, p.preemptions, "{label}: preemptions");
+    assert_eq!(
+        o.utilization.to_bits(),
+        p.utilization.to_bits(),
+        "{label}: utilization"
+    );
+    (obs, every_tick)
+}
+
+/// Every scheme at a load where the machine keeps emptying and at a
+/// saturated one.
+#[test]
+fn observed_runs_keep_the_plain_schedule_and_the_every_tick_trace() {
+    for spec in [
+        "ns", "is", "ss:2", "tss:1.5", "tss:2", "cons", "flex:2", "fcfs", "gang",
+    ] {
+        for load in [0.2, 1.4] {
+            let cfg = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+                .with_jobs(120)
+                .with_seed(31)
+                .with_load_factor(load);
+            let label = format!("{spec} at load {load}");
+            let (obs, every_tick) = check(&cfg, &label);
+            let policy = cfg.scheduler.build();
+            if policy.quiescent_noop() && policy.needs_tick() {
+                assert!(
+                    obs.sim.kernel.events < every_tick.sim.kernel.events,
+                    "{label}: the observed run elided no tick"
+                );
+            }
+        }
+    }
+}
+
+/// A machine that empties mid-run: the every-tick schedule's armed tick
+/// still fires once on the empty machine, and the next arrival wakes it.
+#[test]
+fn a_machine_that_empties_mid_run_replays_its_last_armed_tick() {
+    for spec in ["ss:2", "is", "tss:2"] {
+        let cfg = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+            .with_jobs(150)
+            .with_seed(5)
+            .with_load_factor(0.2);
+        let (obs, _) = check(&cfg, spec);
+        let gauges: Vec<&str> = obs
+            .trace
+            .lines()
+            .filter(|l| l.starts_with(r#"{"type":"gauge""#))
+            .collect();
+        let idle = gauges[..gauges.len() - 1]
+            .iter()
+            .filter(|l| {
+                l.ends_with(r#""queued":0,"idle":128,"draining":0,"suspended":0,"running":0}"#)
+            })
+            .count();
+        assert!(idle > 0, "{spec}: the machine never emptied mid-run");
+    }
+}
+
+/// A closed run whose horizon falls 0–60 s after its last completion:
+/// the plain run drains, and the every-tick run delivers its trailing tick
+/// only if the horizon reaches it.
+#[test]
+fn a_horizon_just_past_the_last_completion_replays_only_reachable_ticks() {
+    let base = ExperimentConfig::new(SDSC, SchedulerKind::Ss { sf: 2.0 })
+        .with_jobs(100)
+        .with_seed(3)
+        .with_load_factor(0.6);
+    let last = base
+        .runner()
+        .simulate()
+        .outcomes
+        .iter()
+        .map(|o| o.completion.secs())
+        .max()
+        .expect("jobs complete");
+    let tick = (last / 60 + 1) * 60;
+    for horizon in [last, tick - 1, tick, last + 60] {
+        let cfg = base
+            .clone()
+            .with_until(RunUntil::SimTime(SimTime::new(horizon)));
+        check(&cfg, &format!("horizon {horizon} (last completion {last})"));
+    }
+}
+
+/// Open arrivals stopped at a simulated-time horizon with a warmup window,
+/// and at a completed-job count.
+#[test]
+fn time_and_job_count_stops_match() {
+    for spec in ["ss:2", "is", "tss:2"] {
+        let open = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+            .with_seed(8)
+            .with_arrivals(ArrivalSpec::Poisson { load: Some(0.4) });
+        let timed = open
+            .clone()
+            .with_until(RunUntil::SimTime(SimTime::new(86_400)))
+            .with_warmup(6 * 3_600);
+        let (obs, _) = check(&timed, &format!("{spec} until 1d, warmup 6h"));
+        assert_eq!(obs.sim.status, RunStatus::Stopped(StopReason::Horizon));
+        let counted = open.with_until(RunUntil::Jobs(150));
+        let (obs, _) = check(&counted, &format!("{spec} until 150j"));
+        assert_eq!(obs.sim.status, RunStatus::Stopped(StopReason::JobCount));
+    }
+}
+
+/// The paper's overhead model (drains and reloads), and a tick period
+/// other than the paper's minute.
+#[test]
+fn paper_overhead_and_an_odd_tick_period_match() {
+    for spec in ["ss:2", "tss:2", "is"] {
+        for load in [0.3, 1.2] {
+            let cfg = ExperimentConfig::new(CTC, spec.parse().expect("spec parses"))
+                .with_jobs(120)
+                .with_seed(13)
+                .with_load_factor(load);
+            let paper = cfg.clone().with_overhead(OverheadModel::paper());
+            check(&paper, &format!("{spec} at load {load}, paper overhead"));
+            let odd = cfg.with_tick_period(37);
+            check(&odd, &format!("{spec} at load {load}, 37 s ticks"));
+        }
+    }
+}
+
+/// A closed run with a warmup window. Its window used to end at the
+/// every-tick schedule's trailing tick when the run was observed, and at
+/// the last completion when it was not; now both end at the last
+/// completion.
+#[test]
+fn a_warmup_window_ends_at_the_last_executed_instant() {
+    let cfg = ExperimentConfig::new(SDSC, SchedulerKind::Ss { sf: 2.0 })
+        .with_jobs(300)
+        .with_seed(700)
+        .with_load_factor(0.6)
+        .with_warmup(3_600);
+    let (obs, _) = check(&cfg, "ss:2 with a 1 h warmup");
+    let window = obs.sim.windowed.expect("a warmup makes a window");
+    assert_eq!(window.end, SimTime::new(881_867));
+    assert!(
+        (window.utilization - 0.261_447_0).abs() < 5e-8,
+        "{}",
+        window.utilization
+    );
+}

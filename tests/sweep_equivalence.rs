@@ -5,7 +5,7 @@
 
 use selective_preemption::core::sweep::{run_sweep, CellStats, RunSummary, SweepSpec};
 use selective_preemption::prelude::*;
-use sps_workload::traces::{CTC, SDSC};
+use sps_workload::traces::{CTC, KTH, SDSC};
 
 /// FNV-1a, 64-bit (stable across platforms, unlike `DefaultHasher`).
 struct Fnv(u64);
@@ -307,54 +307,77 @@ fn tick_elision_preserves_simulation_results() {
         for spec in [
             "ns", "cons", "fcfs", "flex:3", "is", "ss:2", "tss:1.5", "gang",
         ] {
-            let kind: SchedulerKind = spec.parse().expect("spec parses");
             // Low load stretches arrival gaps, so the workload has long
             // quiescent stretches — the case elision actually changes.
-            let cfg = ExperimentConfig::new(system, kind)
+            let cfg = ExperimentConfig::new(system, spec.parse().expect("spec parses"))
                 .with_jobs(180)
                 .with_seed(9)
                 .with_load_factor(0.5)
                 .with_overhead(OverheadModel::paper());
-            let run = |elide: bool| cfg.runner().build().with_tick_elision(elide).run();
-            let (with, without) = (run(true), run(false));
-            let label = format!("{} on {}", spec, system.name);
-            assert_eq!(with.makespan, without.makespan, "{label}: makespan");
-            assert_eq!(
-                with.preemptions, without.preemptions,
-                "{label}: preemptions"
-            );
-            assert_eq!(
-                with.dropped_actions, without.dropped_actions,
-                "{label}: dropped actions"
-            );
-            assert_eq!(
-                with.utilization.to_bits(),
-                without.utilization.to_bits(),
-                "{label}: utilization"
-            );
-            assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
-            for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
-                assert_eq!(
-                    (a.id, a.first_start, a.completion, a.suspensions),
-                    (b.id, b.first_start, b.completion, b.suspensions),
-                    "{label}: outcome {:?}",
-                    a.id
-                );
-            }
-            // Elision only ever removes work: never more events than the
-            // un-elided run, and strictly fewer for the certified
-            // policies on this idle-heavy workload.
-            assert!(
-                with.kernel.events <= without.kernel.events,
-                "{label}: elision added events"
-            );
-            let policy = kind.build();
-            if policy.quiescent_noop() && policy.needs_tick() {
-                assert!(
-                    with.kernel.events < without.kernel.events,
-                    "{label}: no ticks elided on an idle-heavy workload"
-                );
-            }
+            assert_elision_preserves_results(&cfg, &format!("{} on {}", spec, system.name));
         }
+    }
+    // At SF = 1 a fresh arrival (xfactor 1) can qualify against a running
+    // job that never waited (xfactor 1), and only a tick decide runs that
+    // victim scan. A wake-up batch that lands on an instant the every-tick
+    // schedule ticks must therefore decide as a tick batch. SF = 1.5 on
+    // the same workload is the control.
+    for (system, spec, load, seed) in [
+        (SDSC, "ss:1", 0.6, 511),
+        (CTC, "ss:1", 1.0, 546),
+        (KTH, "ss:1", 1.0, 581),
+        (SDSC, "ss:1.5", 0.6, 511),
+    ] {
+        let cfg = ExperimentConfig::new(system, spec.parse().expect("spec parses"))
+            .with_jobs(400)
+            .with_seed(seed)
+            .with_load_factor(load);
+        let label = format!("{spec} on {} at load {load}, seed {seed}", system.name);
+        assert_elision_preserves_results(&cfg, &label);
+    }
+}
+
+/// Run `cfg` with and without tick elision and require identical results,
+/// with elision never adding events and, for a policy that certifies
+/// quiescent no-ops and ticks, strictly removing some.
+fn assert_elision_preserves_results(cfg: &ExperimentConfig, label: &str) {
+    let run = |elide: bool| cfg.runner().build().with_tick_elision(elide).run();
+    let (with, without) = (run(true), run(false));
+    assert_eq!(with.makespan, without.makespan, "{label}: makespan");
+    assert_eq!(
+        with.preemptions, without.preemptions,
+        "{label}: preemptions"
+    );
+    assert_eq!(
+        with.dropped_actions, without.dropped_actions,
+        "{label}: dropped actions"
+    );
+    assert_eq!(
+        with.utilization.to_bits(),
+        without.utilization.to_bits(),
+        "{label}: utilization"
+    );
+    assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
+    for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
+        assert_eq!(
+            (a.id, a.first_start, a.completion, a.suspensions),
+            (b.id, b.first_start, b.completion, b.suspensions),
+            "{label}: outcome {:?}",
+            a.id
+        );
+    }
+    // Elision only ever removes work: never more events than the
+    // un-elided run, and strictly fewer for the certified policies on an
+    // idle-heavy workload.
+    assert!(
+        with.kernel.events <= without.kernel.events,
+        "{label}: elision added events"
+    );
+    let policy = cfg.scheduler.build();
+    if policy.quiescent_noop() && policy.needs_tick() {
+        assert!(
+            with.kernel.events < without.kernel.events,
+            "{label}: no ticks elided on an idle-heavy workload"
+        );
     }
 }

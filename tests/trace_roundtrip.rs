@@ -90,17 +90,13 @@ fn open_system_header_reproduces_its_run() {
     assert_eq!(rerun.sim.windowed, traced.sim.windowed);
 }
 
-/// The JSONL bytes of every record variant, pinned line by line. The
-/// goldens cover only the job, decision, gauge and engine lines of runs
-/// without faults or telemetry; this pins the header (with a nested
-/// config), proc and health encodings too, plus the number edge cases:
-/// shortest round-trip floats, integral floats at and past 1e15, a
-/// non-finite value and an escaped string.
-#[test]
-fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
+/// One record of every variant, with the number edge cases (shortest
+/// round-trip floats, integral floats at and past 1e15, a non-finite
+/// value) and a string that needs escaping.
+fn every_record_variant() -> Vec<TraceRecord> {
     use selective_preemption::trace::{JobEvent, ProcEvent, Reason, TRACE_VERSION};
 
-    let records = [
+    vec![
         TraceRecord::Header {
             version: TRACE_VERSION,
             scheduler: "ss:2.0".into(),
@@ -207,7 +203,17 @@ fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
             job: None,
             value: 460_800.0,
         },
-    ];
+    ]
+}
+
+/// The JSONL bytes of every record variant, pinned line by line. The
+/// goldens cover only the job, decision, gauge and engine lines of runs
+/// without faults or telemetry; this pins the header (with a nested
+/// config), proc and health encodings too, plus the number edge cases:
+/// shortest round-trip floats, integral floats at and past 1e15, a
+/// non-finite value and an escaped string.
+#[test]
+fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
     let expected = [
         r#"{"type":"header","version":1,"scheduler":"ss:2.0","config":{"system":{"name":"SDSC","procs":128},"loads":[0.85,1.0],"seed":42,"faults":null,"speed_blind":false}}"#,
         r#"{"type":"job","t":0,"job":3,"event":"arrival"}"#,
@@ -227,15 +233,51 @@ fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
     ];
 
     let mut sink = JsonlSink::new(Vec::new());
-    for rec in &records {
+    for rec in &every_record_variant() {
         sink.record(rec);
     }
-    let text = String::from_utf8(sink.finish().expect("in-memory writes succeed"))
-        .expect("JSONL is UTF-8");
+    assert_pinned(sink.finish().expect("in-memory writes succeed"), &expected);
+}
+
+/// The CSV bytes of the same records, pinned line by line: the column
+/// header, empty cells for the columns a record lacks, `Display` numbers
+/// (`NaN`, no trailing `.0`) and a quoted field with a doubled quote.
+#[test]
+fn csv_sink_bytes_of_every_record_variant_are_pinned() {
+    let expected = [
+        r#"record,t,job,event,procs,reason,victim,suspender,victim_xf,suspender_xf,category,xfactor,limit,shadow,victims,queued,idle,draining,suspended,running,batches,events,proc,version,scheduler,detector,value"#,
+        r#"header,,,,,,,,,,,,,,,,,,,,,,,1,ss:2.0,,"#,
+        r#"job,0,3,arrival,,,,,,,,,,,,,,,,,,,,,,,"#,
+        r#"job,5,3,dispatch,0 1 7,,,,,,,,,,,,,,,,,,,,,,"#,
+        r#"job,6,4,reject,,,,,,,,,,,,,,,,,,,,,,,"#,
+        r#"decision,9,7,,,backfilled,,,,,,,,1000,,,,,,,,,,,,,"#,
+        r#"decision,10,,,,preempted_victim,1,2,0.30000000000000004,10000000000000000,,,,,,,,,,,,,,,,,"#,
+        r#"decision,11,,,,blocked_by_disable_limit,4,,,,L W,9.5,4.25,,,,,,,,,,,,,,"#,
+        r#"decision,12,1,,,reentry_on_original_procs,,,,,,,,,2,,,,,,,,,,,,"#,
+        r#"decision,13,6,,,migrated_resume,,,,,,,,,,,,,,,,,,,,,"#,
+        r#"gauge,60,,,,,,,,,,,,,,3,10,4,1,9,,,,,,,"#,
+        r#"proc,40,,failed,,,,,,,,,,,,,,,,,,,17,,,,"#,
+        r#"proc,90,,repaired,,,,,,,,,,,,,,,,,,,17,,,,"#,
+        r#"engine,99,,,,,,,,,,,,,,,,,,,1234,5678,,,,,"#,
+        r#"health,50,3,,,,,,,,,,,,,,,,,,,,,,,thrash,NaN"#,
+        r#"health,95,,,,,,,,,,,,,,,,,,,,,,,,"x""y",460800"#,
+    ];
+
+    let mut sink = CsvSink::new(Vec::new());
+    for rec in &every_record_variant() {
+        sink.record(rec);
+    }
+    assert_pinned(sink.finish().expect("in-memory writes succeed"), &expected);
+}
+
+/// A sink's output matches the pinned lines one by one, each
+/// newline-terminated.
+fn assert_pinned(bytes: Vec<u8>, expected: &[&str]) {
+    let text = String::from_utf8(bytes).expect("trace text is UTF-8");
     let lines: Vec<&str> = text.split_terminator('\n').collect();
     assert_eq!(lines.len(), expected.len(), "{text}");
     for (got, want) in lines.iter().zip(expected) {
-        assert_eq!(*got, want);
+        assert_eq!(got, want);
     }
     assert!(text.ends_with('\n'), "every line is newline-terminated");
 }
