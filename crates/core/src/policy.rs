@@ -13,6 +13,8 @@
 //! computed by a policy that tracks its own hypothetical free set — as the
 //! paper's pseudocode does — never drops.
 
+use std::cell::Cell;
+
 use sps_cluster::ProcSet;
 use sps_metrics::JobOutcome;
 use sps_telemetry::TelemetryCtx;
@@ -86,6 +88,19 @@ pub struct DecideCtx<'a> {
     /// Decide-time logic can consult the same ceiling/penalty the
     /// [`Policy::admit`] hook saw.
     pub admission: &'a AdmissionModel,
+    /// A no-op decide's horizon. On entry the simulator stores
+    /// `Some(floor)` when it could let ticks lapse (idle elision is active
+    /// and no tick is armed), where `floor` is the least horizon that
+    /// would skip a tick, and `None` otherwise. A decide that returns no
+    /// actions may then store `Some(h)`, `h > floor`, if it can prove that
+    /// every tick decide before the instant `h` would repeat it exactly —
+    /// no actions, the same decision records — unless an event arrives
+    /// first. The simulator arms its ticker at the first tick at or after
+    /// `h − period` (one period of margin against rounding) and lets the
+    /// ticks before it lapse. A value not past `floor` reads as no
+    /// horizon, so a policy that ignores the field reports none; only
+    /// SS/TSS report one, and never on the reference scan.
+    pub noop_until: &'a Cell<Option<f64>>,
 }
 
 /// A job-scheduling policy.
@@ -105,9 +120,10 @@ pub trait Policy {
     /// or draining job (only running jobs, whose completions are events of
     /// their own). Policies that certify this let the simulator skip the
     /// decide call and elide idle ticks entirely, which is where most of a
-    /// sub-saturation run's events go. Gang scheduling must keep the
-    /// default `false`: it rotates its Ousterhout matrix on every tick,
-    /// running or not.
+    /// sub-saturation run's events go; only such policies are offered
+    /// [`DecideCtx::noop_until`], which lets ticks lapse while jobs wait.
+    /// Gang scheduling must keep the default `false`: it rotates its
+    /// Ousterhout matrix on every tick, running or not.
     fn quiescent_noop(&self) -> bool {
         false
     }

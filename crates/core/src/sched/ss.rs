@@ -30,12 +30,13 @@
 
 use sps_cluster::ProcSet;
 use sps_metrics::JobOutcome;
+use sps_simcore::Secs;
 use sps_telemetry::Obs;
 use sps_trace::Reason;
 use sps_workload::{Category, JobId};
 
 use crate::policy::{Action, DecideCtx, Policy};
-use crate::sched::planner::{self, DecideArena, IdleOrder};
+use crate::sched::planner::{self, DecideArena, IdleOrder, Victim};
 use crate::sched::tss::TssLimits;
 use crate::sim::SimState;
 
@@ -160,7 +161,12 @@ impl Policy for SelectiveSuspension {
     }
 
     fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
-        // Fast certification of the common no-op tick. Every action the
+        // The least horizon worth reporting, when the simulator asks for
+        // one (see `DecideCtx::noop_until`). The reference scan reports
+        // none.
+        let floor = ctx.noop_until.get().filter(|_| !ctx.reference);
+
+        // Fast certification of the common no-op decide. Every action the
         // loop below can emit requires at least one of:
         //
         // * an idle job no wider than the working free pool (placement and
@@ -171,22 +177,37 @@ impl Policy for SelectiveSuspension {
         //
         // When neither holds, the decide provably produces nothing: skip
         // the idle order's repair, the mirror, and every per-decide
-        // allocation. Traced runs take the full path — the scan can emit
-        // `BlockedByDisableLimit` records without acting — as do runs
-        // that ask for the reference scan outright.
-        if !ctx.reference && !ctx.trace.enabled() {
+        // allocation. It writes no record either — the full scan would
+        // place nothing and stop every victim scan at its first,
+        // unqualified entry, before any TSS limit is consulted — so traced
+        // runs take it too. Only the reference scan bypasses it.
+        if !ctx.reference {
             let wf = state.free_count() + state.draining_set().count();
             let idle_ids = || state.queued().iter().chain(state.suspended().iter());
             if !idle_ids().any(|&id| state.width(id) <= wf) {
-                let qualifies = ctx.tick && {
+                let bar = (ctx.tick || floor.is_some()).then(|| {
                     let min_run = state
                         .running()
                         .iter()
                         .map(|&id| state.xfactor(id))
                         .fold(f64::INFINITY, f64::min);
-                    idle_ids().any(|&id| state.xfactor(id) >= self.cfg.sf * min_run)
-                };
+                    self.cfg.sf * min_run
+                });
+                let qualifies = ctx.tick
+                    && bar.is_some_and(|bar| idle_ids().any(|&id| state.xfactor(id) >= bar));
                 if !qualifies {
+                    // Until the next event nothing fits, so no decide can
+                    // act before the first idle job qualifies against the
+                    // cheapest running job (never, with none running).
+                    if let (Some(floor), Some(bar)) = (floor, bar) {
+                        let now = state.now().secs() as f64;
+                        ctx.noop_until.set(earliest_past(
+                            floor,
+                            idle_ids().map(|&id| {
+                                reaches(now, state.xfactor(id), state.xfactor_est(id), bar)
+                            }),
+                        ));
+                    }
                     return;
                 }
             }
@@ -531,6 +552,15 @@ impl Policy for SelectiveSuspension {
                 actions.push(dispatch(set));
             }
         }
+        if let Some(floor) = floor.filter(|_| ctx.tick && actions.is_empty()) {
+            let victims = if table_built {
+                arena.table.entries()
+            } else {
+                &[]
+            };
+            ctx.noop_until
+                .set(tick_horizon(state, self.idle.entries(), victims, sf, floor));
+        }
         self.arena = arena;
     }
 
@@ -539,6 +569,73 @@ impl Policy for SelectiveSuspension {
             limits.record(outcome);
         }
     }
+}
+
+/// The instant a waiting job whose xfactor is `x` at `now` reaches `bar`:
+/// its xfactor grows by `1 / est` per second.
+fn reaches(now: f64, x: f64, est: Secs, bar: f64) -> f64 {
+    now + (bar - x) * est as f64
+}
+
+/// The earliest of `terms`, or `None` as soon as one lies at or before
+/// `floor`: such a horizon would let no tick lapse, so the rest of the scan
+/// is not worth doing. Never the term it stopped at — that is not a bound
+/// on the others.
+fn earliest_past(floor: f64, terms: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let mut h = f64::INFINITY;
+    for t in terms {
+        if t <= floor {
+            return None;
+        }
+        h = h.min(t);
+    }
+    Some(h)
+}
+
+/// The horizon of a full tick decide that acted on nothing: the earliest
+/// instant at which a later tick decide could differ if no event arrives
+/// first, or `None` if that is at or before `floor`.
+///
+/// Between events only waiting jobs' xfactors move, and such a decide is a
+/// function of two things only: the `idle` order, and each idle job's
+/// qualifying prefix `k` in `victims` (the running jobs by ascending
+/// priority, frozen until an event). Free, draining and claimed sets, the
+/// width rule and the TSS limits all stay put. So the horizon is the
+/// earlier of the first swap in the idle order — always between
+/// neighbours, when the one below has the smaller estimate and so grows
+/// faster — and the first instant some idle job qualifies against the
+/// victim past its prefix. `k` only shrinks down the descending idle
+/// list, so one cursor walk covers both in O(idle + running).
+fn tick_horizon(
+    state: &SimState,
+    idle: &[(f64, JobId)],
+    victims: &[Victim],
+    sf: f64,
+    floor: f64,
+) -> Option<f64> {
+    let now = state.now().secs() as f64;
+    let mut k = victims.len();
+    earliest_past(
+        floor,
+        idle.iter().enumerate().map(|(i, &(x, id))| {
+            let est = state.xfactor_est(id);
+            while k > 0 && x < sf * victims[k - 1].prio {
+                k -= 1;
+            }
+            let qualify = victims
+                .get(k)
+                .map_or(f64::INFINITY, |v| reaches(now, x, est, sf * v.prio));
+            let swap = idle.get(i + 1).map_or(f64::INFINITY, |&(xb, below)| {
+                let (ea, eb) = (est as f64, state.xfactor_est(below) as f64);
+                if eb < ea {
+                    now + (x - xb) * ea * eb / (ea - eb)
+                } else {
+                    f64::INFINITY
+                }
+            });
+            qualify.min(swap)
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -572,6 +669,109 @@ mod tests {
         assert_eq!(long.completion.secs(), 1_620 + 600 + (100_000 - 1_620));
         assert_eq!(res.preemptions, 1);
         assert_eq!(res.dropped_actions, 0);
+    }
+
+    #[test]
+    fn noop_horizons_skip_the_ticks_before_the_preemption() {
+        // The two jobs above. The short job's arrival decide sees it
+        // reach SF × 1 at 1 000 + 600 = 1 600, so the ticker is armed at
+        // 1 560, the first tick at or after 1 600 − 60. That tick's
+        // horizon (1 600) lets no tick lapse, so 1 620 follows and
+        // preempts. While the short job runs, the long one cannot reach
+        // SF × 2.03 before the short job completes at 2 220, a tick
+        // instant that re-enters it. Decides: 0, 1 000, 1 560, 1 620,
+        // 1 680, 2 220 (the every-tick schedule makes 1 681).
+        let jobs = vec![
+            Job::new(0, 0, 100_000, 100_000, 8),
+            Job::new(1, 1_000, 600, 600, 8),
+        ];
+        let res = run_ss(jobs, 8, 2.0);
+        let short = res.outcomes.iter().find(|o| o.id == JobId(1)).unwrap();
+        assert_eq!(short.first_start.secs(), 1_620);
+        assert!(
+            res.kernel.decide_calls <= 6,
+            "{} decides",
+            res.kernel.decide_calls
+        );
+    }
+
+    /// Each decide's instant, tick flag and reported horizon.
+    type DecideLog = std::rc::Rc<std::cell::RefCell<Vec<(i64, bool, Option<f64>)>>>;
+
+    /// SS forwarding every call, logging each decide.
+    struct Logged {
+        inner: SelectiveSuspension,
+        log: DecideLog,
+    }
+
+    impl Policy for Logged {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn needs_tick(&self) -> bool {
+            self.inner.needs_tick()
+        }
+
+        fn quiescent_noop(&self) -> bool {
+            self.inner.quiescent_noop()
+        }
+
+        fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
+            let floor = ctx.noop_until.get();
+            self.inner.decide(state, ctx, actions);
+            let h = ctx
+                .noop_until
+                .get()
+                .filter(|&h| floor.is_some_and(|f| h > f));
+            self.log
+                .borrow_mut()
+                .push((state.now().secs(), ctx.tick, h));
+        }
+
+        fn on_completion(&mut self, outcome: &JobOutcome) {
+            self.inner.on_completion(outcome);
+        }
+    }
+
+    #[test]
+    fn an_idle_order_crossing_bounds_the_horizon() {
+        // j0 fills the machine from t = 0 (xfactor 1, so SF × 1 = 2).
+        // Three 2-wide jobs wait behind it, none allowed to suspend it
+        // (8 > 2 × 2): A (est 10⁶, from 0), B (est 5 × 10⁵, from 5 000)
+        // and C (est 60, from 5 000). C qualifies at 5 060, so from the
+        // 5 100 tick on every tick decide runs the full scan and acts on
+        // nothing. At 5 100 the order is C, A, B; B gains on A at
+        // 1/(5 × 10⁵) − 1/10⁶ per second from 4 900 × 10⁻⁶ behind, so
+        // they swap at 5 100 + 4 900 = 10 000 — before A or B qualifies
+        // (10⁶ and 505 000). The ticker is armed at 9 960, the first tick
+        // at or after 10 000 − 60.
+        let jobs = vec![
+            Job::new(0, 0, 1_000_000, 1_000_000, 8),
+            Job::new(1, 0, 1_000_000, 1_000_000, 2),
+            Job::new(2, 5_000, 500_000, 500_000, 2),
+            Job::new(3, 5_000, 60, 60, 2),
+        ];
+        let log = DecideLog::default();
+        let policy = Logged {
+            inner: SelectiveSuspension::ss(2.0),
+            log: std::rc::Rc::clone(&log),
+        };
+        let res = Simulator::new(jobs, 8, Box::new(policy)).run();
+        assert_eq!(res.preemptions, 0);
+        let log = log.borrow();
+        let at = |t: i64| log.iter().position(|&(now, ..)| now == t).unwrap();
+        let (_, tick, h) = log[at(5_100)];
+        assert!(tick);
+        let h = h.expect("a no-op tick decide reports its horizon");
+        assert!((h - 10_000.0).abs() < 1e-6, "horizon {h}");
+        let first = ((h - 60.0) / 60.0).ceil() as i64 * 60;
+        assert_eq!(first, 9_960);
+        assert_eq!(log[at(5_100) + 1].0, first, "the armed tick");
+        assert!(log[at(5_100) + 1].1);
+        // The tick after the swap reports the next horizon: B qualifies
+        // at 505 000, so the ticker skips to 504 960.
+        assert_eq!(log[at(10_020) + 1].0, 504_960);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The simulator driver: event handling, the policy-decision loop, fault
 //! delivery, and result assembly.
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use sps_metrics::{
@@ -195,25 +196,57 @@ pub struct SimResult {
     pub spans: Option<Vec<SpanEvent>>,
 }
 
-/// Ticks of the every-tick schedule that idle elision let lapse. Nothing
-/// runs between two executed batches, so the machine a lapsed tick would
-/// have seen is the one the last batch left: each lapsed tick is replayed
-/// from the current state when the next batch (or the end of the run)
-/// passes it. Its trace gauge is written and it is counted in the trace's
-/// `engine` record, but nothing is simulated.
+/// Ticks of the every-tick schedule that idle elision let lapse: all of
+/// them while the ticker is disarmed, or those before a tick armed at a
+/// no-op horizon ([`DecideCtx::noop_until`]). Nothing runs between two
+/// executed batches, so the machine a lapsed tick would have seen is the
+/// one the last batch left, and its decide — a certified no-op — repeats
+/// the last decide's. Each lapsed tick is replayed when the next batch (or
+/// the end of the run) passes it: it writes the last decide's decision
+/// records again with its own `t`, then its gauge; on a machine with jobs
+/// waiting or draining it also takes telemetry's per-instant sample, with
+/// xfactors as of the tick, and forwards the health events that follow.
+/// It is counted in the trace's `engine` record, but nothing is simulated.
 #[derive(Default)]
 struct LapsedTicks {
     /// The next tick the every-tick schedule would deliver while the
-    /// ticker is disarmed: set when a batch leaves work pending without
-    /// arming the ticker, cleared whenever the ticker is armed, and left
-    /// alone when the machine empties (the every-tick schedule's armed
-    /// tick still fires once on the emptied machine).
+    /// ticker is disarmed or armed past it: set when a batch leaves work
+    /// pending without arming the ticker at its next tick, cleared when
+    /// the ticker is armed there, and left alone when the machine empties
+    /// (the every-tick schedule's armed tick still fires once on the
+    /// emptied machine).
     next: Option<SimTime>,
+    /// The decision records of the last decide, kept only when it
+    /// reported a no-op horizon (TSS's `blocked_by_disable_limit` can be
+    /// written without an action); the lapsed ticks write them again.
+    decisions: Vec<TraceRecord>,
     /// Lapsed ticks replayed as tick-only batches of their own.
     batches: u64,
     /// Lapsed ticks that fell on an executed batch's instant, which then
     /// decided as a tick batch.
     merged: u64,
+}
+
+/// The sink a decide writes through: it forwards every record to the
+/// run's sink and keeps the decision records, which the ticks a no-op
+/// decide lets lapse write again ([`LapsedTicks::decisions`]).
+struct KeepDecisions<'a, S> {
+    sink: &'a mut S,
+    kept: &'a mut Vec<TraceRecord>,
+}
+
+impl<S: TraceSink> TraceSink for KeepDecisions<'_, S> {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.sink.enabled()
+    }
+
+    fn record(&mut self, rec: &TraceRecord) {
+        if matches!(rec, TraceRecord::Decision { .. }) {
+            self.kept.push(rec.clone());
+        }
+        self.sink.record(rec);
+    }
 }
 
 /// The simulator: a trace, a machine, a policy, an overhead model.
@@ -434,21 +467,28 @@ fn validate_job(j: &Job, procs: u32) {
 }
 
 impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
-    /// Control idle-instant elision (builder style, default `true`).
+    /// Control idle-tick elision (builder style, default `true`).
     ///
     /// When enabled and the policy certifies quiescent instants as no-ops,
     /// the simulator skips `decide()` at instants with nothing to schedule
-    /// and stops re-arming the periodic tick while only running jobs
-    /// remain. [`Ticker`] phase is absolute (ticks land on multiples of
-    /// the period), so the tick continuous ticking would deliver next is
-    /// known throughout: a batch that lands on it decides as a tick batch,
-    /// and the ticks that lapse before it are replayed from the unchanged
-    /// state — each writes its trace gauge and counts in the trace's
-    /// `engine` record. The schedule, outcomes, and every trace byte are
-    /// unchanged, traced or not; only [`KernelStats`] and telemetry, which
-    /// count executed work, see fewer events, decides and instants. Pass
-    /// `false` to execute the every-tick schedule (the before-side of
-    /// `sweep_throughput`, and any bench that pins event counts).
+    /// and arms the periodic tick only at the first tick that could act:
+    /// never while only running jobs remain, and, when a no-op decide
+    /// reports a horizon ([`DecideCtx::noop_until`], SS/TSS), at the first
+    /// tick at or after one period before it — if that comes before the
+    /// next queued event; otherwise the ticker stays disarmed until that
+    /// event. [`Ticker`] phase is absolute (ticks land on multiples of the
+    /// period), so the tick continuous ticking would deliver next is known
+    /// throughout: a batch that lands on it decides as a tick batch, and
+    /// the ticks that lapse before it are replayed (`LapsedTicks`) —
+    /// each writes the last no-op decide's decision records and its trace
+    /// gauge, counts in the trace's `engine` record and, on a machine with
+    /// waiting jobs, takes its telemetry sample. The schedule, outcomes,
+    /// every trace byte and the health report are unchanged, traced or
+    /// not; only [`KernelStats`] and the telemetry registry's executed-work
+    /// counts (events, decides, victim scans) see fewer events, decides and
+    /// instants. Pass `false` to execute the every-tick schedule (the
+    /// before-side of `sweep_throughput`, and any bench that pins event
+    /// counts).
     pub fn with_tick_elision(mut self, enabled: bool) -> Self {
         self.elide_idle = enabled;
         self
@@ -629,10 +669,12 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
 
     /// Replay the lapsed ticks before `end` (exclusive) and return the
     /// last one. Each is a tick-only batch of the every-tick schedule whose
-    /// decide is a certified no-op, so only its gauge and its count
-    /// remain. While work is pending that schedule ticks every period up
-    /// to `end`; an emptied machine gets only the tick already armed.
-    fn replay_lapsed_ticks(&mut self, end: SimTime) -> Option<SimTime> {
+    /// decide is a certified no-op, so only its records, its telemetry
+    /// sample and its count remain; `queue_events` is the event-queue
+    /// length that schedule sampled (its pending events, no tick). While
+    /// work is pending that schedule ticks every period up to `end`; an
+    /// emptied machine gets only the tick already armed.
+    fn replay_lapsed_ticks(&mut self, end: SimTime, queue_events: u32) -> Option<SimTime> {
         let first = self.lapsed.next.filter(|&at| at < end)?;
         let period = self
             .ticker
@@ -645,11 +687,30 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         } else {
             1
         };
-        if self.sink.enabled() {
+        // A quiescent machine feeds no health detector (nothing queued,
+        // suspended or claimed), so its lapsed ticks are not sampled.
+        let sample = self.telemetry.enabled() && !self.quiescent();
+        if self.sink.enabled() || sample {
+            let now = self.state.now;
             for k in 0..n {
-                let gauge = self.gauge(first + k * period);
-                self.sink.record(&gauge);
+                let t = first + k * period;
+                if self.sink.enabled() {
+                    for rec in &mut self.lapsed.decisions {
+                        if let TraceRecord::Decision { t: at, .. } = rec {
+                            *at = t.secs();
+                        }
+                        self.sink.record(rec);
+                    }
+                    let gauge = self.gauge(t);
+                    self.sink.record(&gauge);
+                }
+                if sample {
+                    self.state.now = t;
+                    self.sample_instant(t.secs(), queue_events);
+                    self.drain_health();
+                }
             }
+            self.state.now = now;
         }
         self.lapsed.batches += n as u64;
         self.lapsed.next = pending.then_some(first + n * period);
@@ -661,10 +722,11 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// conservative: fault delivery interleaves with ticks in ways the
     /// certification doesn't cover). (Admission-controlled runs also opt
     /// out: the certification predates the admit hook, and rejection-heavy
-    /// instants are not hot.) Observation does not opt out: a lapsed
-    /// tick's trace gauge is replayed from the unchanged state
-    /// ([`LapsedTicks`]), and telemetry samples the executed instants,
-    /// which change nothing its health detectors read.
+    /// instants are not hot.) It covers both the quiescent skip and no-op
+    /// horizons: only such a run offers its decides
+    /// [`DecideCtx::noop_until`]. Observation does not opt out: a lapsed
+    /// tick's decision records, trace gauge and telemetry sample are
+    /// replayed from the unchanged state ([`LapsedTicks`]).
     fn elision_active(&self) -> bool {
         self.elide_idle
             && self.faults.is_none()
@@ -722,9 +784,13 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         // schedules at the same batch.
         let trailing = match (outcome, self.until) {
             (RunOutcome::Drained | RunOutcome::HorizonReached, RunUntil::SimTime(h)) => {
-                self.replay_lapsed_ticks(h.saturating_add(1))
+                // A tick armed past the horizon is not pending in the
+                // every-tick schedule's queue.
+                let armed = self.ticker.as_ref().is_some_and(Ticker::is_armed);
+                let pending = queue.len() - usize::from(armed);
+                self.replay_lapsed_ticks(h.saturating_add(1), pending as u32)
             }
-            (RunOutcome::Drained, _) => self.replay_lapsed_ticks(SimTime::MAX),
+            (RunOutcome::Drained, _) => self.replay_lapsed_ticks(SimTime::MAX, 0),
             _ => None,
         };
         let health = if self.telemetry.enabled() {
@@ -1290,18 +1356,23 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         self.repairs_now.clear();
         let tel = self.telemetry.enabled();
         let prof = self.profiler.is_some();
-        // Ticks that lapsed while the machine sat quiescent: those before
-        // `now` are replayed, and one at `now` makes this a tick batch, as
-        // it is in the every-tick schedule.
+        // Lapsed ticks: those before `now` are replayed, and one at `now`
+        // makes this a tick batch, as it is in the every-tick schedule —
+        // unless it is the tick armed at a horizon, delivered in this
+        // batch.
         let mut tick = false;
         if self.lapsed.next.is_some_and(|at| at <= now) {
-            self.replay_lapsed_ticks(now);
+            let pending = batch.iter().filter(|ev| !matches!(ev, Event::Tick)).count();
+            self.replay_lapsed_ticks(now, (queue.len() + pending) as u32);
             if self.lapsed.next == Some(now) {
                 self.lapsed.next = None;
-                self.lapsed.merged += 1;
-                tick = true;
+                if !self.ticker.as_ref().is_some_and(Ticker::is_armed) {
+                    self.lapsed.merged += 1;
+                    tick = true;
+                }
             }
         }
+        self.lapsed.decisions.clear();
         let drain_start = prof.then(Instant::now);
         for ev in batch.drain(..) {
             if tel {
@@ -1396,6 +1467,15 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         // change the schedule when the policy certifies it — skip the
         // decide outright.
         let skip_decide = elidable && arrivals.is_empty() && self.quiescent();
+        // With the ticker idle, a horizon past the tick after next lets at
+        // least one tick lapse.
+        let floor = match &self.ticker {
+            Some(t) if elidable && !t.is_armed() => {
+                Some((t.next_after(now) + t.period()).secs() as f64)
+            }
+            _ => None,
+        };
+        let noop_until = Cell::new(floor);
         if !skip_decide {
             let decide_span = prof.then(Instant::now);
             let decide_start = tel.then(Instant::now);
@@ -1403,9 +1483,15 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                 // The sink is lent (type-erased) into the decision context
                 // so policies can record *why* they acted; the borrow ends
                 // before `apply` emits the lifecycle records those actions
-                // cause. The telemetry sink is lent the same way, so
+                // cause. It is lent through `KeepDecisions`, which keeps
+                // the decision records for the ticks a no-op decide lets
+                // lapse. The telemetry sink is lent the same way, so
                 // policies can report span data like victim-scan width.
-                let tracer = TraceCtx::new(&mut self.sink);
+                let mut keep = KeepDecisions {
+                    sink: &mut self.sink,
+                    kept: &mut self.lapsed.decisions,
+                };
+                let tracer = TraceCtx::new(&mut keep);
                 // `tel` is a compile-time constant for `NullTelemetry`,
                 // so the disabled arm folds to a unit struct and no
                 // type-erased borrow is ever built on the default path.
@@ -1423,6 +1509,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                     metrics: &metrics,
                     reference: self.reference_decides,
                     admission: &self.admission,
+                    noop_until: &noop_until,
                 };
                 self.decide_calls += 1;
                 self.policy.decide(&self.state, &ctx, &mut self.actions);
@@ -1445,6 +1532,18 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         self.arrivals_now = arrivals;
         self.failures_now = failures;
         self.repairs_now = repairs;
+        // The decide's horizon: no tick before it can act. Acting
+        // decides report none, and a quiescent machine waits for an event
+        // whatever its decide did.
+        let reported = noop_until.get().filter(|&h| floor.is_some_and(|f| h > f));
+        let horizon = if elidable && self.quiescent() {
+            Some(f64::INFINITY)
+        } else {
+            reported
+        };
+        if reported.is_none() {
+            self.lapsed.decisions.clear();
+        }
 
         // Per-tick gauges, after the instant's decisions have been applied.
         if tick && self.sink.enabled() {
@@ -1460,29 +1559,35 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
             self.drain_health();
         }
 
-        // Keep ticks flowing while any arrived job is unfinished.
+        // Keep ticks flowing while any arrived job is unfinished, from the
+        // first tick that could act.
         //
-        // Elision: while the machine is quiescent (running jobs only),
-        // certified policies can't act on a tick, so don't re-arm one.
-        // The ticker's phase is absolute — `next_after` rounds up to a
-        // multiple of the period — so re-arming at the event that ends the
-        // quiescence lands on exactly the instants continuous ticking
-        // would have hit, and the schedule is bit-identical. The tick that
-        // continuous ticking has next is kept as the lapsed-tick cursor.
+        // Elision: no tick before the horizon can act, so the ticker is
+        // armed at the first tick at or after one period before it — the
+        // margin absorbs rounding near a crossing — if that tick comes
+        // before the next queued event; otherwise it stays disarmed and
+        // that event's batch decides again. A quiescent machine is the
+        // infinite horizon. The ticker's phase is absolute — ticks land on
+        // multiples of the period — so the ticks it skips are exactly
+        // those continuous ticking would have hit, and the schedule is
+        // bit-identical. An armed tick is never moved: a stale one would
+        // count as an executed event. The tick continuous ticking has next
+        // is kept as the lapsed-tick cursor unless it is the one armed.
         if self.work_pending() {
-            let rearm = !(elidable && self.quiescent());
             if let Some(t) = &mut self.ticker {
-                if rearm {
-                    if let Some(at) = t.arm(now) {
+                if !t.is_armed() {
+                    let armed = match horizon {
+                        None => t.arm(now),
+                        Some(h) => {
+                            let before = queue.peek().map_or(SimTime::MAX, |(at, _)| at);
+                            t.arm_from(now, h - t.period() as f64, before)
+                        }
+                    };
+                    if let Some(at) = armed {
                         queue.push(at, EventClass::Tick, Event::Tick);
                     }
-                }
-                if t.is_armed() {
-                    self.lapsed.next = None;
-                } else if self.lapsed.next.is_none() {
-                    // A cursor that outlived this batch's replay already
-                    // lies past `now`: it is `next_after(now)`.
-                    self.lapsed.next = Some(t.next_after(now));
+                    let next = t.next_after(now);
+                    self.lapsed.next = (armed != Some(next)).then_some(next);
                 }
             }
         }

@@ -654,6 +654,14 @@ impl SimState {
         (self.wait_at_slot(i) as f64 + est) / est
     }
 
+    /// The [`xfactor`](Self::xfactor)'s denominator: the user estimate
+    /// floored at one second. A waiting job's xfactor grows by `1 / est`
+    /// per second; a running job's stays where its dispatch left it.
+    #[inline]
+    pub fn xfactor_est(&self, id: JobId) -> Secs {
+        self.hot.est[self.slot(id)]
+    }
+
     /// IS's instantaneous xfactor (Section II-C):
     /// `(wait + accumulated run) / accumulated run`, with the denominator
     /// floored at one second (a job that has barely run is effectively

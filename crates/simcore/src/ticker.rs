@@ -46,6 +46,32 @@ impl Ticker {
         Some(next)
     }
 
+    /// Arm the ticker at its first tick at or after `from` seconds (any
+    /// real instant, `+∞` included) and strictly after `now`, provided that
+    /// tick falls before `before`; returns the armed instant. Returns
+    /// `None`, leaving the ticker as it was, when a tick is already
+    /// outstanding or none falls in that window. A tick is never armed
+    /// later than the first multiple of the period at or after `from`.
+    pub fn arm_from(&mut self, now: SimTime, from: f64, before: SimTime) -> Option<SimTime> {
+        if self.pending.is_some() {
+            return None;
+        }
+        let next = self.next_after(now);
+        let at = if from <= next.secs() as f64 {
+            next
+        } else if from < before.secs() as f64 {
+            let p = self.period as f64;
+            SimTime::new((from / p).ceil() as i64 * self.period)
+        } else {
+            return None;
+        };
+        if at >= before {
+            return None;
+        }
+        self.pending = Some(at);
+        Some(at)
+    }
+
     /// Record that the tick scheduled for `at` was delivered, disarming the
     /// ticker. Stale ticks (not matching the outstanding one) return
     /// `false` and should be ignored by the caller.
@@ -123,5 +149,27 @@ mod tests {
     fn mid_period_arm_rounds_up() {
         let mut k = Ticker::new(100);
         assert_eq!(k.arm(t(250)), Some(t(300)));
+    }
+
+    #[test]
+    fn arm_from_takes_the_first_tick_in_the_window() {
+        let mut k = Ticker::new(60);
+        // Never at or before `now`, however early `from` is.
+        assert_eq!(k.arm_from(t(100), 30.0, t(1_000)), Some(t(120)));
+        assert!(k.fired(t(120)));
+        // A tick at `from` itself, and the next one past a fraction.
+        assert_eq!(k.arm_from(t(120), 600.0, t(1_000)), Some(t(600)));
+        assert!(k.fired(t(600)));
+        assert_eq!(k.arm_from(t(600), 9_940.000_001, t(20_000)), Some(t(9_960)));
+        assert!(k.fired(t(9_960)));
+        // Nothing before `before`: the ticker stays idle.
+        assert_eq!(k.arm_from(t(0), 900.0, t(900)), None);
+        assert_eq!(k.arm_from(t(0), 850.0, t(890)), None);
+        assert_eq!(k.arm_from(t(0), f64::INFINITY, SimTime::MAX), None);
+        assert!(!k.is_armed());
+        // An outstanding tick is never moved.
+        assert_eq!(k.arm(t(0)), Some(t(60)));
+        assert_eq!(k.arm_from(t(0), 300.0, t(1_000)), None);
+        assert!(k.fired(t(60)));
     }
 }

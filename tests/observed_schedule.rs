@@ -6,7 +6,7 @@
 //! state, and the `engine` record counts them.
 
 use selective_preemption::prelude::*;
-use selective_preemption::workload::traces::{CTC, SDSC};
+use selective_preemption::workload::traces::{CTC, KTH, SDSC};
 
 /// What one observed run leaves behind.
 struct Observed {
@@ -196,6 +196,61 @@ fn paper_overhead_and_an_odd_tick_period_match() {
             let odd = cfg.with_tick_period(37);
             check(&odd, &format!("{spec} at load {load}, 37 s ticks"));
         }
+    }
+}
+
+/// A saturated TSS run whose no-op tick decides still write
+/// `blocked_by_disable_limit` records: every tick that lapses before a
+/// no-op horizon writes them again.
+#[test]
+fn lapsed_noop_ticks_rewrite_tss_decision_records() {
+    let cfg = ExperimentConfig::new(KTH, SchedulerKind::Tss { sf: 2.0 })
+        .with_jobs(400)
+        .with_seed(1201)
+        .with_load_factor(2.0)
+        .with_overhead(OverheadModel::paper());
+    let (_, every_tick) = check(&cfg, "tss:2 on KTH at load 2.0, paper overhead");
+    assert!(
+        every_tick.trace.contains(r#""blocked_by_disable_limit""#),
+        "no blocked_by_disable_limit record"
+    );
+}
+
+/// The registry's lines, without its wall-clock series (decide latency).
+fn registry_without_wall_clock(tel: &Telemetry) -> Vec<String> {
+    tel.render_prom()
+        .lines()
+        .filter(|l| !l.contains("sps_decide_latency_ns"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Attaching a trace sink changes nothing telemetry sees: SS/TSS take the
+/// same no-op certification, and so the same victim scans, either way.
+#[test]
+fn a_trace_sink_leaves_telemetry_unchanged() {
+    for (spec, load) in [("ss:2", 1.0), ("tss:2", 1.4), ("is", 1.0)] {
+        let cfg = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+            .with_jobs(600)
+            .with_seed(31)
+            .with_load_factor(load);
+        let mut plain = Telemetry::new();
+        cfg.runner().telemetry(&mut plain).build().run();
+        let mut sink = JsonlSink::new(Vec::new());
+        let mut traced = Telemetry::new();
+        cfg.runner()
+            .trace_sink(&mut sink)
+            .telemetry(&mut traced)
+            .build()
+            .run();
+        let (with, without) = (
+            registry_without_wall_clock(&traced),
+            registry_without_wall_clock(&plain),
+        );
+        if let Some((a, b)) = with.iter().zip(&without).find(|(a, b)| a != b) {
+            panic!("{spec} at load {load}: {a:?} with a trace sink, {b:?} without");
+        }
+        assert_eq!(with.len(), without.len(), "{spec} at load {load}");
     }
 }
 

@@ -337,10 +337,39 @@ fn tick_elision_preserves_simulation_results() {
     }
 }
 
+/// Runs that rarely empty: SS/TSS let the ticks before a no-op decide's
+/// horizon lapse while jobs wait, with results unchanged. On KTH at load
+/// 1.6 that leaves well under half the every-tick schedule's decides.
+#[test]
+fn noop_horizons_preserve_results_on_backlogged_runs() {
+    for (system, spec, load, overhead) in [
+        (KTH, "tss:5", 1.6, OverheadModel::None),
+        (SDSC, "ss:10", 0.85, OverheadModel::None),
+        (CTC, "tss:2", 2.0, OverheadModel::paper()),
+    ] {
+        let cfg = ExperimentConfig::new(system, spec.parse().expect("spec parses"))
+            .with_jobs(600)
+            .with_seed(31)
+            .with_load_factor(load)
+            .with_overhead(overhead);
+        let label = format!("{spec} on {} at load {load}", system.name);
+        let (with, without) = assert_elision_preserves_results(&cfg, &label);
+        if system.name == KTH.name {
+            assert!(
+                with.kernel.decide_calls * 10 <= without.kernel.decide_calls * 4,
+                "{label}: {} of {} decides executed",
+                with.kernel.decide_calls,
+                without.kernel.decide_calls
+            );
+        }
+    }
+}
+
 /// Run `cfg` with and without tick elision and require identical results,
 /// with elision never adding events and, for a policy that certifies
-/// quiescent no-ops and ticks, strictly removing some.
-fn assert_elision_preserves_results(cfg: &ExperimentConfig, label: &str) {
+/// quiescent no-ops and ticks, strictly removing some. Returns the elided
+/// run and the every-tick one.
+fn assert_elision_preserves_results(cfg: &ExperimentConfig, label: &str) -> (SimResult, SimResult) {
     let run = |elide: bool| cfg.runner().build().with_tick_elision(elide).run();
     let (with, without) = (run(true), run(false));
     assert_eq!(with.makespan, without.makespan, "{label}: makespan");
@@ -380,4 +409,5 @@ fn assert_elision_preserves_results(cfg: &ExperimentConfig, label: &str) {
             "{label}: no ticks elided on an idle-heavy workload"
         );
     }
+    (with, without)
 }
