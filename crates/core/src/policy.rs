@@ -99,7 +99,7 @@ pub struct DecideCtx<'a> {
     /// `h − period` (one period of margin against rounding) and lets the
     /// ticks before it lapse. A value not past `floor` reads as no
     /// horizon, so a policy that ignores the field reports none; only
-    /// SS/TSS report one, and never on the reference scan.
+    /// SS/TSS and IS report one, and never on the reference scan.
     pub noop_until: &'a Cell<Option<f64>>,
 }
 

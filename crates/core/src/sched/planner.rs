@@ -43,14 +43,6 @@ pub(crate) fn working_free_set_into(state: &SimState, dst: &mut ProcSet) {
     dst.union_with(state.draining_set());
 }
 
-/// The owned form of [`working_free_set_into`], for callers without an
-/// arena.
-pub(crate) fn working_free_set(state: &SimState) -> ProcSet {
-    let mut free = state.free_set().clone();
-    free.union_with(state.draining_set());
-    free
-}
-
 /// Fill `dst` with the union of the processor claims of suspended jobs
 /// that are pinned to their original processors (local preemption). A
 /// suspended job can only restart on its claimed set, so the union acts

@@ -473,16 +473,18 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// the simulator skips `decide()` at instants with nothing to schedule
     /// and arms the periodic tick only at the first tick that could act:
     /// never while only running jobs remain, and, when a no-op decide
-    /// reports a horizon ([`DecideCtx::noop_until`], SS/TSS), at the first
-    /// tick at or after one period before it — if that comes before the
-    /// next queued event; otherwise the ticker stays disarmed until that
-    /// event. [`Ticker`] phase is absolute (ticks land on multiples of the
-    /// period), so the tick continuous ticking would deliver next is known
-    /// throughout: a batch that lands on it decides as a tick batch, and
-    /// the ticks that lapse before it are replayed (`LapsedTicks`) —
-    /// each writes the last no-op decide's decision records and its trace
-    /// gauge, counts in the trace's `engine` record and, on a machine with
-    /// waiting jobs, takes its telemetry sample. The schedule, outcomes,
+    /// reports a horizon ([`DecideCtx::noop_until`]; SS/TSS name the first
+    /// instant an idle job's xfactor could change a tick decide, IS the
+    /// first protection expiry that could), at the first tick at or after
+    /// one period before it — if that comes before the next queued event;
+    /// otherwise the ticker stays disarmed until that event. [`Ticker`]
+    /// phase is absolute (ticks land on multiples of the period), so the
+    /// tick continuous ticking would deliver next is known throughout: a
+    /// batch that lands on it decides as a tick batch, and the ticks that
+    /// lapse before it are replayed (`LapsedTicks`) — each writes the last
+    /// no-op decide's decision records and its trace gauge, counts in the
+    /// trace's `engine` record and, on a machine with waiting jobs, takes
+    /// its telemetry sample. The schedule, outcomes,
     /// every trace byte and the health report are unchanged, traced or
     /// not; only [`KernelStats`] and the telemetry registry's executed-work
     /// counts (events, decides, victim scans) see fewer events, decides and

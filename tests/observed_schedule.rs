@@ -216,6 +216,20 @@ fn lapsed_noop_ticks_rewrite_tss_decision_records() {
     );
 }
 
+/// Saturated Immediate Service under the paper's overhead: its no-op
+/// decides report protection-expiry horizons, and the ticks before them
+/// lapse while jobs wait, suspended and queued alike.
+#[test]
+fn lapsed_noop_ticks_keep_the_is_trace() {
+    let cfg = ExperimentConfig::new(CTC, SchedulerKind::ImmediateService)
+        .with_jobs(400)
+        .with_seed(17)
+        .with_load_factor(1.6)
+        .with_overhead(OverheadModel::paper());
+    let (obs, _) = check(&cfg, "is on CTC at load 1.6, paper overhead");
+    assert!(obs.sim.preemptions > 0, "no job was suspended");
+}
+
 /// The registry's lines, without its wall-clock series (decide latency).
 fn registry_without_wall_clock(tel: &Telemetry) -> Vec<String> {
     tel.render_prom()

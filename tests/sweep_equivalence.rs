@@ -337,15 +337,21 @@ fn tick_elision_preserves_simulation_results() {
     }
 }
 
-/// Runs that rarely empty: SS/TSS let the ticks before a no-op decide's
-/// horizon lapse while jobs wait, with results unchanged. On KTH at load
-/// 1.6 that leaves well under half the every-tick schedule's decides.
+/// Runs that rarely empty: SS/TSS/IS let the ticks before a no-op
+/// decide's horizon lapse while jobs wait, with results unchanged. That
+/// leaves well under half the every-tick schedule's decides for TSS on
+/// KTH at load 1.6, and under a quarter for IS on SDSC at load 1.0.
 #[test]
 fn noop_horizons_preserve_results_on_backlogged_runs() {
-    for (system, spec, load, overhead) in [
-        (KTH, "tss:5", 1.6, OverheadModel::None),
-        (SDSC, "ss:10", 0.85, OverheadModel::None),
-        (CTC, "tss:2", 2.0, OverheadModel::paper()),
+    // The last field caps the elided run's decides, in percent of the
+    // every-tick run's.
+    for (system, spec, load, overhead, max_pct) in [
+        (KTH, "tss:5", 1.6, OverheadModel::None, Some(40)),
+        (SDSC, "ss:10", 0.85, OverheadModel::None, None),
+        (CTC, "tss:2", 2.0, OverheadModel::paper(), None),
+        (SDSC, "is", 1.0, OverheadModel::None, Some(25)),
+        (CTC, "is", 1.6, OverheadModel::paper(), None),
+        (KTH, "is", 0.7, OverheadModel::None, None),
     ] {
         let cfg = ExperimentConfig::new(system, spec.parse().expect("spec parses"))
             .with_jobs(600)
@@ -354,9 +360,9 @@ fn noop_horizons_preserve_results_on_backlogged_runs() {
             .with_overhead(overhead);
         let label = format!("{spec} on {} at load {load}", system.name);
         let (with, without) = assert_elision_preserves_results(&cfg, &label);
-        if system.name == KTH.name {
+        if let Some(pct) = max_pct {
             assert!(
-                with.kernel.decide_calls * 10 <= without.kernel.decide_calls * 4,
+                with.kernel.decide_calls * 100 <= without.kernel.decide_calls * pct,
                 "{label}: {} of {} decides executed",
                 with.kernel.decide_calls,
                 without.kernel.decide_calls
