@@ -14,9 +14,9 @@
 //! default is the **load-adaptive baseline**: admit while the estimated
 //! backlog (queued + remaining dispatched work, in machine-seconds) stays
 //! at or below `max_backlog`, reject beyond it. Schemes can override the
-//! hook to make smarter penalty/slowdown trades; the model rides along in
-//! [`crate::policy::DecideCtx`] so decide-time logic can see the same
-//! knobs.
+//! hook, which receives the model, to make smarter penalty/slowdown
+//! trades. The hook runs only at arrival instants, before that instant's
+//! decide; rejected jobs never reach the decide.
 //!
 //! Rejections are accounted in [`sps_metrics::RejectionSummary`] on the
 //! run result; rejected jobs never enter the queue and produce no

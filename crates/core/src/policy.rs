@@ -59,12 +59,6 @@ pub struct DecideCtx<'a> {
     /// schedulers run the preemption routine only on ticks ("the scheduler
     /// periodically (after every minute) invokes the preemption routine").
     pub tick: bool,
-    /// Processors that failed at this instant (empty without fault
-    /// injection). The cumulative down set is [`SimState::down_set`].
-    pub failures: &'a [u32],
-    /// Processors repaired at this instant (empty without fault
-    /// injection).
-    pub repairs: &'a [u32],
     /// Emission handle for scheduler-decision trace records. With the
     /// default `NullSink` the handle reports disabled and every emission
     /// site (including its record construction) is skipped. Policies
@@ -83,11 +77,6 @@ pub struct DecideCtx<'a> {
     /// [`Simulator::with_reference_decides`](crate::sim::Simulator::with_reference_decides)
     /// for A/B benchmarks and fast-path validation.
     pub reference: bool,
-    /// The admission-control knobs in force for this run
-    /// ([`AdmissionModel::none`] unless the run enables admission).
-    /// Decide-time logic can consult the same ceiling/penalty the
-    /// [`Policy::admit`] hook saw.
-    pub admission: &'a AdmissionModel,
     /// A no-op decide's horizon. On entry the simulator stores
     /// `Some(floor)` when it could let ticks lapse (idle elision is active
     /// and no tick is armed), where `floor` is the least horizon that
@@ -116,11 +105,11 @@ pub trait Policy {
 
     /// Whether `decide` is provably a no-op — returns no actions and
     /// mutates no internal state — at a *quiescent* instant: one with no
-    /// arrivals, failures, or repairs delivered and no queued, suspended,
-    /// or draining job (only running jobs, whose completions are events of
-    /// their own). Policies that certify this let the simulator skip the
-    /// decide call and elide idle ticks entirely, which is where most of a
-    /// sub-saturation run's events go; only such policies are offered
+    /// admitted arrival and no queued, suspended, or draining job (only
+    /// running jobs, whose completions are events of their own). Policies
+    /// that certify this let the simulator skip the decide call and elide
+    /// idle ticks entirely, which is where most of a sub-saturation run's
+    /// events go; only such policies are offered
     /// [`DecideCtx::noop_until`], which lets ticks lapse while jobs wait.
     /// Gang scheduling must keep the default `false`: it rotates its
     /// Ousterhout matrix on every tick, running or not.

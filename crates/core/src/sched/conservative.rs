@@ -13,7 +13,10 @@
 //! anchors (arrival order for new jobs) against a fresh profile. Because
 //! the obligations in the profile only ever shrink (jobs finish at or
 //! before their estimates), each job's anchor is non-increasing over time,
-//! which is exactly the compression guarantee.
+//! which is exactly the compression guarantee. Under fault injection a
+//! failure shrinks the profile's capacity instead, so an anchor may then
+//! move later, and a job wider than the processors still up gets no
+//! anchor until a repair.
 
 use std::collections::HashMap;
 
@@ -29,6 +32,9 @@ use crate::sim::SimState;
 pub struct Conservative {
     /// Anchor assigned at the previous decision, per queued job.
     anchors: HashMap<JobId, SimTime>,
+    /// Processors down at the previous decision. It gates only the
+    /// compression check, which holds while none went down since.
+    down: u32,
     /// Reusable reservation ladder (profile buffer persists across
     /// decides; rebuilt in place each call).
     ladder: ReservationLadder,
@@ -41,7 +47,9 @@ impl Policy for Conservative {
 
     // With an empty queue the re-anchoring loop never runs and `anchors`
     // is already empty (it only holds entries for still-queued jobs), so
-    // a quiescent decide is a strict no-op.
+    // a quiescent decide acts on nothing. It may refresh `down`, but that
+    // gates only the compression check, which the next decide passes
+    // either way: none of its queued jobs has an anchor yet.
     fn quiescent_noop(&self) -> bool {
         true
     }
@@ -59,11 +67,17 @@ impl Policy for Conservative {
         order.sort_unstable();
 
         self.ladder.rebuild(state);
+        let compressing = state.down_count() <= self.down;
+        self.down = state.down_count();
         let mut next_anchors = HashMap::with_capacity(order.len());
         for (prev_anchor, _, id) in order {
-            let start = self.ladder.reserve(state.job(id));
+            // Wider than the processors that are up: no anchor until the
+            // repair event's decide.
+            let Some(start) = self.ladder.reserve(state.job(id)) else {
+                continue;
+            };
             debug_assert!(
-                start <= prev_anchor,
+                !compressing || start <= prev_anchor,
                 "compression may only move reservations earlier: {prev_anchor:?} -> {start:?}"
             );
             if start == state.now() {

@@ -55,8 +55,9 @@ impl Policy for FlexBackfill {
             let job = state.job(id);
             if i < self.depth {
                 // Protected: gets (and re-derives, every decision) the
-                // earliest reservation consistent with those ahead of it.
-                if ladder.reserve(job) == now {
+                // earliest reservation consistent with those ahead of it;
+                // none while it is wider than the processors that are up.
+                if ladder.reserve(job) == Some(now) {
                     actions.push(Action::Start(id));
                 }
             } else {

@@ -480,12 +480,13 @@ impl ReservationLadder {
 
     /// Book the earliest reservation for `job` consistent with everything
     /// booked so far; returns its guaranteed start time (`now` means the
-    /// job can start immediately).
-    pub fn reserve(&mut self, job: &Job) -> SimTime {
+    /// job can start immediately). `None` when `job` is wider than the
+    /// processors that are up: down processors are out of the profile's
+    /// capacity, and a repair is an event, so the next decide books it.
+    pub fn reserve(&mut self, job: &Job) -> Option<SimTime> {
         self.profile
             .reserve_earliest(job.procs, job.estimate, self.now)
-            .expect("every job fits an empty machine eventually")
-            .start
+            .map(|r| r.start)
     }
 
     /// Whether `job` can start *now* without delaying any booked

@@ -305,10 +305,6 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     ticker: Option<Ticker>,
     /// Arrivals collected for the current instant.
     arrivals_now: Vec<JobId>,
-    /// Processor failures delivered at the current instant.
-    failures_now: Vec<u32>,
-    /// Processor repairs delivered at the current instant.
-    repairs_now: Vec<u32>,
     /// Scratch action buffer.
     actions: Vec<Action>,
     /// The live fault process, when fault injection is enabled.
@@ -399,8 +395,6 @@ impl<S: TraceSink> Simulator<S> {
             policy,
             ticker,
             arrivals_now: Vec::new(),
-            failures_now: Vec::new(),
-            repairs_now: Vec::new(),
             actions: Vec::new(),
             faults: None,
             watchdog: Watchdog::none(),
@@ -429,8 +423,6 @@ impl<S: TraceSink> Simulator<S> {
             policy: self.policy,
             ticker: self.ticker,
             arrivals_now: self.arrivals_now,
-            failures_now: self.failures_now,
-            repairs_now: self.repairs_now,
             actions: self.actions,
             faults: self.faults,
             watchdog: self.watchdog,
@@ -488,9 +480,10 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// every trace byte and the health report are unchanged, traced or
     /// not; only [`KernelStats`] and the telemetry registry's executed-work
     /// counts (events, decides, victim scans) see fewer events, decides and
-    /// instants. Pass `false` to execute the every-tick schedule (the
-    /// before-side of `sweep_throughput`, and any bench that pins event
-    /// counts).
+    /// instants. This holds for fault-injected and admission-controlled
+    /// runs too (see `elision_active` for why). Passing `false` is the only
+    /// way to execute the every-tick schedule (the before-side of
+    /// `sweep_throughput`, and any bench that pins event counts).
     pub fn with_tick_elision(mut self, enabled: bool) -> Self {
         self.elide_idle = enabled;
         self
@@ -719,21 +712,35 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         Some(first + (n - 1) * period)
     }
 
-    /// Whether idle elision applies to this run: opted in, the policy
-    /// certifies quiescent no-ops, and no fault injection (kept
-    /// conservative: fault delivery interleaves with ticks in ways the
-    /// certification doesn't cover). (Admission-controlled runs also opt
-    /// out: the certification predates the admit hook, and rejection-heavy
-    /// instants are not hot.) It covers both the quiescent skip and no-op
-    /// horizons: only such a run offers its decides
+    /// Whether idle elision applies to this run: opted in, and the policy
+    /// certifies quiescent no-ops. It covers both the quiescent skip and
+    /// no-op horizons: only such a run offers its decides
     /// [`DecideCtx::noop_until`]. Observation does not opt out: a lapsed
     /// tick's decision records, trace gauge and telemetry sample are
     /// replayed from the unchanged state ([`LapsedTicks`]).
+    ///
+    /// Fault injection and admission control do not opt out either, and
+    /// the elided schedule stays exact for them:
+    ///
+    /// - Failures, repairs and job crashes are queued events. Each forms a
+    ///   batch, which decides unless the machine is quiescent, and the
+    ///   no-op horizon is recomputed after that decide.
+    /// - Between two events the fault state does not move: the down set,
+    ///   the stranded and remap flags and the scheduled crashes change only
+    ///   at fault events, and checkpoint images are charged at kill and
+    ///   suspend, not as events of their own. A no-op decide's horizon
+    ///   therefore still depends only on time (SS/TSS xfactor crossings,
+    ///   IS protection expiries).
+    /// - The injector draws its random numbers at fault events and at
+    ///   arrivals, never at ticks or decides, so the failure schedule is
+    ///   the same.
+    /// - Admission is consulted only at arrival batches, which both
+    ///   schedules execute alike.
+    /// - No policy reads which processors failed or were repaired, so a
+    ///   failure or repair on a quiescent machine changes nothing a
+    ///   certifying policy reads, and skipping that decide is exact.
     fn elision_active(&self) -> bool {
-        self.elide_idle
-            && self.faults.is_none()
-            && !self.admission.enabled()
-            && self.policy.quiescent_noop()
+        self.elide_idle && self.policy.quiescent_noop()
     }
 
     /// Run the simulation to its stopping condition and report. The
@@ -1219,7 +1226,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         queue.push(now + repair_in, EventClass::Fault, Event::ProcRepaired(p));
         let had_holder = self.state.cluster.fail(p);
         self.state.fault_stats.proc_failures += 1;
-        self.failures_now.push(p);
         if self.sink.enabled() {
             self.sink.record(&TraceRecord::Proc {
                 t: now.secs(),
@@ -1281,7 +1287,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         };
         self.state.cluster.repair(p);
         self.state.fault_stats.proc_repairs += 1;
-        self.repairs_now.push(p);
         if self.sink.enabled() {
             self.sink.record(&TraceRecord::Proc {
                 t: now.secs(),
@@ -1354,8 +1359,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
     ) {
         self.state.now = now;
         self.arrivals_now.clear();
-        self.failures_now.clear();
-        self.repairs_now.clear();
         let tel = self.telemetry.enabled();
         let prof = self.profiler.is_some();
         // Lapsed ticks: those before `now` are replayed, and one at `now`
@@ -1460,8 +1463,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
 
         // One decision per instant, with complete knowledge of the instant.
         let arrivals = std::mem::take(&mut self.arrivals_now);
-        let failures = std::mem::take(&mut self.failures_now);
-        let repairs = std::mem::take(&mut self.repairs_now);
         self.actions.clear();
         let elidable = self.elision_active();
         // A quiescent instant that delivered nothing actionable (typically
@@ -1505,12 +1506,9 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                 let ctx = DecideCtx {
                     arrivals: &arrivals,
                     tick,
-                    failures: &failures,
-                    repairs: &repairs,
                     trace: &tracer,
                     metrics: &metrics,
                     reference: self.reference_decides,
-                    admission: &self.admission,
                     noop_until: &noop_until,
                 };
                 self.decide_calls += 1;
@@ -1532,8 +1530,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
             }
         }
         self.arrivals_now = arrivals;
-        self.failures_now = failures;
-        self.repairs_now = repairs;
         // The decide's horizon: no tick before it can act. Acting
         // decides report none, and a quiescent machine waits for an event
         // whatever its decide did.

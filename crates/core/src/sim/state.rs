@@ -590,12 +590,6 @@ impl SimState {
         self.pmode
     }
 
-    /// The active checkpoint cost model (meaningful only when
-    /// [`SimState::preemption_mode`] checkpoints).
-    pub fn checkpoint_model(&self) -> CheckpointModel {
-        self.ckpt
-    }
-
     /// Jobs sharing the checkpoint path right now: every dispatched job
     /// is a potential concurrent checkpointer, floored at one (the job
     /// being charged). Drives [`CheckpointModel::contention`].
@@ -749,11 +743,6 @@ impl SimState {
     /// Completed-job records so far (final at the end of the run).
     pub fn outcomes(&self) -> &[JobOutcome] {
         &self.outcomes
-    }
-
-    /// The overhead model in force.
-    pub fn overhead_model(&self) -> OverheadModel {
-        self.overhead
     }
 
     /// Remaining *estimated* work of a dispatched job — what a

@@ -33,7 +33,6 @@
 use std::fmt::Write as _;
 use std::io::IsTerminal as _;
 
-use selective_preemption::bench::history;
 use selective_preemption::cluster::SpeedSpec;
 use selective_preemption::core::admission::AdmissionModel;
 use selective_preemption::core::checkpoint::{CheckpointModel, PreemptionMode};
@@ -52,7 +51,7 @@ use selective_preemption::simcore::Secs;
 use selective_preemption::telemetry::{
     PhaseProfile, SpanEvent, SpanPhase, SpanProfiler, Telemetry, TimelineBuilder,
 };
-use selective_preemption::trace::{validate_jsonl, CsvSink, Json, JsonlSink, ReplayOptions};
+use selective_preemption::trace::{validate_jsonl, CsvSink, JsonlSink, ReplayOptions};
 use selective_preemption::workload::{
     parse_secs, swf, ArrivalSpec, EstimateModel, Job, SyntheticConfig, SystemPreset, TraceSource,
 };
@@ -435,7 +434,13 @@ fn parse_args(mut argv: std::vec::IntoIter<String>) -> Args {
                     other => fail(&format!("unknown overhead model {other:?}")),
                 }
             }
-            "--diurnal" => args.diurnal = value().parse().unwrap_or_else(|_| fail("bad --diurnal")),
+            "--diurnal" => {
+                let amplitude: f64 = value().parse().unwrap_or_else(|_| fail("bad --diurnal"));
+                if !(0.0..1.0).contains(&amplitude) {
+                    fail(&format!("--diurnal must be in [0, 1), got {amplitude}"));
+                }
+                args.diurnal = amplitude;
+            }
             "--mtbf" => args.mtbf = Some(value().parse().unwrap_or_else(|_| fail("bad --mtbf"))),
             "--mttr" => args.mttr = Some(value().parse().unwrap_or_else(|_| fail("bad --mttr"))),
             "--recovery" => {
@@ -940,67 +945,6 @@ fn scheme_slug(label: &str) -> String {
     label.to_ascii_lowercase().replace([' ', '='], "-")
 }
 
-/// The `BENCH_kernel.json` case recorded for this scheme on this system,
-/// if the bench suite tracks one.
-fn bench_case(system: &SystemPreset, kind: SchedulerKind) -> Option<&'static str> {
-    let sf2 = |sf: f64| (sf - 2.0).abs() < 1e-9;
-    match kind {
-        SchedulerKind::Easy if system.name == "SDSC" => Some("sdsc_ns_hiload"),
-        SchedulerKind::Ss { sf } if system.name == "SDSC" && sf2(sf) => Some("sdsc_ss2_hiload"),
-        SchedulerKind::Tss { sf } if system.name == "SDSC" && sf2(sf) => Some("sdsc_tss2_hiload"),
-        SchedulerKind::Ss { sf } if system.name == "CTC" && sf2(sf) => Some("ctc_ss2_hiload"),
-        _ => None,
-    }
-}
-
-/// History-aware anomaly flags for the Kernel table: diff this run's
-/// throughput and decide-latency tail against the scheme's recorded
-/// bench history (best `events_per_sec` over `after` + `history`, and
-/// the `after` block's `decide_us.p99`). The thresholds are loose —
-/// half the recorded throughput, four times the recorded tail — because
-/// the report's workload need not match the bench case's exactly; the
-/// column calls out order-of-magnitude regressions, not noise.
-fn anomaly_flags(
-    doc: Option<&Json>,
-    system: &SystemPreset,
-    kind: SchedulerKind,
-    events_per_sec: Option<f64>,
-    p99_ns: Option<f64>,
-) -> String {
-    let (Some(doc), Some(case)) = (doc, bench_case(system, kind)) else {
-        return "n/a".into();
-    };
-    let mut flags = Vec::new();
-    if let (Some(rate), Some(best)) = (
-        events_per_sec,
-        history::best_metric(doc, case, "events_per_sec"),
-    ) {
-        if rate < 0.5 * best {
-            flags.push(format!(
-                "slow: {:.0}k ev/s vs best {:.0}k",
-                rate / 1e3,
-                best / 1e3
-            ));
-        }
-    }
-    let base_p99_us = history::find_case(doc, case)
-        .and_then(|c| c.get("after"))
-        .and_then(|a| a.get("decide_us"))
-        .and_then(|d| d.get("p99"))
-        .and_then(Json::as_f64);
-    if let (Some(p99_ns), Some(base)) = (p99_ns, base_p99_us) {
-        let p99_us = p99_ns / 1e3;
-        if p99_us > 4.0 * base {
-            flags.push(format!("decide p99 {p99_us:.1}µs vs baseline {base:.1}µs"));
-        }
-    }
-    if flags.is_empty() {
-        "ok".into()
-    } else {
-        flags.join("; ")
-    }
-}
-
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -1246,14 +1190,11 @@ fn main() {
 
             let _ = writeln!(w, "## Kernel");
             let _ = writeln!(w);
-            // Anomaly flags diff live numbers against the dated bench
-            // history (repo-root BENCH_kernel.json, when present).
-            let bench_doc = history::load("BENCH_kernel.json");
             let _ = writeln!(
                 w,
-                "| scheme | events | decides | wall (ms) | events/s | decide p50 | decide p99 | flags |"
+                "| scheme | events | decides | wall (ms) | events/s | decide p50 | decide p99 |"
             );
-            let _ = writeln!(w, "|---|---:|---:|---:|---:|---:|---:|---|");
+            let _ = writeln!(w, "|---|---:|---:|---:|---:|---:|---:|");
             for (kind, sim, _, tel) in &outs {
                 let reg = tel.registry();
                 let lat = tel.metrics().decide_latency_ns;
@@ -1265,7 +1206,7 @@ fn main() {
                 };
                 let _ = writeln!(
                     w,
-                    "| {} | {} | {} | {:.1} | {} | {} | {} | {} |",
+                    "| {} | {} | {} | {:.1} | {} | {} | {} |",
                     kind.label(),
                     sim.kernel.events,
                     sim.kernel.decide_calls,
@@ -1276,13 +1217,6 @@ fn main() {
                     },
                     q(0.5),
                     q(0.99),
-                    anomaly_flags(
-                        bench_doc.as_ref(),
-                        &system,
-                        *kind,
-                        sim.kernel.events_per_sec(),
-                        reg.hist_quantile(lat, 0.99),
-                    ),
                 );
             }
             let _ = writeln!(w);

@@ -17,9 +17,7 @@
 //!   and the Prometheus/JSON exporters behind `sps report`,
 //! * [`core`] — the simulator and the schedulers themselves (FCFS,
 //!   conservative & EASY backfilling, Immediate Service, and the paper's
-//!   Selective Suspension and Tunable Selective Suspension),
-//! * [`bench`] — the bench harness and the dated `BENCH_*.json` history
-//!   that `sps report` diffs live numbers against.
+//!   Selective Suspension and Tunable Selective Suspension).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 //!
@@ -35,7 +33,6 @@
 //! assert!(ss.report.overall.mean_slowdown <= ns.report.overall.mean_slowdown);
 //! ```
 
-pub use sps_bench as bench;
 pub use sps_cluster as cluster;
 pub use sps_core as core;
 pub use sps_metrics as metrics;

@@ -4,6 +4,7 @@
 //! and `replay` check their configuration through
 //! `ExperimentConfig::validate`, and `sweep` its grid through the spec's
 //! `validate`, before any simulation work starts or any output is printed.
+//! A flag only the CLI knows (`--diurnal`) is checked as it is parsed.
 
 use std::process::Command;
 
@@ -52,6 +53,26 @@ fn run_rejects_an_infinite_load() {
         "run", "--system", "SDSC", "--sched", "ss:2", "--load", "inf",
     ]);
     assert!(stderr.contains("load_factor"), "{stderr}");
+}
+
+/// The diurnal amplitude must lie in [0, 1): the generator panics above
+/// it, and a negative or NaN amplitude would run without modulation.
+#[test]
+fn run_rejects_a_diurnal_amplitude_outside_the_unit_interval() {
+    for amplitude in ["5", "-0.5", "nan"] {
+        let stderr = refused(&[
+            "run",
+            "--system",
+            "SDSC",
+            "--jobs",
+            "200",
+            "--sched",
+            "ss:2",
+            "--diurnal",
+            amplitude,
+        ]);
+        assert!(stderr.contains("--diurnal"), "{amplitude}: {stderr}");
+    }
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Shared golden-trace machinery for the determinism suites.
+//! Shared golden-trace machinery for the determinism suites, and the
+//! fault-injected variants the schedule-equivalence suites run.
 //!
 //! `golden_determinism.rs` runs the cases through the kernel constructor
 //! (`Simulator::traced_source`); `open_system.rs` replays the same cases
@@ -126,4 +127,27 @@ pub fn load_goldens() -> Vec<(String, u64)> {
             )
         })
         .collect()
+}
+
+/// `base` under fault injection with job crashes: each recovery policy,
+/// then checkpointing and migration. `observed_schedule.rs` and
+/// `sweep_equivalence.rs` run each one against the every-tick schedule.
+pub fn fault_variants(base: &ExperimentConfig) -> Vec<(String, ExperimentConfig)> {
+    let faults = FaultModel::proc_faults(1_000_000, 3_600, 5).with_job_crash(0.05);
+    let mut variants: Vec<(String, ExperimentConfig)> = RecoveryPolicy::ALL
+        .iter()
+        .map(|&r| {
+            let cfg = base.clone().with_faults(faults.with_recovery(r));
+            (format!("{r} recovery"), cfg)
+        })
+        .collect();
+    for mode in [PreemptionMode::Checkpoint, PreemptionMode::Migrate] {
+        let cfg = base
+            .clone()
+            .with_faults(faults)
+            .with_preemption(mode)
+            .with_checkpoint(CheckpointModel::paper().with_interval(1_800));
+        variants.push((format!("{} preemption", mode.name()), cfg));
+    }
+    variants
 }

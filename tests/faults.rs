@@ -10,7 +10,7 @@
 use selective_preemption::prelude::*;
 use selective_preemption::simcore::Watchdog;
 use selective_preemption::trace::{validate_records, JobEvent, ReplayOptions};
-use selective_preemption::workload::traces::SDSC;
+use selective_preemption::workload::traces::{CTC, KTH, SDSC};
 use sps_core::policy::{Action, DecideCtx, Policy};
 use sps_core::SimState;
 
@@ -157,6 +157,29 @@ fn ns_baseline_survives_faults_too() {
     assert_eq!(r.sim.status, RunStatus::Completed);
     assert_eq!(r.report.overall.count, 400);
     assert!(r.sim.faults.proc_failures > 0);
+}
+
+/// Conservative and flex backfilling book a reservation for queued jobs,
+/// against a profile whose capacity leaves down processors out. A
+/// full-width job queued while a processor is down gets no reservation
+/// until the repair, instead of a panic, and a failure that moves an
+/// anchor later does not trip conservative's compression check.
+#[test]
+fn reservation_backfilling_completes_under_faults() {
+    for system in [SDSC, KTH, CTC] {
+        for spec in ["cons", "flex:3"] {
+            let r = ExperimentConfig::new(system, spec.parse().expect("spec parses"))
+                .with_jobs(800)
+                .with_seed(5)
+                .with_load_factor(1.2)
+                .with_faults(FaultModel::proc_faults(2_000_000, 1_800, 0))
+                .run();
+            let label = format!("{spec} on {}", system.name);
+            assert_eq!(r.sim.status, RunStatus::Completed, "{label}");
+            assert_eq!(r.report.overall.count, 800, "{label}");
+            assert!(r.sim.faults.proc_failures > 0, "{label}: no failure");
+        }
+    }
 }
 
 #[test]

@@ -3,7 +3,10 @@
 //! run does, so it executes the plain run's events and decides. Its trace
 //! is still byte-identical to the every-tick schedule's: the ticks that
 //! lapse while the machine is quiescent are replayed from the unchanged
-//! state, and the `engine` record counts them.
+//! state, and the `engine` record counts them. Fault-injected and
+//! admission-controlled runs elide the same way.
+
+mod common;
 
 use selective_preemption::prelude::*;
 use selective_preemption::workload::traces::{CTC, KTH, SDSC};
@@ -287,4 +290,56 @@ fn a_warmup_window_ends_at_the_last_executed_instant() {
         "{}",
         window.utilization
     );
+}
+
+/// Fault injection and admission control run the one elided schedule
+/// too: each recovery policy, checkpointing and migration (all with job
+/// crashes), and `load:1h` admission with and without the paper's
+/// overhead. On this SDSC trace full-width jobs queue while processors
+/// are down, so conservative and flex backfilling meet jobs they cannot
+/// reserve. Gang certifies no quiescent no-op and is the control: it
+/// executes every tick either way.
+#[test]
+fn fault_and_admission_runs_elide_and_keep_the_every_tick_trace() {
+    let admission: AdmissionModel = "load:1h".parse().expect("admission spec parses");
+    for spec in ["ss:2", "tss:2", "is", "ns", "cons", "flex:3", "gang"] {
+        let base = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+            .with_jobs(150)
+            .with_seed(5)
+            .with_load_factor(1.6);
+        let mut cases = common::fault_variants(&base);
+        let admitted = base.clone().with_admission(admission);
+        cases.push(("load:1h admission".into(), admitted.clone()));
+        let paper = admitted.with_overhead(OverheadModel::paper());
+        cases.push(("load:1h admission, paper overhead".into(), paper));
+
+        let policy = base.scheduler.build();
+        for (variant, cfg) in cases {
+            let label = format!("{spec} on SDSC, {variant}");
+            let (obs, every_tick) = check(&cfg, &label);
+            let (o, e) = (&obs.sim, &every_tick.sim);
+            assert_eq!(o.faults, e.faults, "{label}: fault ledger");
+            assert_eq!(o.rejections, e.rejections, "{label}: rejection ledger");
+            if cfg.faults.enabled() {
+                assert!(o.faults.proc_failures > 0, "{label}: no failure");
+            } else {
+                assert!(o.rejections.rejected > 0, "{label}: no rejection");
+            }
+            let executed = |s: &SimResult| (s.kernel.events, s.kernel.decide_calls);
+            if !policy.quiescent_noop() {
+                assert_eq!(executed(o), executed(e), "{label}: executed work");
+                continue;
+            }
+            assert!(
+                o.kernel.decide_calls < e.kernel.decide_calls,
+                "{label}: the run skipped no decide"
+            );
+            if policy.needs_tick() {
+                assert!(
+                    o.kernel.events < e.kernel.events,
+                    "{label}: the run elided no tick"
+                );
+            }
+        }
+    }
 }

@@ -3,6 +3,8 @@
 //! *bit-identical* to the naive path it replaced — same traces, same
 //! simulation results, same per-cell statistics.
 
+mod common;
+
 use selective_preemption::core::sweep::{run_sweep, CellStats, RunSummary, SweepSpec};
 use selective_preemption::prelude::*;
 use sps_workload::traces::{CTC, KTH, SDSC};
@@ -335,6 +337,39 @@ fn tick_elision_preserves_simulation_results() {
         let label = format!("{spec} on {} at load {load}, seed {seed}", system.name);
         assert_elision_preserves_results(&cfg, &label);
     }
+    // Fault injection and admission control run the elided schedule too:
+    // failures, repairs and job crashes are events of their own, and
+    // admission acts only at arrivals. (Gang, which never elides, is
+    // covered above; under these faults its every-tick runs are slow.)
+    let admission: AdmissionModel = "load:1h".parse().expect("admission spec parses");
+    for spec in ["ns", "cons", "flex:3", "is", "ss:2", "tss:2"] {
+        let base = ExperimentConfig::new(CTC, spec.parse().expect("spec parses"))
+            .with_jobs(200)
+            .with_seed(9)
+            .with_load_factor(1.1)
+            .with_overhead(OverheadModel::paper());
+        let mut cases = common::fault_variants(&base);
+        cases.push(("load:1h admission".into(), base.with_admission(admission)));
+        for (variant, cfg) in cases {
+            assert_elision_preserves_results(&cfg, &format!("{spec} on CTC, {variant}"));
+        }
+    }
+    // An open run with both: Poisson arrivals stopped at a horizon, with a
+    // warmup window.
+    let admission: AdmissionModel = "load:4h".parse().expect("admission spec parses");
+    for spec in ["ss:2", "tss:2", "is", "ns", "cons", "flex:3"] {
+        let cfg = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+            .with_seed(9)
+            .with_arrivals(ArrivalSpec::Poisson { load: Some(1.1) })
+            .with_until(RunUntil::SimTime(SimTime::new(3 * 86_400)))
+            .with_warmup(6 * 3_600)
+            .with_faults(FaultModel::proc_faults(1_000_000, 3_600, 5).with_job_crash(0.05))
+            .with_admission(admission);
+        let label = format!("{spec} on open SDSC under faults and admission");
+        let (with, _) = assert_elision_preserves_results(&cfg, &label);
+        assert!(with.faults.proc_failures > 0, "{label}: no failure");
+        assert!(with.rejections.rejected > 0, "{label}: no rejection");
+    }
 }
 
 /// Runs that rarely empty: SS/TSS/IS let the ticks before a no-op
@@ -378,6 +413,7 @@ fn noop_horizons_preserve_results_on_backlogged_runs() {
 fn assert_elision_preserves_results(cfg: &ExperimentConfig, label: &str) -> (SimResult, SimResult) {
     let run = |elide: bool| cfg.runner().build().with_tick_elision(elide).run();
     let (with, without) = (run(true), run(false));
+    assert_eq!(with.status, without.status, "{label}: status");
     assert_eq!(with.makespan, without.makespan, "{label}: makespan");
     assert_eq!(
         with.preemptions, without.preemptions,
@@ -395,12 +431,18 @@ fn assert_elision_preserves_results(cfg: &ExperimentConfig, label: &str) -> (Sim
     assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
     for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
         assert_eq!(
-            (a.id, a.first_start, a.completion, a.suspensions),
-            (b.id, b.first_start, b.completion, b.suspensions),
+            (a.id, a.first_start, a.completion, a.suspensions, a.kills),
+            (b.id, b.first_start, b.completion, b.suspensions, b.kills),
             "{label}: outcome {:?}",
             a.id
         );
     }
+    assert_eq!(with.faults, without.faults, "{label}: fault ledger");
+    assert_eq!(
+        with.rejections, without.rejections,
+        "{label}: rejection ledger"
+    );
+    assert_eq!(with.windowed, without.windowed, "{label}: windowed report");
     // Elision only ever removes work: never more events than the
     // un-elided run, and strictly fewer for the certified policies on an
     // idle-heavy workload.
