@@ -16,6 +16,7 @@ use sps_workload::{
 
 use crate::admission::AdmissionModel;
 use crate::checkpoint::{CheckpointModel, PreemptionMode};
+use crate::experiment::MAX_JOBS;
 use crate::faults::{FaultModel, RecoveryPolicy};
 use crate::overhead::OverheadModel;
 use crate::policy::Policy;
@@ -542,7 +543,12 @@ impl ExperimentConfig {
             .get("tick_period")
             .and_then(Json::as_i64)
             .ok_or(DecodeError::Missing("tick_period"))?;
-        if n_jobs < 1 || tick_period < 1 || !load_factor.is_finite() || load_factor <= 0.0 {
+        if n_jobs < 1
+            || n_jobs as u64 > MAX_JOBS
+            || tick_period < 1
+            || !load_factor.is_finite()
+            || load_factor <= 0.0
+        {
             return Err(DecodeError::Bad("config"));
         }
         Ok(ExperimentConfig {

@@ -25,6 +25,6 @@ mod validate;
 
 pub use builders::{default_threads, RunError, ShardStats, WorkerSpan};
 pub use config::{ExperimentConfig, ParseSchedulerError, RunResult, SchedulerKind};
-pub use validate::ConfigError;
+pub use validate::{ConfigError, MAX_JOBS};
 
 pub(crate) use builders::{batch_workers, run_batch, ShardBoard};

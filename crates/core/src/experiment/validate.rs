@@ -10,6 +10,9 @@ use sps_simcore::Secs;
 use super::ExperimentConfig;
 use crate::sim::RunUntil;
 
+/// The most jobs one run can hold: job ids are `u32`, one per job.
+pub const MAX_JOBS: u64 = 1 << 32;
+
 /// A structurally invalid [`ExperimentConfig`], caught by
 /// [`ExperimentConfig::validate`] before any simulation work starts.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,6 +24,11 @@ pub enum ConfigError {
     ZeroTickPeriod,
     /// `n_jobs` must be at least one.
     NoJobs,
+    /// `n_jobs` exceeds [`MAX_JOBS`], the 32-bit job-id space (the count
+    /// attached). A smaller count that still exceeds the host's memory is
+    /// a resource limit, not a configuration error, and is not caught
+    /// here.
+    TooManyJobs(usize),
     /// The fault model is inconsistent (reason attached).
     BadFaults(&'static str),
     /// A sweep grid axis is empty (which axis is attached).
@@ -52,6 +60,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroTickPeriod => f.write_str("tick_period must be at least 1 second"),
             ConfigError::NoJobs => f.write_str("n_jobs must be at least 1"),
+            ConfigError::TooManyJobs(n) => {
+                write!(
+                    f,
+                    "n_jobs must be at most {MAX_JOBS} (job ids are 32-bit), got {n}"
+                )
+            }
             ConfigError::BadFaults(reason) => write!(f, "bad fault model: {reason}"),
             ConfigError::EmptyGrid(axis) => write!(f, "sweep grid axis '{axis}' is empty"),
             ConfigError::BadArrivals(ref reason) => write!(f, "bad arrival spec: {reason}"),
@@ -86,6 +100,9 @@ impl ExperimentConfig {
         }
         if self.n_jobs == 0 {
             return Err(ConfigError::NoJobs);
+        }
+        if self.n_jobs as u64 > MAX_JOBS {
+            return Err(ConfigError::TooManyJobs(self.n_jobs));
         }
         if let Some(mtbf) = self.faults.mtbf {
             if mtbf < 1 {

@@ -71,7 +71,8 @@ pub struct DecideCtx<'a> {
     pub metrics: &'a TelemetryCtx<'a>,
     /// Ask the policy to run its exhaustive reference scan, bypassing any
     /// provably-equivalent fast path (e.g. the SS/IS no-op tick
-    /// certifications). Decisions must be identical either way — the
+    /// certifications and the certificate SS/TSS keep from their last
+    /// no-op decide). Decisions must be identical either way — the
     /// differential tests in `tests/sweep_equivalence.rs` pin that — so
     /// this only changes how much work a decide performs. Set by
     /// [`Simulator::with_reference_decides`](crate::sim::Simulator::with_reference_decides)
@@ -81,14 +82,18 @@ pub struct DecideCtx<'a> {
     /// `Some(floor)` when it could let ticks lapse (idle elision is active
     /// and no tick is armed), where `floor` is the least horizon that
     /// would skip a tick, and `None` otherwise. A decide that returns no
-    /// actions may then store `Some(h)`, `h > floor`, if it can prove that
-    /// every tick decide before the instant `h` would repeat it exactly —
-    /// no actions, the same decision records — unless an event arrives
-    /// first. The simulator arms its ticker at the first tick at or after
-    /// `h − period` (one period of margin against rounding) and lets the
-    /// ticks before it lapse. A value not past `floor` reads as no
-    /// horizon, so a policy that ignores the field reports none; only
-    /// SS/TSS and IS report one, and never on the reference scan.
+    /// actions — tick or not — may then store `Some(h)`, `h > floor`, if
+    /// it can prove that every tick decide before the instant `h` would
+    /// act on nothing and write the decision records this decide wrote
+    /// (lapsed ticks replay those), unless an event arrives first. A
+    /// non-tick decide writes none, so it may report only a horizon under
+    /// which tick decides write none either. The simulator arms its
+    /// ticker at the first tick at or after `h − period` (one period of
+    /// margin against rounding) and lets the ticks before it lapse. A
+    /// value not past `floor` reads as no horizon, so a policy that
+    /// ignores the field reports none; only SS/TSS (the exact first
+    /// instant a decide could act, crossings of the idle order included)
+    /// and IS report one, and never on the reference scan.
     pub noop_until: &'a Cell<Option<f64>>,
 }
 

@@ -201,6 +201,39 @@ impl VictimTable {
         }
         &self.cover[k]
     }
+
+    /// The covers built since the last reorder: `built_covers()[k]` is
+    /// [`cover`](Self::cover)`(k)`.
+    pub fn built_covers(&self) -> &[ProcSet] {
+        &self.cover[..self.covered]
+    }
+
+    /// The least `k ≤ limit` whose [`cover`](Self::cover) contains the
+    /// non-empty `set`, or `None` if `cover(limit)` does not. Covers grow
+    /// with `k`, so a binary search finds it, building prefixes only as
+    /// far as `limit`.
+    pub fn first_cover_of<'s>(
+        &mut self,
+        set: &ProcSet,
+        limit: usize,
+        total: u32,
+        set_of: impl Fn(JobId) -> &'s ProcSet,
+    ) -> Option<usize> {
+        debug_assert!(!set.is_empty());
+        if !set.is_subset(self.cover(limit, total, &set_of)) {
+            return None;
+        }
+        let (mut lo, mut hi) = (0, limit);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if set.is_subset(self.cover(mid, total, &set_of)) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(hi)
+    }
 }
 
 /// The SS/TSS serving order of idle (queued + suspended) jobs: descending

@@ -68,6 +68,7 @@ impl SimState {
     fn dispatch(&mut self, id: JobId, set: ProcSet, queue: &mut EventQueue<Event>) {
         let now = self.now;
         let i = self.slot(id);
+        self.transitions += 1;
         self.end_wait(id);
         self.index.occupy(&set, id);
         // The landing set fixes the dispatch's gang-synchronous rate: all
@@ -154,6 +155,7 @@ impl SimState {
         if !self.cluster.can_allocate_exact(&set) {
             return false;
         }
+        self.transitions += 1;
         self.cluster.allocate_exact(&set);
         // The re-entry claims were registered under the set held at
         // suspension time — release them *before* the (possibly migrated)

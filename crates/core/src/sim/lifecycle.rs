@@ -23,6 +23,7 @@ impl SimState {
         let Phase::Running { compute_start } = self.jobs[i].phase else {
             return false;
         };
+        self.transitions += 1;
         let drain = self.overhead.suspend_secs(&self.jobs[i].job);
         // The dispatch's ledgered release is stale either way: a zero
         // drain frees the processors now, a non-zero one re-ledgers them
@@ -86,6 +87,7 @@ impl SimState {
     pub(crate) fn drain_done(&mut self, id: JobId) {
         let i = self.slot(id);
         debug_assert_eq!(self.jobs[i].phase, Phase::Draining);
+        self.transitions += 1;
         let set = self.jobs[i]
             .assigned
             .clone()
@@ -112,6 +114,7 @@ impl SimState {
     pub(crate) fn kill(&mut self, id: JobId) -> Secs {
         let now = self.now;
         let i = self.slot(id);
+        self.transitions += 1;
         let executed = self.jobs[i].executed_at(now);
         let seg_executed = executed - (self.jobs[i].job.run - self.jobs[i].remaining);
         let procs = self.jobs[i].job.procs;
@@ -225,6 +228,7 @@ impl SimState {
         let now = self.now;
         let i = self.slot(id);
         debug_assert!(matches!(self.jobs[i].phase, Phase::Running { .. }));
+        self.transitions += 1;
         let set = self.jobs[i]
             .assigned
             .clone()

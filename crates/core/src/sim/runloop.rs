@@ -143,6 +143,28 @@ impl KernelStats {
     pub fn events_per_sec(&self) -> Option<f64> {
         (self.wall_micros > 0).then(|| self.events as f64 * 1e6 / self.wall_micros as f64)
     }
+
+    /// The wall time the span profiler attributed to the run loop's
+    /// phases, in nanoseconds, or `None` on an unprofiled run. It sums
+    /// the four phases that partition each batch — event drain,
+    /// lifecycle, decide and dispatch — and leaves out `checkpoint_io`,
+    /// which is timed inside dispatch, and `trace_sink`, whose final
+    /// flush runs after the wall clock stops. It never exceeds
+    /// `wall_micros × 1000`; the difference is the loop's own
+    /// unattributed time.
+    pub fn attributed_nanos(&self) -> Option<u64> {
+        self.phases.map(|p| {
+            [
+                SpanPhase::EventDrain,
+                SpanPhase::Lifecycle,
+                SpanPhase::Decide,
+                SpanPhase::Dispatch,
+            ]
+            .iter()
+            .map(|&phase| p.total_ns(phase))
+            .sum()
+        })
+    }
 }
 
 /// Result of a full simulation run.
@@ -1218,6 +1240,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
             return;
         }
         let now = self.state.now;
+        self.state.transitions += 1;
         let (recovery, repair_in) = {
             let inj = self.faults.as_mut().expect("checked above");
             inj.mark_down(p, now);
@@ -1278,6 +1301,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
             return;
         }
         let now = self.state.now;
+        self.state.transitions += 1;
         let next_failure_in = {
             let inj = self.faults.as_mut().expect("checked above");
             inj.mark_up(p, now);

@@ -312,6 +312,13 @@ pub struct SimState {
     /// Trim cursor: the first window index not yet known to be Done.
     /// Done is terminal, so the cursor only ever advances.
     trim_scan: usize,
+    /// Lifecycle transitions so far, arrivals excepted: every start,
+    /// resume, suspension, drain end, completion and kill, and every
+    /// processor failure or repair (which is where stranded and remap
+    /// flags change). Between two equal readings only arrivals and the
+    /// clock moved, so a policy may keep what it proved about the
+    /// machine until the count moves (see [`SimState::transitions`]).
+    pub(crate) transitions: u64,
 }
 
 impl SimState {
@@ -347,6 +354,7 @@ impl SimState {
             lean: None,
             trimmed: 0,
             trim_scan: 0,
+            transitions: 0,
         }
     }
 
@@ -468,6 +476,16 @@ impl SimState {
         self.queued.retain(|&q| q != id);
         self.incomplete -= 1;
         self.rejections.record(est_work, penalty);
+    }
+
+    /// The lifecycle-transition count: it moves at every change of the
+    /// free, draining, running or suspended sets, the down set, a
+    /// suspended job's stranded or remap flag, or a completion (which
+    /// feeds TSS's limits), and never at an arrival. Two decides that read
+    /// the same count saw the same machine, except for the jobs that
+    /// arrived in between and the waiting jobs' xfactors.
+    pub(crate) fn transitions(&self) -> u64 {
+        self.transitions
     }
 
     /// Current simulated time.

@@ -41,7 +41,7 @@ use selective_preemption::core::faults::{FaultModel, RecoveryPolicy};
 use selective_preemption::core::mega::{run_mega_sweep_observed, MegaSweepSpec};
 use selective_preemption::core::overhead::OverheadModel;
 use selective_preemption::core::runner::BatchRunner;
-use selective_preemption::core::sim::RunUntil;
+use selective_preemption::core::sim::{KernelStats, RunUntil};
 use selective_preemption::core::sweep::{
     run_sweep_observed, SweepProgress, SweepReport, SweepSpec,
 };
@@ -601,7 +601,7 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
             },
         );
         if let Some(phases) = &res.kernel.phases {
-            println!("{:<14}   {}", "", render_phase_line(phases));
+            println!("{:<14}   {}", "", render_phase_line(phases, &res.kernel));
         }
         if let Some(spans) = res.spans.take() {
             lanes.push((kind.label(), spans));
@@ -696,8 +696,10 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
 }
 
 /// One-line per-phase latency digest (`phase p50/p99` for every phase the
-/// profiler saw) for the `run`/`replay` kernel block.
-fn render_phase_line(phases: &PhaseProfile) -> String {
+/// profiler saw) for the `run`/`replay` kernel block, closed by the phase
+/// ledger: the time the four batch phases add up to, its share of the
+/// run's wall time, and the unattributed remainder.
+fn render_phase_line(phases: &PhaseProfile, kernel: &KernelStats) -> String {
     let mut line = String::from("phases (p50/p99):");
     for phase in SpanPhase::ALL {
         if phases.count(phase) == 0 {
@@ -706,6 +708,20 @@ fn render_phase_line(phases: &PhaseProfile) -> String {
         let p50 = phases.quantile_ns(phase, 0.5).unwrap_or(0);
         let p99 = phases.quantile_ns(phase, 0.99).unwrap_or(0);
         let _ = write!(line, "  {} {}/{}", phase.name(), fmt_ns(p50), fmt_ns(p99));
+    }
+    if let Some(attributed) = kernel.attributed_nanos() {
+        let wall = kernel.wall_micros * 1_000;
+        let share = if wall > 0 {
+            format!("{:.1}%", attributed as f64 * 100.0 / wall as f64)
+        } else {
+            "n/a".to_string()
+        };
+        let _ = write!(
+            line,
+            "  | phases total {} ({share} of wall), unattributed {}",
+            fmt_ns(attributed),
+            fmt_ns(wall.saturating_sub(attributed)),
+        );
     }
     line
 }

@@ -134,6 +134,16 @@ fn swf_sweep_rejects_a_machine_without_processors() {
     assert!(stderr.contains("at least 1 processor"), "{stderr}");
 }
 
+/// Job ids are 32-bit: a count past 2^32 is a usage error, not a
+/// terabyte allocation (or, just past 2^32, wrapped ids).
+#[test]
+fn run_rejects_more_jobs_than_job_ids() {
+    for jobs in ["99999999999", "4294967297"] {
+        let stderr = refused(&["run", "--system", "SDSC", "--sched", "ns", "--jobs", jobs]);
+        assert!(stderr.contains("n_jobs must be at most"), "{stderr}");
+    }
+}
+
 #[test]
 fn sweep_rejects_zero_jobs() {
     let stderr = refused(&["sweep", "--system", "SDSC", "--sched", "ns", "--jobs", "0"]);

@@ -219,6 +219,33 @@ fn lapsed_noop_ticks_rewrite_tss_decision_records() {
     );
 }
 
+/// Saturated SS and TSS: fresh jobs wait on suspended jobs' claims, the
+/// no-op decides report horizons at crossings and certify arrivals and
+/// stale completions, and the every-tick trace still comes out, with and
+/// without the paper's overhead. The TSS run writes
+/// `blocked_by_disable_limit` records, which lapsed ticks replay.
+#[test]
+fn saturated_ss_and_tss_keep_the_every_tick_trace() {
+    for spec in ["ss:2", "tss:2"] {
+        let cfg = ExperimentConfig::new(CTC, spec.parse().expect("spec parses"))
+            .with_jobs(1_200)
+            .with_seed(31)
+            .with_load_factor(2.0);
+        let (obs, _) = check(&cfg, &format!("{spec} on CTC at load 2.0"));
+        if spec == "tss:2" {
+            assert!(
+                obs.trace.contains(r#""blocked_by_disable_limit""#),
+                "{spec}: no blocked_by_disable_limit record"
+            );
+        }
+        let paper = cfg.with_overhead(OverheadModel::paper());
+        check(
+            &paper,
+            &format!("{spec} on CTC at load 2.0, paper overhead"),
+        );
+    }
+}
+
 /// Saturated Immediate Service under the paper's overhead: its no-op
 /// decides report protection-expiry horizons, and the ticks before them
 /// lapse while jobs wait, suspended and queued alike.
@@ -244,10 +271,17 @@ fn registry_without_wall_clock(tel: &Telemetry) -> Vec<String> {
 
 /// Attaching a trace sink changes nothing telemetry sees: SS/TSS take the
 /// same no-op certification, and so the same victim scans, either way.
+/// Saturated TSS, whose tick scans write records, computes the same
+/// horizons and certificates traced or not.
 #[test]
 fn a_trace_sink_leaves_telemetry_unchanged() {
-    for (spec, load) in [("ss:2", 1.0), ("tss:2", 1.4), ("is", 1.0)] {
-        let cfg = ExperimentConfig::new(SDSC, spec.parse().expect("spec parses"))
+    for (system, spec, load) in [
+        (SDSC, "ss:2", 1.0),
+        (SDSC, "tss:2", 1.4),
+        (SDSC, "is", 1.0),
+        (CTC, "tss:2", 2.0),
+    ] {
+        let cfg = ExperimentConfig::new(system, spec.parse().expect("spec parses"))
             .with_jobs(600)
             .with_seed(31)
             .with_load_factor(load);
@@ -265,7 +299,10 @@ fn a_trace_sink_leaves_telemetry_unchanged() {
             registry_without_wall_clock(&plain),
         );
         if let Some((a, b)) = with.iter().zip(&without).find(|(a, b)| a != b) {
-            panic!("{spec} at load {load}: {a:?} with a trace sink, {b:?} without");
+            panic!(
+                "{spec} on {} at load {load}: {a:?} with a trace sink, {b:?} without",
+                system.name
+            );
         }
         assert_eq!(with.len(), without.len(), "{spec} at load {load}");
     }

@@ -119,3 +119,25 @@ fn checked_run_reports_open_arrivals_without_a_stop_as_an_error() {
         Err(ConfigError::BadArrivals(_))
     ));
 }
+
+/// The span profiler's phase ledger: on a profiled saturated run the four
+/// phases that partition each batch (event drain, lifecycle, decide,
+/// dispatch) add up to no more than the run's wall time; what is left is
+/// the loop's own unattributed time.
+#[test]
+fn profiled_phases_add_up_to_at_most_the_wall_time() {
+    use selective_preemption::telemetry::SpanProfiler;
+    let cfg = ExperimentConfig::new(sps_workload::traces::CTC, SchedulerKind::Ss { sf: 2.0 })
+        .with_jobs(600)
+        .with_seed(3)
+        .with_load_factor(2.0);
+    let res = cfg.runner().profiler(SpanProfiler::new()).build().run();
+    let attributed = res.kernel.attributed_nanos().expect("a profiled run");
+    assert!(attributed > 0, "no phase recorded");
+    // `wall_micros` is truncated to whole microseconds.
+    let wall = (res.kernel.wall_micros + 1) * 1_000;
+    assert!(
+        attributed <= wall,
+        "phases add up to {attributed} ns, past the {wall} ns wall time"
+    );
+}
