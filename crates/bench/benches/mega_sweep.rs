@@ -1,6 +1,6 @@
 //! Archive-scale mega-sweep bench: a synthetic million-job SWF log swept
-//! streaming + lean, with peak-RSS evidence and a modeled 16-worker
-//! sharding comparison.
+//! streaming + lean, with peak-RSS evidence and the grid's measured
+//! thread scaling.
 //!
 //! The bench writes its log **chunk-wise** ([`swf::write_chunked`]) so
 //! the generator never materializes the workload either, then:
@@ -8,20 +8,17 @@
 //! 1. runs one small (100k-job) single run and records the process's
 //!    peak RSS — the "independent of job count" reference point,
 //! 2. runs the full grid (SS+TSS × 3 loads × 5 seeds = 30 runs) through
-//!    [`run_mega_sweep`] on the work-stealing batch runner and records
-//!    wall clock and peak RSS again,
-//! 3. re-runs every grid point alone on one thread to get clean per-run
-//!    wall times, and from those **models** the 16-worker makespan of
-//!    the old whole-cell round-robin sharding versus work-stealing
-//!    (greedy list scheduling, which stealing converges to). The host
-//!    here may have a single core, so cross-thread wall clock cannot be
-//!    measured directly; the model is computed from measured per-run
-//!    walls and labeled as modeled in the report.
+//!    [`run_mega_sweep`] on one worker per core
+//!    (`available_parallelism()`) and records wall clock and peak RSS
+//!    again,
+//! 3. runs the same grid on one worker; the headline speedup is the
+//!    one-worker wall over the all-core wall, measured on the recording
+//!    host, whose core count the report keeps beside it.
 //!
 //! A full run upserts the `mega_swf` case in `BENCH_sweep.json` and
 //! appends a dated entry to its `history` array. `--smoke` (the CI step)
-//! shrinks the log to 100k jobs and the grid to 2 runs on 8 threads and
-//! does not touch the report's full-run case.
+//! shrinks the log to 100k jobs and the grid to 2 runs on 8 threads, runs
+//! the grid once, and does not touch the report's full-run case.
 //!
 //! `--guard` gates the run on its own throughput history: streamed
 //! jobs/second must stay above half the best recorded value for the mode
@@ -45,34 +42,6 @@ const REPORT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.jso
 
 /// Jobs per generator batch: bounds writer memory at ~50k parsed jobs.
 const CHUNK: usize = 50_000;
-
-/// Greedy list scheduling of `walls` (seconds, expansion order) onto
-/// `workers`: each run goes to the earliest-free worker. Work-stealing
-/// converges to this schedule — a worker is only ever idle when every
-/// queue (its own and every victim's) is empty.
-fn stealing_makespan(walls: &[f64], workers: usize) -> f64 {
-    let mut free = vec![0.0f64; workers.max(1)];
-    for &w in walls {
-        let i = free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        free[i] += w;
-    }
-    free.iter().cloned().fold(0.0, f64::max)
-}
-
-/// The pre-work-stealing dispatch: whole cells round-robin over workers,
-/// every replication of a cell pinned to its cell's worker.
-fn cell_round_robin_makespan(walls: &[f64], reps: usize, workers: usize) -> f64 {
-    let mut load = vec![0.0f64; workers.max(1)];
-    for (cell, chunk) in walls.chunks(reps).enumerate() {
-        load[cell % workers.max(1)] += chunk.iter().sum::<f64>();
-    }
-    load.iter().cloned().fold(0.0, f64::max)
-}
 
 fn grid(log: &PathBuf, smoke: bool) -> MegaSweepSpec {
     let spec = MegaSweepSpec::new(log, SDSC.procs)
@@ -110,7 +79,8 @@ fn main() {
         }
     }
     let n_jobs = jobs_override.unwrap_or(if smoke { 100_000 } else { 1_000_000 });
-    let threads = if smoke { 8 } else { 16 };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = if smoke { 8 } else { cores };
 
     let dir = std::env::temp_dir().join(format!("sps-mega-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -148,7 +118,7 @@ fn main() {
         rss_after_small
     );
 
-    // The sweep itself, on the work-stealing batch runner.
+    // The sweep itself, one worker per core (8 in the smoke).
     let spec = grid(&log, smoke).with_timeline(timeline.is_some());
     eprintln!(
         "mega sweep: {} cells x {} reps = {} runs of {n_jobs} jobs on {threads} threads",
@@ -257,37 +227,31 @@ fn main() {
         }
     }
 
-    // Clean per-run walls for the sharding model: each grid point alone.
-    let mut walls = Vec::with_capacity(spec.runs());
-    for &sched in &spec.schedulers {
-        for &load in &spec.loads {
-            for rep in 0..spec.reps {
-                let one = MegaSweepSpec::new(&log, SDSC.procs)
-                    .with_scheduler(sched)
-                    .with_loads(vec![load])
-                    .with_seed(spec.base_seed + rep as u64)
-                    .with_estimates(spec.estimates);
-                let r = run_mega_sweep(&one, 1).expect("valid single-run spec");
-                assert!(r.failures.is_empty(), "{:?}", r.failures);
-                walls.push(r.wall_micros as f64 / 1e6);
-            }
-        }
-    }
-    let seq_wall: f64 = walls.iter().sum();
-    let steal_ms = stealing_makespan(&walls, 16);
-    let static_ms = cell_round_robin_makespan(&walls, spec.reps, 16);
-    let modeled_speedup = static_ms / steal_ms.max(1e-9);
-    println!("modeled 16 workers (from measured per-run walls, sequential total {seq_wall:.1} s):");
-    println!("  whole-cell round-robin (old dispatch): {static_ms:.1} s");
-    println!("  work-stealing (greedy list schedule):  {steal_ms:.1} s");
-    println!("  modeled speedup: {modeled_speedup:.2}x");
-
-    let _ = std::fs::remove_dir_all(&dir);
-
     if smoke {
+        let _ = std::fs::remove_dir_all(&dir);
         println!("smoke OK: streaming mega sweep completed with no failures");
         return;
     }
+
+    // The same grid on one worker: the measured scaling's baseline.
+    let serial_wall = if threads > 1 {
+        let t = Instant::now();
+        let serial = run_mega_sweep(&grid(&log, smoke), 1).expect("valid mega spec");
+        assert!(serial.failures.is_empty(), "{:?}", serial.failures);
+        assert_eq!(
+            serial.to_csv(),
+            report.to_csv(),
+            "cells depend on no worker count"
+        );
+        t.elapsed().as_secs_f64()
+    } else {
+        sweep_wall
+    };
+    let speedup = serial_wall / sweep_wall.max(1e-9);
+    println!(
+        "1 worker {serial_wall:.1} s, {threads} workers {sweep_wall:.1} s: {speedup:.2}x on {cores} cores"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     let date = history::today();
     let mut doc = history::load(REPORT).unwrap_or_else(|| {
@@ -304,7 +268,8 @@ fn main() {
         (
             "workload",
             Json::Str(format!(
-                "chunk-generated {n_jobs}-job SWF log, SDSC machine, {{SS 2.0, TSS 2.0}} x 3 loads x 5 seeds (30 streaming lean runs)"
+                "chunk-generated {n_jobs}-job SWF log, SDSC machine, {{SS 2.0, TSS 2.0}} x 3 loads x 5 seeds ({} streaming lean runs)",
+                report.runs
             )),
         ),
         ("date", Json::Str(date.clone())),
@@ -313,9 +278,8 @@ fn main() {
             Json::Str(
                 "Every run streams the log through its own bounded read-ahead ring and folds \
                  completions in-simulator (lean), so peak RSS is O(machine), not O(jobs). The \
-                 16-worker numbers are modeled from measured single-threaded per-run walls \
-                 (greedy list schedule for stealing vs whole-cell round-robin for the old \
-                 dispatch) because the bench host exposes a single core."
+                 speedup is measured: the grid's wall on one worker over its wall on one \
+                 worker per core of the recording host."
                     .into(),
             ),
         ),
@@ -323,23 +287,23 @@ fn main() {
             "after",
             history::obj(vec![
                 ("jobs", Json::Int(n_jobs as i64)),
-                ("runs", Json::Int(walls.len() as i64)),
+                ("runs", Json::Int(report.runs as i64)),
                 ("gen_wall_s", Json::Num(gen_wall)),
                 ("sweep_wall_s", Json::Num(sweep_wall)),
-                ("seq_wall_s", Json::Num(seq_wall)),
                 ("peak_rss_kb", Json::Int(rss_after_sweep as i64)),
                 ("peak_rss_kb_100k_reference", Json::Int(rss_after_small as i64)),
             ]),
         ),
         (
-            "modeled_16_workers",
+            "measured_workers",
             history::obj(vec![
-                ("cell_round_robin_s", Json::Num(static_ms)),
-                ("work_stealing_s", Json::Num(steal_ms)),
-                ("speedup", Json::Num(modeled_speedup)),
+                ("cores", Json::Int(cores as i64)),
+                ("one_worker_s", Json::Num(serial_wall)),
+                ("all_workers_s", Json::Num(sweep_wall)),
+                ("speedup", Json::Num(speedup)),
             ]),
         ),
-        ("speedup", Json::Num(modeled_speedup)),
+        ("speedup", Json::Num(speedup)),
     ]);
     history::upsert_case(&mut doc, "mega_swf", case);
     history::append_entry(
@@ -347,8 +311,10 @@ fn main() {
         "mega_swf",
         history::obj(vec![
             ("date", Json::Str(date)),
-            ("speedup", Json::Num(modeled_speedup)),
+            ("speedup", Json::Num(speedup)),
             ("sweep_wall_s", Json::Num(sweep_wall)),
+            ("one_worker_s", Json::Num(serial_wall)),
+            ("cores", Json::Int(cores as i64)),
             ("peak_rss_kb", Json::Int(rss_after_sweep as i64)),
         ]),
     );

@@ -1,26 +1,24 @@
 //! The thread-pool batch seam: [`RunError`], [`default_threads`], and the
 //! one batch loop ([`run_batch`]) that
 //! [`BatchRunner`](crate::runner::BatchRunner) and the sweep engines
-//! drive. Work is dispatched through per-worker chunked deques with
-//! stealing (see [`StealQueues`]): each worker starts with a contiguous
-//! slice of the batch — consecutive indices are replications of the same
-//! cell, so the initial split maximizes trace cache locality — and an
-//! idle worker steals the back half of a loaded one's queue, so a shard
-//! of slow cells never serializes the tail of a sweep. Per-configuration
-//! `catch_unwind` keeps one poisoned cell from voiding a whole grid.
+//! drive. Work is dispatched from one shared counter: each idle worker
+//! takes the next unclaimed index in input order, so a worker waits only
+//! once every run has been handed out, and a slow run never holds queued
+//! work behind it. Per-configuration `catch_unwind` keeps one poisoned
+//! cell from voiding a whole grid.
 
-use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::{ConfigError, ExperimentConfig};
 
-/// Per-worker shard counters for one batch: what each worker of the
-/// work-stealing pool actually did. Collected on a [`ShardBoard`] when
-/// the caller asks for one (the sweep and mega-sweep engines always do)
-/// and surfaced through `SweepReport::workers` and the live
-/// `SweepProgress::workers` snapshots.
+/// Per-worker shard counters for one batch: what each worker of the pool
+/// actually did. Collected on a [`ShardBoard`] when the caller asks for
+/// one (the sweep and mega-sweep engines always do) and surfaced through
+/// `SweepReport::workers` and the live `SweepProgress::workers`
+/// snapshots.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardStats {
     /// Worker slot (0-based).
@@ -30,18 +28,13 @@ pub struct ShardStats {
     /// Cells this worker ran to a terminal failure (panicked after
     /// retries, invalid, or skipped on an exhausted wall budget).
     pub cells_failed: u64,
-    /// Pops that found the worker's own deque empty and scanned victims.
-    pub steals_attempted: u64,
-    /// Steal scans that came back with work.
+    /// Always 0: every run comes from one shared counter, so no worker
+    /// takes work queued for another. perfbench still reads the field for
+    /// its `sweep.steal_ratio`.
     pub steals_succeeded: u64,
-    /// Sum of own-queue depth sampled once per popped cell (after the
-    /// pop); divide by `queue_depth_samples` for the mean.
-    pub queue_depth_sum: u64,
-    /// Number of queue-depth samples taken.
-    pub queue_depth_samples: u64,
     /// Wall time spent inside runner calls, nanoseconds.
     pub busy_ns: u64,
-    /// Wall time spent outside runner calls (queue ops, stealing,
+    /// Wall time spent outside runner calls (dispatch, result hand-off,
     /// waiting), nanoseconds.
     pub idle_ns: u64,
     /// Peak resident set (VmHWM, kB) observed after this worker's cells.
@@ -51,15 +44,6 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Mean own-queue depth over the samples taken (0.0 with no samples).
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.queue_depth_samples == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / self.queue_depth_samples as f64
-        }
-    }
-
     /// Fraction of the worker's wall time spent inside runner calls.
     pub fn busy_frac(&self) -> f64 {
         let total = self.busy_ns + self.idle_ns;
@@ -201,85 +185,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Work-stealing index dispatch for a batch of `n` items over `w`
-/// workers.
-///
-/// Each worker owns a deque seeded with a contiguous chunk of `0..n`
-/// (worker 0 gets the first chunk, and the first `n % w` chunks are one
-/// item longer). Owners pop from the **front** — walking their chunk in
-/// input order, which keeps consecutive replications of one sweep cell
-/// (sharing a cached trace) on one thread. A worker whose deque drains
-/// scans the others round-robin from its own slot and steals the **back
-/// half** (rounded up) of the first non-empty victim: stealing from the
-/// back takes the work the owner would reach last, and taking half
-/// amortizes steal traffic to O(log) per worker instead of per item.
-///
-/// Plain mutexes, not lock-free: batch items are whole simulations
-/// (milliseconds to minutes), so queue operations are nanoseconds of
-/// noise and `std`-only simplicity wins. Termination is by emptiness —
-/// every index is either in some deque or in flight on the worker that
-/// popped it, so a worker that finds every deque empty can exit: nothing
-/// is left for it to take over.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Split `0..n` into contiguous chunks, one per worker.
-    fn split(n: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (base, extra) = (n / workers, n % workers);
-        let mut queues = Vec::with_capacity(workers);
-        let mut next = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            queues.push(Mutex::new((next..next + len).collect()));
-            next += len;
-        }
-        debug_assert_eq!(next, n);
-        StealQueues { queues }
-    }
-
-    /// Next index for worker `me`: own front, else steal. `None` means
-    /// the whole batch is finished or in flight elsewhere.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn pop(&self, me: usize) -> Option<usize> {
-        self.pop_tracked(me).0
-    }
-
-    /// [`pop`](StealQueues::pop) plus steal accounting: the extra flags
-    /// say whether the pop had to scan victims (own deque empty) and
-    /// whether the scan landed work. Same dispatch order bit for bit.
-    fn pop_tracked(&self, me: usize) -> (Option<usize>, bool, bool) {
-        if let Some(i) = self.queues[me].lock().expect("queue poisoned").pop_front() {
-            return (Some(i), false, false);
-        }
-        let mut attempted = false;
-        for k in 1..self.queues.len() {
-            attempted = true;
-            let victim = (me + k) % self.queues.len();
-            let mut q = self.queues[victim].lock().expect("queue poisoned");
-            let len = q.len();
-            if len == 0 {
-                continue;
-            }
-            // Take the back half; q keeps its front (the owner's next
-            // work), we keep the stolen run in input order.
-            let stolen: VecDeque<usize> = q.split_off(len - len.div_ceil(2));
-            drop(q);
-            let mut mine = self.queues[me].lock().expect("queue poisoned");
-            *mine = stolen;
-            return (mine.pop_front(), true, true);
-        }
-        (None, attempted, false)
-    }
-
-    /// Current depth of worker `me`'s own deque.
-    fn depth(&self, me: usize) -> usize {
-        self.queues[me].lock().expect("queue poisoned").len()
-    }
-}
-
 /// The worker count [`run_batch`] actually spawns for a batch of `n`
 /// items: callers sizing a [`ShardBoard`] must use the same clamp.
 pub(crate) fn batch_workers(threads: usize, n: usize) -> usize {
@@ -291,10 +196,11 @@ pub(crate) fn batch_workers(threads: usize, n: usize) -> usize {
 /// on `threads` workers and return one result per configuration, in input
 /// order.
 ///
-/// Workers drain a [`StealQueues`] dispatch and send `(index, result)`
-/// pairs over a channel; the caller's thread reassembles them in input
-/// order, so results are identical for any worker count. The runner
-/// receives its worker slot so profiled runs can tag their spans.
+/// Workers claim indices from one shared counter, in input order, and
+/// send `(index, result)` pairs over a channel; the caller's thread
+/// reassembles them in input order, so results are identical for any
+/// worker count. The runner receives its worker slot so profiled runs
+/// can tag their spans.
 ///
 /// * **Failures.** A configuration that fails
 ///   [`ExperimentConfig::validate`] yields [`RunError::Invalid`]; one
@@ -335,10 +241,12 @@ where
         board.is_none_or(|b| b.shards.len() >= workers),
         "shard board sized below the worker count"
     );
-    let queues = StealQueues::split(n, workers);
+    // The next unclaimed index. `Relaxed` suffices: the counter publishes
+    // no data, and the configurations it indexes were written before the
+    // workers were spawned.
+    let next = AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<T, RunError>)>();
-    let configs_ref = &configs;
-    let queues_ref = &queues;
+    let (configs_ref, next_ref) = (&configs, &next);
     let runner_ref = &runner;
     std::thread::scope(|scope| {
         for me in 0..workers {
@@ -347,14 +255,9 @@ where
                 let worker_start = Instant::now();
                 let mut busy = Duration::ZERO;
                 loop {
-                    let (popped, steal_attempted, steal_succeeded) = queues_ref.pop_tracked(me);
-                    let Some(i) = popped else { break };
-                    if let Some(b) = board {
-                        let mut s = b.shards[me].lock().expect("shard poisoned");
-                        s.steals_attempted += u64::from(steal_attempted);
-                        s.steals_succeeded += u64::from(steal_succeeded);
-                        s.queue_depth_sum += queues_ref.depth(me) as u64;
-                        s.queue_depth_samples += 1;
+                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
                     let cfg = &configs_ref[i];
                     if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -464,42 +367,40 @@ mod tests {
     }
 
     #[test]
-    fn steal_queues_split_contiguously_and_cover_everything() {
-        for (n, workers) in [(0, 1), (1, 4), (7, 3), (12, 4), (100, 16)] {
-            let q = StealQueues::split(n, workers);
-            assert_eq!(q.queues.len(), workers);
-            let mut all = Vec::new();
-            for (w, m) in q.queues.iter().enumerate() {
-                let chunk: Vec<usize> = m.lock().unwrap().iter().copied().collect();
-                // Contiguous ascending chunk; earlier workers never hold
-                // later indices than later workers.
-                assert!(chunk.windows(2).all(|p| p[1] == p[0] + 1), "worker {w}");
-                all.extend(chunk);
-            }
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} w={workers}");
-            // Chunk sizes differ by at most one.
-            let sizes: Vec<usize> = q.queues.iter().map(|m| m.lock().unwrap().len()).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "sizes {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn stealing_takes_the_back_half_and_drains_everything() {
-        let q = StealQueues::split(8, 2);
-        // Worker 1's chunk is 4..8. Drain it so it must steal.
-        for want in 4..8 {
-            assert_eq!(q.pop(1), Some(want), "owner walks its chunk in order");
-        }
-        // Steal: worker 0 still holds 0..4, the thief takes the back half
-        // {2, 3} and processes it in input order.
-        assert_eq!(q.pop(1), Some(2));
-        assert_eq!(q.pop(1), Some(3));
-        // The victim kept its front.
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(1), None);
+    fn workers_claim_runs_in_input_order() {
+        // The first call on each of two workers holds the barrier until
+        // the other arrives, so the two calls run concurrently and each
+        // holds the first run its worker claimed: indices 0 and 1 from
+        // the shared counter (contiguous per-worker chunks would hand
+        // worker 1 index 3).
+        use std::sync::atomic::AtomicU32;
+        use std::sync::Barrier;
+        let configs: Vec<ExperimentConfig> = (0..6u64)
+            .map(|i| small(SchedulerKind::Easy).with_seed(i))
+            .collect();
+        let barrier = Barrier::new(2);
+        let calls = AtomicU32::new(0);
+        let first = Mutex::new(Vec::new());
+        let results = run_batch(
+            configs,
+            2,
+            0,
+            None,
+            None,
+            |_, cfg: &Arc<ExperimentConfig>| {
+                if calls.fetch_add(1, Ordering::SeqCst) < 2 {
+                    first.lock().unwrap().push(cfg.seed);
+                    barrier.wait();
+                }
+                cfg.seed
+            },
+            |_, _| {},
+        );
+        let mut first = first.into_inner().unwrap();
+        first.sort_unstable();
+        assert_eq!(first, vec![0, 1]);
+        let seeds: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(seeds, (0..6).collect::<Vec<_>>(), "results in input order");
     }
 
     #[test]
@@ -756,10 +657,9 @@ mod tests {
         let failed: u64 = shards.iter().map(|s| s.cells_failed).sum();
         assert_eq!(done + failed, 6, "every cell lands on exactly one shard");
         assert_eq!(failed, 0);
-        let samples: u64 = shards.iter().map(|s| s.queue_depth_samples).sum();
-        assert_eq!(samples, 6, "one depth sample per popped cell");
-        // Work stealing does not promise every worker a cell: busy time
-        // is recorded exactly on the shards that ran one.
+        assert!(shards.iter().all(|s| s.steals_succeeded == 0));
+        // The shared counter does not promise every worker a cell: busy
+        // time is recorded exactly on the shards that ran one.
         assert!(shards
             .iter()
             .all(|s| (s.busy_ns > 0) == (s.cells_done + s.cells_failed > 0)));
@@ -773,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_board_counts_failures_and_steal_attempts() {
+    fn shard_board_counts_failures() {
         let configs = vec![
             small(SchedulerKind::Easy).with_jobs(60),
             small(SchedulerKind::Fcfs).with_jobs(0), // invalid
@@ -799,8 +699,6 @@ mod tests {
         let shards = board.snapshot();
         assert_eq!(shards[0].cells_done, 1);
         assert_eq!(shards[0].cells_failed, 2, "invalid + panicked");
-        // A lone worker has no victims to scan.
-        assert_eq!(shards[0].steals_attempted, 0);
         let spans = board.take_spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans.iter().filter(|s| s.ok).count(), 1);

@@ -43,9 +43,6 @@ pub enum ConfigError {
     BadCheckpoint(&'static str),
     /// The speed spec is unusable (its rendered form attached).
     BadSpeed(String),
-    /// Lean (outcome-streaming) mode conflicts with another knob
-    /// (reason attached).
-    BadLean(&'static str),
     /// A mega-sweep's SWF log is unusable (path and reason attached).
     BadSwf(String),
     /// The machine has no processors.
@@ -76,7 +73,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadSpeed(ref spec) => {
                 write!(f, "bad speed spec {spec:?}: factors must be finite and > 0")
             }
-            ConfigError::BadLean(reason) => write!(f, "bad lean-mode combination: {reason}"),
             ConfigError::BadSwf(ref reason) => write!(f, "bad SWF log: {reason}"),
             ConfigError::NoProcs => f.write_str("the machine needs at least 1 processor"),
         }

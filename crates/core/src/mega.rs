@@ -18,10 +18,12 @@
 //!
 //! End to end, a 16-cell sweep over a million-job log peaks at tens of
 //! megabytes — machine state and ring buffers — instead of tens of
-//! gigabytes. A mega sweep is a lean [`SweepSpec`] over the log's machine
+//! gigabytes. A mega sweep is a [`SweepSpec`] over the log's machine
 //! whose runs stream the log: the grid driver (cell aggregation, failure
 //! accounting, wall budgets, progress reporting) is the one behind
 //! [`run_sweep`](crate::sweep::run_sweep), so reports render identically.
+//! Every run of that grid drains on a homogeneous machine with no warmup
+//! window, so the driver runs each one lean.
 
 use std::path::PathBuf;
 
@@ -196,13 +198,14 @@ impl MegaSweepSpec {
         self.cells() * self.reps
     }
 
-    /// The grid as a lean [`SweepSpec`] over the log's machine:
-    /// the same cell-major expansion and per-run configurations, with
-    /// default estimates (re-drawn ones are applied by the source, not the
-    /// configuration). `n_jobs` is pinned to 1: the run length comes from
-    /// the log, but validation requires a nonzero count and the
-    /// explicit-source path never reads it. The base's scheduler is a
-    /// placeholder the scheduler axis replaces.
+    /// The grid as a [`SweepSpec`] over the log's machine, whose drained
+    /// homogeneous runs the driver folds lean: the same cell-major
+    /// expansion and per-run configurations, with default estimates
+    /// (re-drawn ones are applied by the source, not the configuration).
+    /// `n_jobs` is pinned to 1: the run length comes from the log, but
+    /// validation requires a nonzero count and the explicit-source path
+    /// never reads it. The base's scheduler is a placeholder the
+    /// scheduler axis replaces.
     fn grid(&self) -> SweepSpec {
         let base = ExperimentConfig::new(SystemPreset::swf(self.procs), SchedulerKind::Easy)
             .with_jobs(1)
@@ -214,8 +217,7 @@ impl MegaSweepSpec {
             .with_loads(self.loads.clone())
             .with_reps(self.reps)
             .with_retries(self.retries)
-            .with_timeline(self.timeline)
-            .with_lean(true);
+            .with_timeline(self.timeline);
         grid.wall_budget_ms = self.wall_budget_ms;
         grid
     }

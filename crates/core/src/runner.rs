@@ -49,7 +49,6 @@ pub struct RunBuilder<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry>
     sink: S,
     telemetry: T,
     source: Option<Box<dyn JobSource>>,
-    header: bool,
     watchdog: Watchdog,
     lean: bool,
     profiler: Option<SpanProfiler>,
@@ -57,15 +56,13 @@ pub struct RunBuilder<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry>
 
 impl RunBuilder {
     /// Start a builder over `cfg`: no sinks, the workload implied by
-    /// [`ExperimentConfig::arrivals`], header emission on, generous
-    /// watchdog.
+    /// [`ExperimentConfig::arrivals`], generous watchdog.
     pub fn new(cfg: Arc<ExperimentConfig>) -> Self {
         RunBuilder {
             cfg,
             sink: NullSink,
             telemetry: NullTelemetry,
             source: None,
-            header: true,
             watchdog: Watchdog::generous(),
             lean: false,
             profiler: None,
@@ -74,17 +71,15 @@ impl RunBuilder {
 }
 
 impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
-    /// Stream trace records into `sink` during the run. Unless disabled
-    /// with [`header(false)`](RunBuilder::header), the first record is a
-    /// [`TraceRecord::Header`] embedding the configuration as JSON, so
-    /// the run is reproducible from the log alone.
+    /// Stream trace records into `sink` during the run. The first record
+    /// is a [`TraceRecord::Header`] embedding the configuration as JSON,
+    /// so the run is reproducible from the log alone.
     pub fn trace_sink<S2: TraceSink>(self, sink: S2) -> RunBuilder<S2, T> {
         RunBuilder {
             cfg: self.cfg,
             sink,
             telemetry: self.telemetry,
             source: self.source,
-            header: self.header,
             watchdog: self.watchdog,
             lean: self.lean,
             profiler: self.profiler,
@@ -100,7 +95,6 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
             sink: self.sink,
             telemetry,
             source: self.source,
-            header: self.header,
             watchdog: self.watchdog,
             lean: self.lean,
             profiler: self.profiler,
@@ -115,14 +109,6 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     /// grid.
     pub fn source(mut self, source: Box<dyn JobSource>) -> Self {
         self.source = Some(source);
-        self
-    }
-
-    /// Whether to emit the [`TraceRecord::Header`] before the first
-    /// event record (default `true`). The kernel-golden equivalence
-    /// tests disable it to compare raw event streams byte-for-byte.
-    pub fn header(mut self, emit: bool) -> Self {
-        self.header = emit;
         self
     }
 
@@ -158,9 +144,9 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     /// (the explicit one, else [`ExperimentConfig::open_source`] for open
     /// arrival specs, else the configuration's synthetic trace), the
     /// configuration's `with_*` chain and this builder's knobs. The trace
-    /// header, when enabled, is recorded here. Benches and tests that need
-    /// a kernel switch ([`Simulator::with_tick_elision`] and friends) flip
-    /// it on the result.
+    /// header is recorded here. Benches and tests that need a kernel
+    /// switch ([`Simulator::with_tick_elision`] and friends) flip it on
+    /// the result.
     ///
     /// # Panics
     ///
@@ -170,7 +156,7 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     /// [`ExperimentConfig::validate`] rejects an open arrival spec without
     /// a stop; this catches an unbounded explicit source too.
     pub fn build(mut self) -> Simulator<S, T> {
-        if self.header && self.sink.enabled() {
+        if self.sink.enabled() {
             self.sink.record(&TraceRecord::Header {
                 version: TRACE_VERSION,
                 scheduler: self.cfg.scheduler.to_string(),
@@ -248,7 +234,6 @@ type BatchObserver<'a> = Box<dyn FnMut(usize, &Result<RunResult, RunError>) + 'a
 pub struct BatchRunner<'a> {
     configs: Vec<ExperimentConfig>,
     threads: usize,
-    retries: u32,
     observer: BatchObserver<'a>,
 }
 
@@ -259,7 +244,6 @@ impl<'a> BatchRunner<'a> {
         BatchRunner {
             configs,
             threads: default_threads(),
-            retries: 0,
             observer: Box::new(|_, _| {}),
         }
     }
@@ -267,15 +251,6 @@ impl<'a> BatchRunner<'a> {
     /// Override the worker-thread count (clamped to at least one).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Retry a panicked configuration up to `retries` more times (linear
-    /// 25 ms backoff) before surfacing [`RunError::Panicked`] — the
-    /// attempt count rides along in the error. Default zero: one attempt,
-    /// the historical behavior.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -300,14 +275,13 @@ impl<'a> BatchRunner<'a> {
         let BatchRunner {
             configs,
             threads,
-            retries,
             mut observer,
         } = self;
         let cache = sps_workload::TraceCache::new();
         run_batch(
             configs,
             threads,
-            retries,
+            0,
             None,
             None,
             |_, cfg| {

@@ -7,9 +7,10 @@
 //! [`run_sweep`] expands it, fans the runs over worker threads on the
 //! [`run_batch`](crate::experiment) seam, and folds each run into a
 //! fixed-size [`RunSummary`] *inside the worker*, so memory stays O(cells)
-//! no matter how many jobs each run simulates. Traces are shared through a
-//! [`TraceCache`]: every cell at the same `(load, seed)` reuses one
-//! generated job list.
+//! no matter how many jobs each run simulates. A run whose summary needs
+//! nothing but the outcome fold runs lean and never keeps per-job
+//! records at all. Traces are shared through a [`TraceCache`]: every cell
+//! at the same `(load, seed)` reuses one generated job list.
 //!
 //! Per cell (scheduler × load), the seed replicas aggregate into
 //! [`CellStats`]: mean and 95% Student-t confidence half-width for each
@@ -32,6 +33,7 @@ use crate::experiment::{
     ShardBoard, ShardStats, WorkerSpan,
 };
 use crate::runner::RunBuilder;
+use crate::sim::RunUntil;
 
 /// A declarative scheduler × load × seed-replication grid over one
 /// configuration.
@@ -43,6 +45,12 @@ use crate::runner::RunBuilder;
 /// `base.seed + rep`, and, when faults are enabled, fault seed
 /// `base.faults.seed + rep`. The remaining fields shape the batch, not
 /// the runs.
+///
+/// Each run folds lean ([`RunBuilder::lean`]) when its [`RunSummary`]
+/// needs nothing but the outcome fold: it drains, has no warmup window
+/// and runs on a homogeneous, speed-aware machine. Other runs keep their
+/// per-job outcomes and occupancy segments for the windowed report and
+/// the per-tier columns. Either way the cells are bit-identical.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// The configuration every run starts from. Its scheduler is replaced
@@ -59,15 +67,8 @@ pub struct SweepSpec {
     /// When on, each [`RunSummary`] carries the run's [`HealthSummary`]
     /// and live progress reports the worst active detector.
     pub telemetry: bool,
-    /// Run every cell lean (outcome-streaming): per-job outcomes fold
-    /// inside the simulator as they complete, so a replication's memory
-    /// is O(machine) no matter how many jobs it simulates — required for
-    /// million-job mega sweeps. Headline cell metrics are bit-identical
-    /// to a full run; per-tier heterogeneous columns and warmup windows
-    /// are unavailable (validation rejects both). Off by default.
-    pub lean: bool,
-    /// Retry budget for panicked replications (see
-    /// [`BatchRunner::retries`](crate::runner::BatchRunner::retries)).
+    /// Retry budget for panicked replications: each is retried up to this
+    /// many more times (linear 25 ms backoff) before it counts as failed.
     pub retries: u32,
     /// Wall-clock budget for the whole grid, milliseconds. When it runs
     /// out, queued runs are skipped with [`RunError::BudgetExhausted`] and
@@ -94,7 +95,7 @@ impl SweepSpec {
 
     /// An empty grid over `base`: no schedulers yet, the load axis
     /// `[base.load_factor]`, one replication, batch defaults (no
-    /// telemetry, full runs, no retries, no wall budget, no timeline).
+    /// telemetry, no retries, no wall budget, no timeline).
     pub fn over(base: ExperimentConfig) -> Self {
         SweepSpec {
             loads: vec![base.load_factor],
@@ -102,7 +103,6 @@ impl SweepSpec {
             schedulers: Vec::new(),
             reps: 1,
             telemetry: false,
-            lean: false,
             retries: 0,
             wall_budget_ms: None,
             timeline: false,
@@ -112,13 +112,6 @@ impl SweepSpec {
     /// Toggle per-run phase-span collection for timeline export.
     pub fn with_timeline(mut self, on: bool) -> Self {
         self.timeline = on;
-        self
-    }
-
-    /// Toggle lean (outcome-streaming) replications — O(machine) memory
-    /// per run, bit-identical headline metrics, no per-tier columns.
-    pub fn with_lean(mut self, lean: bool) -> Self {
-        self.lean = lean;
         self
     }
 
@@ -191,17 +184,6 @@ impl SweepSpec {
         }
         if self.reps == 0 {
             return Err(ConfigError::EmptyGrid("reps"));
-        }
-        if self.lean && !self.base.speed.is_uniform_one() {
-            return Err(ConfigError::BadLean(
-                "lean sweeps drop the segment record and cannot report \
-                 per-tier columns — run heterogeneous grids full",
-            ));
-        }
-        if self.lean && self.base.warmup > 0 {
-            return Err(ConfigError::BadLean(
-                "lean sweeps cannot build warmup-windowed reports",
-            ));
         }
         for &load in &self.loads {
             self.config(self.schedulers[0], load, 0).validate()?;
@@ -1065,9 +1047,19 @@ where
     ))
 }
 
+/// Whether a sweep run folds lean: its [`RunSummary`] needs nothing but
+/// the [`OutcomeFold`]. A run that stops early or has a warmup window
+/// reads its per-job outcomes for the windowed report, a heterogeneous
+/// run its occupancy segments for the per-tier columns, and
+/// [`RunBuilder::build`] refuses lean on any heterogeneous or
+/// speed-blind machine.
+fn folds_lean(cfg: &ExperimentConfig) -> bool {
+    cfg.until == RunUntil::Drained && cfg.warmup == 0 && !cfg.is_heterogeneous()
+}
+
 /// The grid driver behind [`run_sweep_observed`] and
 /// [`run_mega_sweep_observed`](crate::mega::run_mega_sweep_observed),
-/// which differ only in each run's job source and in `spec.lean`.
+/// which differ only in each run's job source.
 /// `source(config, cache)` gives a run's explicit source (`None` lets
 /// [`RunBuilder`] resolve it from the configuration); the batch-local
 /// cache it may draw from feeds the report's trace counters. The spec
@@ -1087,7 +1079,7 @@ where
         .wall_budget_ms
         .map(|ms| start + Duration::from_millis(ms));
     let cache = TraceCache::new();
-    let (telemetry, timeline, lean) = (spec.telemetry, spec.timeline, spec.lean);
+    let (telemetry, timeline) = (spec.telemetry, spec.timeline);
 
     let mut progress = ProgressTracker::new(start, spec.runs(), spec.cells(), spec.reps);
     let board = ShardBoard::new(batch_workers(threads, spec.runs()));
@@ -1106,7 +1098,7 @@ where
             // Simulate and fold directly: no RunResult (and no
             // per-category reports) is ever materialized on the sweep
             // path.
-            let mut builder = RunBuilder::new(Arc::clone(cfg)).lean(lean);
+            let mut builder = RunBuilder::new(Arc::clone(cfg)).lean(folds_lean(cfg));
             if let Some(src) = source(cfg, &cache) {
                 builder = builder.source(src);
             }
@@ -1298,9 +1290,10 @@ mod tests {
 
     #[test]
     fn sweep_cells_are_thread_count_invariant() {
-        // Work stealing reorders execution, never results: the cell table
-        // is bit-identical whether one worker walks the grid or sixteen
-        // race over it — including grids that skip on an expired budget.
+        // The worker count reorders execution, never results: the cell
+        // table is bit-identical whether one worker walks the grid or
+        // sixteen race over it — including grids that skip on an expired
+        // budget.
         let base = run_sweep(&tiny(), 1).expect("valid spec").to_csv();
         for threads in [4, 16] {
             assert_eq!(
@@ -1323,21 +1316,97 @@ mod tests {
         }
     }
 
+    /// The grid's cells folded from explicit full (`.lean(false)`) runs,
+    /// with the sweep's arithmetic.
+    fn full_cells(spec: &SweepSpec) -> Vec<CellStats> {
+        let summaries: Vec<RunSummary> = spec
+            .expand()
+            .into_iter()
+            .map(|cfg| {
+                let cfg = Arc::new(cfg);
+                let sim = RunBuilder::new(Arc::clone(&cfg)).lean(false).simulate();
+                RunSummary::fold(&cfg, &sim)
+            })
+            .collect();
+        let mut chunks = summaries.chunks_exact(spec.reps);
+        let mut cells = Vec::new();
+        for &scheduler in &spec.schedulers {
+            for &load in &spec.loads {
+                let chunk = chunks.next().expect("cell-major expansion");
+                cells.push(CellStats::from_summaries(scheduler, load, chunk, 0));
+            }
+        }
+        cells
+    }
+
     #[test]
     fn lean_sweep_is_bit_identical_to_full() {
-        // Outcome streaming folds per-job metrics inside the simulator
-        // with the same estimators in the same push order as the
-        // materialized fold — every cell metric must agree to the bit.
-        let full = run_sweep(&tiny(), 2).expect("valid spec");
-        let lean = run_sweep(&tiny().with_lean(true), 2).expect("valid spec");
-        assert_eq!(full.to_csv(), lean.to_csv());
-        // Combinations lean cannot honor are rejected up front.
-        let mut hetero = tiny().with_lean(true);
+        // The sweep folds these drained homogeneous runs lean, with the
+        // same estimators in the same push order as the materialized
+        // fold: every cell metric must agree to the bit. Debug output
+        // prints every digit and renders NaN equal to NaN.
+        let spec = tiny();
+        assert!(spec.expand().iter().all(folds_lean));
+        let report = run_sweep(&spec, 2).expect("valid spec");
+        assert_eq!(
+            format!("{:?}", report.cells),
+            format!("{:?}", full_cells(&spec))
+        );
+    }
+
+    #[test]
+    fn heterogeneous_and_warmup_grids_run_full() {
+        // A heterogeneous grid still reports its tier columns ...
+        let mut hetero = tiny().with_reps(2);
         hetero.base.speed = "tiers:0.5x64+1.0x64".parse().unwrap();
-        assert!(matches!(hetero.validate(), Err(ConfigError::BadLean(_))));
-        let mut warm = tiny().with_lean(true);
-        warm.base.warmup = 600;
-        assert!(matches!(warm.validate(), Err(ConfigError::BadLean(_))));
+        let report = run_sweep(&hetero, 2).expect("valid hetero spec");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert!(report.cells.iter().all(|c| c.tier_util_pct.len() == 2));
+        assert_eq!(
+            format!("{:?}", report.cells),
+            format!("{:?}", full_cells(&hetero))
+        );
+        // ... and a closed grid with a warmup window its windowed cells,
+        // which differ from the same grid without the window.
+        let mut warm = tiny().with_reps(2);
+        warm.base.warmup = 6 * 3600;
+        let report = run_sweep(&warm, 2).expect("valid warmup spec");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(
+            format!("{:?}", report.cells),
+            format!("{:?}", full_cells(&warm))
+        );
+        let unwindowed = run_sweep(&tiny().with_reps(2), 2).expect("valid spec");
+        assert_ne!(report.to_csv(), unwindowed.to_csv());
+    }
+
+    #[test]
+    fn runs_fold_lean_exactly_when_the_summary_needs_only_the_fold() {
+        use sps_simcore::SimTime;
+        use sps_workload::ArrivalSpec;
+        let drained = ExperimentConfig::new(SDSC, SchedulerKind::Ss { sf: 2.0 });
+        assert!(folds_lean(&drained));
+        // Faults, checkpoints and admission change what the fold sees,
+        // not whether the summary needs more than the fold.
+        let faulty = drained
+            .clone()
+            .with_faults(crate::faults::FaultModel::proc_faults(40_000, 3_600, 13))
+            .with_preemption(crate::checkpoint::PreemptionMode::Migrate);
+        assert!(folds_lean(&faulty));
+        assert!(!folds_lean(&drained.clone().with_warmup(600)));
+        for until in [RunUntil::SimTime(SimTime::new(86_400)), RunUntil::Jobs(100)] {
+            assert!(!folds_lean(&drained.clone().with_until(until)), "{until}");
+        }
+        let open = drained
+            .clone()
+            .with_arrivals(ArrivalSpec::Poisson { load: None })
+            .with_until(RunUntil::SimTime(SimTime::new(86_400)));
+        assert!(!folds_lean(&open));
+        let tiers = drained
+            .clone()
+            .with_speed("tiers:0.5x64+1.0x64".parse().unwrap());
+        assert!(!folds_lean(&tiers));
+        assert!(!folds_lean(&drained.clone().with_speed_aware(false)));
     }
 
     #[test]
@@ -1368,8 +1437,8 @@ mod tests {
         // Every shard accounted for every cell it ran, with wall split.
         let done: u64 = timed.workers.iter().map(|w| w.cells_done).sum();
         assert_eq!(done, timed.runs as u64);
-        // Work stealing does not promise every worker a cell: busy time
-        // is recorded exactly on the workers that ran one.
+        // The shared run counter does not promise every worker a cell:
+        // busy time is recorded exactly on the workers that ran one.
         assert!(timed
             .workers
             .iter()

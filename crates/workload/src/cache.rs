@@ -1,14 +1,15 @@
-//! Shared trace cache: generate each workload trace exactly once per
-//! batch.
+//! Shared trace cache: each workload trace is kept once per batch.
 //!
 //! A paper-style sweep varies the scheduler (and its suspension factor)
 //! over a fixed `(system, jobs, load, seed, estimate-model)` trace, so a
 //! 4-scheduler × 5-SF grid regenerates the identical job list twenty
 //! times. [`TraceCache`] memoizes generation behind an [`Arc<[Job]>`]: the
-//! first requester of a [`TraceKey`] pays the generation cost, everyone
-//! else clones a pointer. The cache is thread-safe (the sweep harness
-//! shares one across its worker threads) and generation runs outside the
-//! lock, so a cold grid never serializes on it.
+//! first requester of a [`TraceKey`] pays the generation cost, later ones
+//! clone a pointer. The cache is thread-safe (the sweep harness shares one
+//! across its worker threads) and generation runs outside the lock, so a
+//! cold grid never serializes on it. The price is that concurrent first
+//! requests for one key may each generate it; the traces are identical,
+//! the first insertion is kept, and each such request counts as a miss.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

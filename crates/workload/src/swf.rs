@@ -36,7 +36,14 @@
 //!   `max(estimate, run)` — the simulator never kills jobs at their
 //!   estimate, matching the paper's over-estimation-only model,
 //! * requested memory (KB/processor) is converted to MiB/processor and
-//!   clamped to the paper's [100 MB, 1 GB] band when absent.
+//!   clamped to the paper's [100 MB, 1 GB] band when absent,
+//! * non-numeric fields (`nan` and `inf` included) are errors naming the
+//!   line, and so are numbers outside the model's range, with their
+//!   field: a width above `u32::MAX` processors, and a submit, run or
+//!   requested time above 2^40 s (about 34,800 years). Below that bound
+//!   a job's own instants (submit, plus estimate or run, plus its
+//!   suspension overheads) stay below 2^42 s, so a simulated clock could
+//!   leave `i64` only after millions of such jobs run back to back.
 //!
 //! The streaming path cannot sort, so it **requires** submit times to be
 //! nondecreasing and reports a violation as a clean, descriptive panic
@@ -163,9 +170,14 @@ impl RawRecord {
     }
 }
 
+/// The largest submit, run or requested time the importer accepts, in
+/// seconds (see the module doc).
+const MAX_SECS: i64 = 1 << 40;
+
 /// Classify one line. Shared by the materialized and streaming parsers so
-/// both apply the exact same import policy; errors only on non-numeric
-/// fields (structural damage worth surfacing, unlike a truncated tail).
+/// both apply the exact same import policy; errors on non-numeric fields
+/// and on numbers outside the model's range (structural damage worth
+/// surfacing, unlike a truncated tail).
 fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with(';') {
@@ -175,12 +187,23 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
     // no per-line Vec — this is the hot loop of million-job ingestion.
     let (mut submit, mut run, mut alloc, mut req_procs, mut req_time, mut req_mem) =
         (-1i64, -1i64, -1i64, -1i64, -1i64, -1i64);
+    let error = |message| SwfError {
+        line: lineno,
+        message,
+    };
+    // The first time field above the bound, with its token.
+    let mut too_late = None;
     let mut n = 0usize;
     for tok in line.split_whitespace() {
-        let v = tok.parse::<f64>().map_err(|_| SwfError {
-            line: lineno,
-            message: format!("non-numeric field {tok:?}"),
-        })? as i64;
+        // `nan` and `inf` parse as floats but are no SWF numbers.
+        let v = tok
+            .parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| error(format!("non-numeric field {tok:?}")))? as i64;
+        if v > MAX_SECS && matches!(n, 1 | 3 | 8) && too_late.is_none() {
+            too_late = Some((n, tok));
+        }
         match n {
             1 => submit = v,
             3 => run = v,
@@ -195,7 +218,28 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
     if n < 11 {
         return Ok(LineKind::Short);
     }
-    let procs = if req_procs > 0 { req_procs } else { alloc };
+    if let Some((field, tok)) = too_late {
+        let time = match field {
+            1 => "submit time",
+            3 => "run time",
+            _ => "requested time",
+        };
+        return Err(error(format!(
+            "{time} (field {}) {tok} is above the import bound of {MAX_SECS} s",
+            field + 1
+        )));
+    }
+    let (procs, field) = if req_procs > 0 {
+        (req_procs, "requested processors (field 8)")
+    } else {
+        (alloc, "allocated processors (field 5)")
+    };
+    if procs > i64::from(u32::MAX) {
+        return Err(error(format!(
+            "{field} {procs} is above the largest width, {}",
+            u32::MAX
+        )));
+    }
     if run <= 0 || procs <= 0 {
         return Ok(LineKind::Unusable);
     }
@@ -206,7 +250,7 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
     // overhead model wants the job total, clamped to the paper's
     // 100 MB – 1 GB band.
     let mem_mb = if req_mem > 0 {
-        (((req_mem * procs + 512) / 1024).clamp(100, 1024)) as u32
+        ((req_mem.saturating_mul(procs).saturating_add(512) / 1024).clamp(100, 1024)) as u32
     } else {
         512
     };
@@ -221,10 +265,10 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
 }
 
 /// Parse SWF text into a materialized trace. Returns an error only for
-/// structurally malformed lines (non-integer fields); short lines and
-/// semantically unusable jobs are counted in [`SwfTrace::warnings`]
-/// instead. Jobs are sorted by submit time and renumbered densely, so any
-/// input order is accepted.
+/// structurally malformed lines (non-numeric fields, numbers outside the
+/// model's range); short lines and semantically unusable jobs are counted
+/// in [`SwfTrace::warnings`] instead. Jobs are sorted by submit time and
+/// renumbered densely, so any input order is accepted.
 pub fn parse(text: &str) -> Result<SwfTrace, SwfError> {
     let mut jobs = Vec::new();
     let mut warnings = SwfWarnings::default();
@@ -541,9 +585,61 @@ mod tests {
 
     #[test]
     fn rejects_non_numeric_fields() {
-        let err = parse("1 2 three 4 5 6 7 8 9 10 11\n").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.to_string().contains("non-numeric"));
+        for line in [
+            "1 2 three 4 5 6 7 8 9 10 11\n",
+            "1 nan 0 4 5 6 7 8 9 10 11\n",
+            "1 2 0 inf 5 6 7 8 9 10 11\n",
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert!(err.to_string().contains("non-numeric"), "{line}");
+        }
+    }
+
+    #[test]
+    fn rejects_numbers_outside_the_model_with_line_and_field() {
+        let ok = "1 0 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n";
+        for (line, field) in [
+            (
+                "2 0 0 100 4294967296 -1 -1 -1 100 -1 1 -1 -1 -1 -1 -1 -1 -1",
+                "allocated processors (field 5) 4294967296",
+            ),
+            (
+                "2 0 0 100 4 -1 -1 1e10 100 -1 1 -1 -1 -1 -1 -1 -1 -1",
+                "requested processors (field 8) 10000000000",
+            ),
+            (
+                "2 1099511627777 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1",
+                "submit time (field 2) 1099511627777",
+            ),
+            (
+                "2 0 0 9223372036854775807 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1",
+                "run time (field 4) 9223372036854775807",
+            ),
+            (
+                "2 0 0 1e308 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1",
+                "run time (field 4) 1e308",
+            ),
+            (
+                "2 0 0 100 4 -1 -1 4 2e12 -1 1 -1 -1 -1 -1 -1 -1 -1",
+                "requested time (field 9) 2e12",
+            ),
+        ] {
+            let err = parse(&format!("{ok}{line}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{line}");
+            assert!(err.message.starts_with(field), "{line}: {err}");
+        }
+        // At the bound, with a huge memory request, the line imports.
+        let edge = "1 1099511627776 0 1099511627776 4 -1 -1 4 1099511627776 \
+                    9223372036854775807 1 -1 -1 -1 -1 -1 -1 -1\n";
+        let job = &parse(edge).unwrap().jobs[0];
+        assert_eq!(
+            (job.submit.secs(), job.run, job.mem_mb),
+            (1 << 40, 1 << 40, 1024)
+        );
+        // A short line is dropped and counted whatever its numbers.
+        let short = parse("1 1e300 0\n").unwrap();
+        assert_eq!(short.warnings.short_lines, 1);
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn usage() -> ! {
     eprintln!("       timeline (run: one lane per scheme with run-loop phase spans;");
     eprintln!("       sweep: one lane per worker with per-cell spans and in-run");
     eprintln!("       phase spans); --top redraws a live per-worker table on stderr");
-    eprintln!("       (cells, steals, queue depth, busy share, peak RSS)");
+    eprintln!("       (cells done and failed, busy time, peak RSS)");
     eprintln!("report: instrumented comparison runs (default SDSC, ns vs ss vs tss) with");
     eprintln!("        per-category tables, decide-latency histogram, and health findings;");
     eprintln!("        --loads adds a telemetry sweep table; --prom writes Prometheus/JSON");
@@ -837,8 +837,8 @@ fn progress_summary(p: &SweepProgress) -> String {
 
 /// `--top`: a multi-line stderr view redrawn in place (cursor-up + clear
 /// ANSI codes) with one row of live shard counters per sweep worker —
-/// cells done/failed, steal success/attempts, mean queue depth at pop,
-/// busy wall, and the process peak RSS observed from that worker.
+/// cells done/failed, busy wall, and the process peak RSS observed from
+/// that worker.
 fn top_view() -> impl FnMut(&SweepProgress) {
     let mut drawn = 0usize;
     move |p: &SweepProgress| {
@@ -851,20 +851,17 @@ fn top_view() -> impl FnMut(&SweepProgress) {
         if let Some(workers) = &p.workers {
             let _ = writeln!(
                 out,
-                "\x1b[2K{:>6}  {:>5}  {:>6}  {:>11}  {:>9}  {:>8}  {:>8}",
-                "worker", "cells", "failed", "steals", "avg depth", "busy (s)", "rss (MB)"
+                "\x1b[2K{:>6}  {:>5}  {:>6}  {:>8}  {:>8}",
+                "worker", "cells", "failed", "busy (s)", "rss (MB)"
             );
             lines += 1;
             for w in workers {
                 let _ = writeln!(
                     out,
-                    "\x1b[2K{:>6}  {:>5}  {:>6}  {:>5}/{:<5}  {:>9.1}  {:>8.1}  {:>8.1}",
+                    "\x1b[2K{:>6}  {:>5}  {:>6}  {:>8.1}  {:>8.1}",
                     w.worker,
                     w.cells_done,
                     w.cells_failed,
-                    w.steals_succeeded,
-                    w.steals_attempted,
-                    w.mean_queue_depth(),
                     w.busy_ns as f64 / 1e9,
                     w.peak_rss_kb as f64 / 1024.0,
                 );

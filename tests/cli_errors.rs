@@ -149,3 +149,34 @@ fn sweep_rejects_zero_jobs() {
     let stderr = refused(&["sweep", "--system", "SDSC", "--sched", "ns", "--jobs", "0"]);
     assert!(stderr.contains("n_jobs"), "{stderr}");
 }
+
+/// `replay` refuses an SWF number the model cannot hold, naming its line,
+/// before any run: a width past `u32::MAX` and a run time past `i64`.
+#[test]
+fn replay_rejects_out_of_range_swf_numbers() {
+    for (tag, bad, field) in [
+        (
+            "wide",
+            "2 10 0 100 4294967296 -1 -1 4294967296 100 -1 1 -1 -1 -1 -1 -1 -1 -1",
+            "field 8",
+        ),
+        (
+            "long",
+            "2 10 0 9223372036854775807 4 -1 -1 4 -1 -1 1 -1 -1 -1 -1 -1 -1 -1",
+            "field 4",
+        ),
+    ] {
+        let log =
+            std::env::temp_dir().join(format!("sps-cli-errors-{tag}-{}.swf", std::process::id()));
+        std::fs::write(
+            &log,
+            format!("1 0 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n{bad}\n"),
+        )
+        .expect("write SWF log");
+        let path = log.display().to_string();
+        let stderr = refused(&["replay", "--swf", &path, "--procs", "8", "--sched", "ns"]);
+        let _ = std::fs::remove_file(&log);
+        assert!(stderr.starts_with("error: SWF line 2: "), "{stderr}");
+        assert!(stderr.contains(field), "{stderr}");
+    }
+}

@@ -110,20 +110,51 @@ fn naive_cells(spec: &SweepSpec) -> Vec<CellStats> {
 }
 
 /// The golden equivalence: every per-cell statistic of the cached,
-/// elided, streaming sweep equals the naive path bit-for-bit.
+/// elided, lean-folding sweep equals the naive path bit-for-bit. Beside
+/// the paper grid: runs long enough that lean trimming reclaims job
+/// slots, and a grid under fault injection with checkpointing migration.
 #[test]
 fn sweep_cells_are_bit_identical_to_naive_path() {
-    let spec = grid();
-    let report = run_sweep(&spec, 2).expect("valid spec");
-    assert!(report.failures.is_empty());
-    let naive = naive_cells(&spec);
-    assert_eq!(report.cells.len(), naive.len());
-    for (fast, slow) in report.cells.iter().zip(&naive) {
-        assert_eq!(
-            fast, slow,
-            "cell {} @ load {} diverged between sweep and naive paths",
-            slow.scheduler, slow.load_factor
-        );
+    let long = SweepSpec::new(SDSC)
+        .with_schedulers(vec![SchedulerKind::Easy, SchedulerKind::Ss { sf: 2.0 }])
+        .with_loads(vec![0.9])
+        .with_jobs(2_500)
+        .with_seed(5)
+        .with_reps(2);
+    let trimmed = long.expand()[1].runner().lean(true).simulate();
+    assert!(trimmed.kernel.reclaimed_slots > 0, "nothing reclaimed");
+    let faulty = SweepSpec::over(
+        ExperimentConfig::new(SDSC, SchedulerKind::Easy)
+            .with_faults(
+                FaultModel::proc_faults(1_000_000, 3_600, 13)
+                    .with_recovery(RecoveryPolicy::Resubmit),
+            )
+            .with_preemption(PreemptionMode::Migrate)
+            .with_checkpoint(CheckpointModel::paper().with_interval(1_800)),
+    )
+    .with_schedulers(grid().schedulers)
+    .with_loads(vec![1.1])
+    .with_jobs(250)
+    .with_seed(7)
+    .with_reps(2);
+    for (label, spec) in [("paper", grid()), ("long", long), ("faulty", faulty)] {
+        let report = run_sweep(&spec, 2).expect("valid spec");
+        assert!(report.failures.is_empty(), "{label}: {:?}", report.failures);
+        if label == "faulty" {
+            assert!(
+                report.cells.iter().all(|c| c.lost_work.mean > 0.0),
+                "no kills"
+            );
+        }
+        let naive = naive_cells(&spec);
+        assert_eq!(report.cells.len(), naive.len());
+        for (fast, slow) in report.cells.iter().zip(&naive) {
+            assert_eq!(
+                fast, slow,
+                "{label}: cell {} @ load {} diverged between sweep and naive paths",
+                slow.scheduler, slow.load_factor
+            );
+        }
     }
 }
 

@@ -105,3 +105,59 @@ fn replay_reports_jobs_wider_than_the_machine() {
         "{stdout}"
     );
 }
+
+/// One SWF data line: `job submit run width requested-time`, the other
+/// fields missing.
+fn line(job: u32, submit: &str, run: &str, width: &str, requested: &str) -> String {
+    format!("{job} {submit} 0 {run} {width} -1 -1 {width} {requested} -1 1 -1 -1 -1 -1 -1 -1 -1\n")
+}
+
+/// Numbers the model cannot hold are errors naming their line and field.
+/// A width past `u32::MAX` used to become a zero-processor job, and a run
+/// time past `i64` (or `1e308`) a job that completed at its submit
+/// instant.
+#[test]
+fn out_of_range_numbers_are_errors_naming_the_line() {
+    let first = line(1, "0", "100", "4", "100");
+    for (bad, field) in [
+        (
+            line(2, "10", "100", "4294967296", "100"),
+            "(field 8) 4294967296",
+        ),
+        (line(2, "10", "9223372036854775807", "4", "-1"), "(field 4)"),
+        (line(2, "10", "1e308", "4", "-1"), "(field 4) 1e308"),
+        (line(2, "1099511627777", "100", "4", "100"), "(field 2)"),
+        (line(2, "10", "100", "4", "2e12"), "(field 9) 2e12"),
+    ] {
+        let err = swf::parse(&format!("{first}{bad}")).unwrap_err();
+        let shown = err.to_string();
+        assert!(shown.starts_with("SWF line 2: "), "{bad}: {shown}");
+        assert!(shown.contains(field), "{bad}: {shown}");
+    }
+}
+
+/// A log at the bound, 2^40 s, simulates without overflow (tier-1 runs
+/// this in a debug build, where overflow panics): a full-machine job
+/// running for 2^40 s from just before the bound, and a half-width job
+/// submitted at the bound while it runs, which the preemptive schedulers
+/// let through by suspending it.
+#[test]
+fn a_log_at_the_time_bound_runs_without_overflow() {
+    let bound = (1i64 << 40).to_string();
+    let early = ((1i64 << 40) - 60).to_string();
+    let text = line(1, &early, &bound, "128", &bound) + &line(2, &bound, "100", "64", "100");
+    let parsed = swf::parse(&text).expect("a log at the bound imports");
+    for kind in [
+        SchedulerKind::Easy,
+        SchedulerKind::ImmediateService,
+        SchedulerKind::Ss { sf: 2.0 },
+        SchedulerKind::Tss { sf: 2.0 },
+    ] {
+        let res = Simulator::new(parsed.jobs.clone(), 128, kind.build()).run();
+        assert_eq!(res.outcomes.len(), 2, "{kind:?}");
+        let last = res.outcomes.iter().map(|o| o.completion.secs()).max();
+        assert!(last >= Some((1i64 << 41) - 60), "{kind:?}: {last:?}");
+        let preemptive = kind != SchedulerKind::Easy;
+        assert_eq!(res.preemptions > 0, preemptive, "{kind:?}");
+    }
+}
