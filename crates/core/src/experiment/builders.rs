@@ -12,6 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use sps_workload::SwfError;
+
 use super::{ConfigError, ExperimentConfig};
 
 /// Per-worker shard counters for one batch: what each worker of the pool
@@ -150,6 +152,14 @@ pub enum RunError {
     /// started ([`crate::sweep::SweepSpec::with_wall_budget`]); the run
     /// was skipped so the rest of the grid could report partial results.
     BudgetExhausted,
+    /// The run's job source ended on an error ([`JobSource::error`]): a
+    /// malformed log line, an out-of-order submit or a failed read, named
+    /// by its line. Retries re-run only runs that panic, so this one is
+    /// not retried: a bad line fails every attempt alike, and a failed
+    /// read is reported as it happened.
+    ///
+    /// [`JobSource::error`]: sps_workload::JobSource::error
+    Source(SwfError),
 }
 
 impl fmt::Display for RunError {
@@ -163,6 +173,7 @@ impl fmt::Display for RunError {
                 write!(f, "simulation panicked on all {attempts} attempts: {msg}")
             }
             RunError::BudgetExhausted => f.write_str("wall budget exhausted before the run"),
+            RunError::Source(e) => e.fmt(f),
         }
     }
 }
@@ -194,7 +205,7 @@ pub(crate) fn batch_workers(threads: usize, n: usize) -> usize {
 /// The batch loop behind [`BatchRunner`](crate::runner::BatchRunner) and
 /// the sweep engines: run `runner(worker, config)` for every configuration
 /// on `threads` workers and return one result per configuration, in input
-/// order.
+/// order. A runner reports a failed run as its own [`RunError`].
 ///
 /// Workers claim indices from one shared counter, in input order, and
 /// send `(index, result)` pairs over a channel; the caller's thread
@@ -231,7 +242,7 @@ pub(crate) fn run_batch<T, F, O>(
 ) -> Vec<Result<T, RunError>>
 where
     T: Send,
-    F: Fn(usize, &Arc<ExperimentConfig>) -> T + Sync,
+    F: Fn(usize, &Arc<ExperimentConfig>) -> Result<T, RunError> + Sync,
     O: FnMut(usize, &Result<T, RunError>),
 {
     let configs: Vec<Arc<ExperimentConfig>> = configs.into_iter().map(Arc::new).collect();
@@ -279,7 +290,7 @@ where
                                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     runner_ref(me, cfg)
                                 })) {
-                                    Ok(v) => break Ok(v),
+                                    Ok(result) => break result,
                                     Err(payload) => {
                                         let msg = format!(
                                             "[{}] {}",
@@ -392,7 +403,7 @@ mod tests {
                     first.lock().unwrap().push(cfg.seed);
                     barrier.wait();
                 }
-                cfg.seed
+                Ok(cfg.seed)
             },
             |_, _| {},
         );
@@ -428,7 +439,7 @@ mod tests {
                         panic!("injected failure");
                     }
                     let r = cfg.run();
-                    format!("{}:{}", r.sim.policy, r.report.overall.count)
+                    Ok(format!("{}:{}", r.sim.policy, r.report.overall.count))
                 },
                 |_, _| {},
             )
@@ -469,7 +480,15 @@ mod tests {
     #[test]
     fn run_batch_keeps_order_with_more_threads_than_work() {
         let configs = vec![small(SchedulerKind::Easy), small(SchedulerKind::Fcfs)];
-        let results = run_batch(configs, 16, 0, None, None, |_, cfg| cfg.run(), |_, _| {});
+        let results = run_batch(
+            configs,
+            16,
+            0,
+            None,
+            None,
+            |_, cfg| Ok(cfg.run()),
+            |_, _| {},
+        );
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].as_ref().unwrap().sim.policy, "NS (EASY)");
         assert_eq!(results[1].as_ref().unwrap().sim.policy, "FCFS");
@@ -513,7 +532,7 @@ mod tests {
                 if cfg.seed == 777 {
                     panic!("injected failure for seed 777");
                 }
-                cfg.run()
+                Ok(cfg.run())
             },
             |i, r| seen.push((i, r.is_err())),
         );
@@ -546,7 +565,7 @@ mod tests {
                 if cfg.seed == 777 {
                     panic!("injected failure for seed 777");
                 }
-                cfg.run()
+                Ok(cfg.run())
             },
             |_, _| {},
         );
@@ -592,7 +611,7 @@ mod tests {
                 if cfg.seed == 778 {
                     panic!("deterministic failure");
                 }
-                cfg.run()
+                Ok(cfg.run())
             },
             |_, _| {},
         );
@@ -624,7 +643,7 @@ mod tests {
             0,
             None,
             Some(&board),
-            |_, cfg: &Arc<ExperimentConfig>| cfg.run().report.overall.count,
+            |_, cfg: &Arc<ExperimentConfig>| Ok(cfg.run().report.overall.count),
             |_, _| {},
         );
         let untracked = run_batch(
@@ -633,7 +652,7 @@ mod tests {
             0,
             None,
             None,
-            |_, cfg| cfg.run().report.overall.count,
+            |_, cfg| Ok(cfg.run().report.overall.count),
             |_, _| {},
         );
         assert_eq!(
@@ -691,7 +710,7 @@ mod tests {
                 if cfg.seed == 777 {
                     panic!("injected failure");
                 }
-                cfg.run()
+                Ok(cfg.run())
             },
             |_, _| {},
         );
@@ -714,7 +733,7 @@ mod tests {
             0,
             Some(std::time::Instant::now()),
             None,
-            |_, cfg| cfg.run(),
+            |_, cfg| Ok(cfg.run()),
             |_, r| {
                 assert!(matches!(r, Err(RunError::BudgetExhausted)));
                 seen += 1;

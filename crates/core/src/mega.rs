@@ -9,9 +9,11 @@
 //!
 //! * each replication opens its own [`StreamingSwfSource`] over the log —
 //!   peak memory per run is the read-ahead ring, O(1) in log length,
-//! * a [`ShapedSource`] turns the one fixed log into the grid's load and
-//!   seed axes on the fly (arrival compression, optional estimate
-//!   re-drawing, width clamping),
+//! * a [`ShapedSource`] fits the log to the machine (jobs wider than it
+//!   are dropped and the rest renumbered) and turns it into the grid's
+//!   load and seed axes on the fly (arrival compression, optional
+//!   estimate re-drawing); [`MegaSweepSpec::source`] builds that pair,
+//!   and `sps replay` reads its log through it too,
 //! * the run itself is **lean** ([`RunBuilder::lean`]): completions fold
 //!   into fixed-size accumulators inside the simulator, so no per-job
 //!   outcome vector ever exists.
@@ -24,6 +26,9 @@
 //! [`run_sweep`](crate::sweep::run_sweep), so reports render identically.
 //! Every run of that grid drains on a homogeneous machine with no warmup
 //! window, so the driver runs each one lean.
+//! A log line the reader refuses ends that run's stream, and the run
+//! fails with [`RunError::Source`](crate::experiment::RunError::Source)
+//! naming the line; the reader never panics.
 
 use std::path::PathBuf;
 
@@ -35,10 +40,6 @@ use crate::overhead::OverheadModel;
 use crate::sim::DEFAULT_TICK_PERIOD;
 use crate::sweep::{drive_grid, SweepProgress, SweepReport, SweepSpec};
 
-/// Default read-ahead for each replication's streaming reader, in parsed
-/// jobs. Matches [`sps_workload::swf::DEFAULT_READAHEAD`].
-pub const DEFAULT_MEGA_READAHEAD: usize = sps_workload::swf::DEFAULT_READAHEAD;
-
 /// A scheduler × load × seed grid over one Standard Workload Format log.
 ///
 /// The log is the workload; the grid axes reshape it per run (see
@@ -47,9 +48,11 @@ pub const DEFAULT_MEGA_READAHEAD: usize = sps_workload::swf::DEFAULT_READAHEAD;
 #[derive(Clone, Debug)]
 pub struct MegaSweepSpec {
     /// Path of the SWF log. Submit times must be nondecreasing (the
-    /// streaming reader cannot sort); the archive logs already are.
+    /// streaming reader cannot sort, and a run fails at the first line
+    /// out of order); the archive logs already are.
     pub swf: PathBuf,
-    /// Machine size in processors. Jobs wider than this clamp to it.
+    /// Machine size in processors. Jobs wider than this are dropped and
+    /// the rest renumbered (see [`ShapedSource`]).
     pub procs: u32,
     /// Scheduler axis (each entry is one column of cells).
     pub schedulers: Vec<SchedulerKind>,
@@ -98,7 +101,7 @@ impl MegaSweepSpec {
             estimates: None,
             overhead: OverheadModel::None,
             tick_period: DEFAULT_TICK_PERIOD,
-            readahead: DEFAULT_MEGA_READAHEAD,
+            readahead: sps_workload::swf::DEFAULT_READAHEAD,
             retries: 0,
             wall_budget_ms: None,
             timeline: false,
@@ -178,14 +181,41 @@ impl MegaSweepSpec {
         self
     }
 
-    /// Machine, grid shape and per-run configuration checks, plus a
-    /// readability probe of the log (a missing file should fail the sweep
-    /// up front, not every cell one by one).
+    /// Machine, grid shape and per-run configuration checks, plus an
+    /// O(1) probe that the log opens as a regular file (a missing file or
+    /// a directory should fail the sweep up front, not every cell one by
+    /// one; a pipe reads once, and every run reopens the log). The log's
+    /// lines are read only by the runs.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.grid().validate()?;
-        std::fs::File::open(&self.swf)
-            .map_err(|e| ConfigError::BadSwf(format!("{}: {e}", self.swf.display())))?;
+        self.source(1.0, self.base_seed)?;
+        if !std::fs::metadata(&self.swf).is_ok_and(|m| m.is_file()) {
+            let reason = format!("{}: not a regular file", self.swf.display());
+            return Err(ConfigError::BadSwf(reason));
+        }
         Ok(())
+    }
+
+    /// One run's job stream: the log through its own streaming reader,
+    /// shaped to this machine, `load` and `seed` (estimates re-drawn only
+    /// under [`estimates`](MegaSweepSpec::estimates)). `load` must be
+    /// positive and finite and `procs` nonzero, as
+    /// [`validate`](MegaSweepSpec::validate) checks.
+    pub fn source(
+        &self,
+        load: f64,
+        seed: u64,
+    ) -> Result<ShapedSource<StreamingSwfSource>, ConfigError> {
+        let log = StreamingSwfSource::open(&self.swf)
+            .map_err(|e| ConfigError::BadSwf(format!("{}: {e}", self.swf.display())))?
+            .with_readahead(self.readahead);
+        Ok(ShapedSource::new(
+            log,
+            load,
+            self.estimates,
+            seed,
+            self.procs,
+        ))
     }
 
     /// Cells in the grid (scheduler × load).
@@ -226,7 +256,8 @@ impl MegaSweepSpec {
 /// Run the mega grid on `threads` workers. Every replication streams the
 /// log through its own reader and runs lean; the report's
 /// `unique_traces`/`trace_hits` are zero (nothing is ever cached — there
-/// is nothing to cache).
+/// is nothing to cache). A run whose log ends on an error fails with
+/// that error (see the module doc).
 pub fn run_mega_sweep(spec: &MegaSweepSpec, threads: usize) -> Result<SweepReport, ConfigError> {
     run_mega_sweep_observed(spec, threads, |_| {})
 }
@@ -242,22 +273,12 @@ where
     O: FnMut(&SweepProgress),
 {
     spec.validate()?;
-    let (swf, estimates, readahead, procs) =
-        (&spec.swf, spec.estimates, spec.readahead, spec.procs);
     Ok(drive_grid(
         &spec.grid(),
         threads,
-        |cfg, _| {
-            // Per-run streaming pipeline: log → shaping → lean simulate.
-            // An unreadable file panics (validate probed it once, but the
-            // file can vanish mid-sweep); batch workers catch panics and
-            // surface them as cell failures.
-            let log = StreamingSwfSource::open(swf)
-                .unwrap_or_else(|e| panic!("mega sweep: cannot open {}: {e}", swf.display()))
-                .with_readahead(readahead);
-            let shaped = ShapedSource::new(log, cfg.load_factor, estimates, cfg.seed, procs);
-            Some(Box::new(shaped))
-        },
+        // Per-run streaming pipeline: log → shaping → lean simulate. The
+        // file can vanish after the probe; such a run fails as invalid.
+        |cfg, _| Ok(Some(Box::new(spec.source(cfg.load_factor, cfg.seed)?))),
         observe,
     ))
 }
@@ -327,6 +348,12 @@ mod tests {
         let gone =
             MegaSweepSpec::new(dir.join("missing.swf"), 128).with_scheduler(SchedulerKind::Easy);
         assert!(matches!(gone.validate(), Err(ConfigError::BadSwf(_))));
+        // `File::open` accepts a directory; the probe must not.
+        let dir_log = MegaSweepSpec::new(&dir, 128).with_scheduler(SchedulerKind::Easy);
+        assert!(matches!(
+            dir_log.validate(),
+            Err(ConfigError::BadSwf(reason)) if reason.ends_with("is a directory")
+        ));
         // A zero-processor machine is a typed error, not a panic.
         let no_procs = MegaSweepSpec::new(&log, 0).with_scheduler(SchedulerKind::Easy);
         assert_eq!(no_procs.validate(), Err(ConfigError::NoProcs));
@@ -494,11 +521,12 @@ mod tests {
     }
 
     #[test]
-    fn mega_sweep_panicking_cells_are_thread_count_invariant() {
-        // A log whose tail goes back in time panics the streaming reader
-        // mid-run; every cell fails, and the failure table (expansion
-        // order, rendered messages) is identical for any worker count.
-        let dir = tmpdir("panic");
+    fn mega_sweep_fails_runs_over_an_out_of_order_log_at_any_thread_count() {
+        // A log whose tail goes back in time ends the streaming reader
+        // mid-run; every run fails with the reader's error, none panics,
+        // and the failure table (expansion order, rendered messages) is
+        // identical for any worker count.
+        let dir = tmpdir("unsorted");
         let log = dir.join("unsorted.swf");
         std::fs::write(
             &log,
@@ -509,12 +537,21 @@ mod tests {
         .expect("write log");
         let spec = MegaSweepSpec::new(&log, 128)
             .with_schedulers(vec![SchedulerKind::Easy, SchedulerKind::Ss { sf: 2.0 }])
-            .with_loads(vec![1.0, 1.2]);
+            .with_loads(vec![1.0, 1.2])
+            .with_retries(2);
         let base = run_mega_sweep(&spec, 1).expect("valid spec");
-        assert_eq!(base.failures.len(), 4, "every cell panics");
-        assert!(base.failures[0].contains("non-monotone submit"));
+        assert_eq!(base.failures.len(), 4, "every run fails");
+        assert_eq!(base.panicked, 0);
+        let want = "SWF line 3: submit time 10 is before the previous job's 50: \
+                    the log must list jobs in submit order";
+        assert!(
+            base.failures.iter().all(|f| f.ends_with(want)),
+            "{:?}",
+            base.failures
+        );
         for threads in [4, 16] {
             let again = run_mega_sweep(&spec, threads).expect("valid spec");
+            assert_eq!(again.panicked, 0, "{threads} threads");
             assert_eq!(base.failures, again.failures, "{threads} threads");
             assert_eq!(base.to_csv(), again.to_csv(), "{threads} threads");
         }

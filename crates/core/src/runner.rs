@@ -291,7 +291,7 @@ impl<'a> BatchRunner<'a> {
                     let source = cache.source(key, || cfg.trace());
                     builder = builder.source(Box::new(source));
                 }
-                builder.run()
+                Ok(builder.run())
             },
             move |i, r| observer(i, r),
         )

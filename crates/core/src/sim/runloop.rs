@@ -15,7 +15,7 @@ use sps_telemetry::{
     SpanProfiler, TelemetryCtx, TelemetrySink,
 };
 use sps_trace::{JobEvent, NullSink, ProcEvent, Reason, TraceCtx, TraceRecord, TraceSink};
-use sps_workload::{parse_secs, Job, JobId, JobSource, TraceSource};
+use sps_workload::{parse_secs, Job, JobId, JobSource, SwfError, TraceSource};
 
 use super::state::{Event, OccupancySegment, Phase, SimState};
 use crate::admission::AdmissionModel;
@@ -216,6 +216,10 @@ pub struct SimResult {
     /// carried a profiler built with [`SpanProfiler::with_timeline`].
     /// Aggregate statistics live in [`KernelStats::phases`] either way.
     pub spans: Option<Vec<SpanEvent>>,
+    /// The error that ended the job source early ([`JobSource::error`]):
+    /// the run simulated only the jobs before it. `None` when the source
+    /// ran to its end.
+    pub source_error: Option<SwfError>,
 }
 
 /// Ticks of the every-tick schedule that idle elision let lapse: all of
@@ -926,6 +930,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
                 .as_mut()
                 .filter(|p| p.timeline_enabled())
                 .map(|p| p.take_events()),
+            source_error: self.source.error().cloned(),
         }
     }
 

@@ -1039,9 +1039,9 @@ where
         |cfg, cache| {
             // Closed cells pull from one cached trace per (load, seed);
             // open cells build their seeded generator inside the builder.
-            cfg.arrivals.is_trace().then(|| {
+            Ok(cfg.arrivals.is_trace().then(|| {
                 Box::new(cache.source(cfg.trace_key(), || cfg.trace())) as Box<dyn JobSource>
-            })
+            }))
         },
         observe,
     ))
@@ -1061,9 +1061,10 @@ fn folds_lean(cfg: &ExperimentConfig) -> bool {
 /// [`run_mega_sweep_observed`](crate::mega::run_mega_sweep_observed),
 /// which differ only in each run's job source.
 /// `source(config, cache)` gives a run's explicit source (`None` lets
-/// [`RunBuilder`] resolve it from the configuration); the batch-local
-/// cache it may draw from feeds the report's trace counters. The spec
-/// must already be validated.
+/// [`RunBuilder`] resolve it from the configuration), or the reason it
+/// cannot be opened; the batch-local cache it may draw from feeds the
+/// report's trace counters. A run whose source ends on an error fails
+/// with [`RunError::Source`]. The spec must already be validated.
 pub(crate) fn drive_grid<F, O>(
     spec: &SweepSpec,
     threads: usize,
@@ -1071,7 +1072,7 @@ pub(crate) fn drive_grid<F, O>(
     mut observe: O,
 ) -> SweepReport
 where
-    F: Fn(&ExperimentConfig, &TraceCache) -> Option<Box<dyn JobSource>> + Sync,
+    F: Fn(&ExperimentConfig, &TraceCache) -> Result<Option<Box<dyn JobSource>>, ConfigError> + Sync,
     O: FnMut(&SweepProgress),
 {
     let start = Instant::now();
@@ -1099,7 +1100,7 @@ where
             // per-category reports) is ever materialized on the sweep
             // path.
             let mut builder = RunBuilder::new(Arc::clone(cfg)).lean(folds_lean(cfg));
-            if let Some(src) = source(cfg, &cache) {
+            if let Some(src) = source(cfg, &cache).map_err(RunError::Invalid)? {
                 builder = builder.source(src);
             }
             if let Some(d) = deadline {
@@ -1122,6 +1123,9 @@ where
             } else {
                 builder.simulate()
             };
+            if let Some(e) = sim.source_error.take() {
+                return Err(RunError::Source(e));
+            }
             let summary = RunSummary::fold(cfg, &sim);
             if let Some(spans) = sim.spans.take() {
                 run_spans
@@ -1129,7 +1133,7 @@ where
                     .expect("spans poisoned")
                     .push((worker, spans));
             }
-            summary
+            Ok(summary)
         },
         |i, r| {
             let mut p = progress.record(i, r);

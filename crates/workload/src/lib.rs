@@ -37,6 +37,6 @@ pub use category::{Category, CoarseCategory, RuntimeClass, WidthClass};
 pub use estimate::{EstimateModel, EstimateSampler};
 pub use job::{Job, JobId};
 pub use source::{parse_secs, ArrivalSpec, JobSource, OpenSource, ShapedSource, TraceSource};
-pub use swf::{StreamingSwfSource, SwfWarnings};
+pub use swf::{StreamingSwfSource, SwfError, SwfWarnings};
 pub use synthetic::{ShapeSampler, SyntheticConfig};
 pub use traces::SystemPreset;

@@ -31,6 +31,7 @@ use sps_simcore::{SimRng, SimTime};
 
 use crate::estimate::{EstimateModel, EstimateSampler};
 use crate::job::{Job, JobId};
+use crate::swf::SwfError;
 use crate::synthetic::ShapeSampler;
 use crate::traces::SystemPreset;
 
@@ -51,6 +52,13 @@ pub trait JobSource: Send {
     /// which is what lets a run-until-drained simulation accept them.
     fn finite(&self) -> bool {
         self.remaining().is_some()
+    }
+
+    /// The error that ended the source early, if one did: the jobs after
+    /// it never arrive, so a run over the source covers a truncated
+    /// input. Only a log reader can fail; the default never does.
+    fn error(&self) -> Option<&SwfError> {
+        None
     }
 
     /// Human-readable description for logs and reports.
@@ -79,11 +87,6 @@ impl TraceSource {
         );
         TraceSource { jobs, next: 0 }
     }
-
-    /// The full underlying trace (including already-emitted jobs).
-    pub fn jobs(&self) -> &[Job] {
-        &self.jobs
-    }
 }
 
 impl JobSource for TraceSource {
@@ -102,13 +105,16 @@ impl JobSource for TraceSource {
     }
 }
 
-/// A shaping adapter over any [`JobSource`]: arrival compression to an
-/// offered-load factor, a seeded estimate-model stream, and a width clamp
-/// to the target machine. This is how a fixed SWF log becomes a
-/// (load × seed) sweep axis without materializing per-cell copies — each
-/// cell wraps its own streaming reader, and the adapter works job-by-job
-/// in O(1) memory.
+/// A shaping adapter over any [`JobSource`]: the machine's width rule,
+/// arrival compression to an offered-load factor and a seeded
+/// estimate-model stream, job by job in O(1) memory. Every run over an
+/// SWF log (`sps replay`, each run of `sps sweep --swf`) reads its own
+/// streaming reader through one, so no per-run copy is materialized.
 ///
+/// * **Width**: jobs wider than `max_width` are dropped and counted
+///   ([`ShapedSource::wider`]); the rest keep their shape and are
+///   numbered densely in stream order. `remaining` forwards the inner
+///   count, an upper bound while wide jobs are still to come.
 /// * **Load**: submit times divide by the factor (`load > 1` compresses
 ///   arrivals, raising the offered load relative to the log's native
 ///   rate). The map is monotone, so nondecreasing submits stay
@@ -119,20 +125,19 @@ impl JobSource for TraceSource {
 ///   `None` the inner stream's estimates pass through untouched — SWF
 ///   logs carry the real user requests, and replaying them as-logged is a
 ///   mode of its own (seeds then change nothing; run one replication).
-/// * **Width**: jobs wider than `max_width` clamp to it (logs from
-///   larger machines stay runnable; the clamp count is the caller's
-///   business to surface via the inner source's warnings if needed).
 pub struct ShapedSource<S> {
     inner: S,
     load: f64,
     estimates: Option<EstimateSampler>,
     max_width: u32,
+    next_id: u32,
+    wider: usize,
 }
 
 impl<S: JobSource> ShapedSource<S> {
-    /// Wrap `inner`, compressing arrivals by `load`, re-drawing estimates
-    /// from `model` under `seed` (`None` keeps the logged estimates), and
-    /// clamping widths to `max_width`.
+    /// Wrap `inner`, dropping jobs wider than `max_width`, compressing
+    /// arrivals by `load`, and re-drawing estimates from `model` under
+    /// `seed` (`None` keeps the logged estimates).
     pub fn new(
         inner: S,
         load: f64,
@@ -149,15 +154,32 @@ impl<S: JobSource> ShapedSource<S> {
             // from `seed + 1`.
             estimates: model.map(|m| EstimateSampler::new(m, seed.wrapping_add(1))),
             max_width,
+            next_id: 0,
+            wider: 0,
         }
+    }
+
+    /// Jobs dropped so far for being wider than the machine.
+    pub fn wider(&self) -> usize {
+        self.wider
+    }
+
+    /// The wrapped source, for its own counters (a log's warnings).
+    pub fn inner(&self) -> &S {
+        &self.inner
     }
 }
 
 impl<S: JobSource> JobSource for ShapedSource<S> {
     fn next_job(&mut self) -> Option<Job> {
         let mut j = self.inner.next_job()?;
+        while j.procs > self.max_width {
+            self.wider += 1;
+            j = self.inner.next_job()?;
+        }
+        j.id = JobId(self.next_id);
+        self.next_id += 1;
         j.submit = SimTime::new((j.submit.secs() as f64 / self.load).round() as i64);
-        j.procs = j.procs.min(self.max_width);
         if let Some(est) = &mut self.estimates {
             est.apply_to(&mut j);
         }
@@ -170,6 +192,10 @@ impl<S: JobSource> JobSource for ShapedSource<S> {
 
     fn finite(&self) -> bool {
         self.inner.finite()
+    }
+
+    fn error(&self) -> Option<&SwfError> {
+        self.inner.error()
     }
 
     fn label(&self) -> String {
@@ -612,16 +638,17 @@ mod tests {
     }
 
     #[test]
-    fn shaped_source_compresses_clamps_and_keeps_estimates() {
+    fn shaped_source_compresses_and_keeps_estimates() {
         let jobs = SyntheticConfig::new(SDSC, 17).with_jobs(200).generate();
-        let mut shaped = ShapedSource::new(TraceSource::new(jobs.clone()), 2.0, None, 0, 64);
+        let mut shaped =
+            ShapedSource::new(TraceSource::new(jobs.clone()), 2.0, None, 0, SDSC.procs);
         let got: Vec<Job> = std::iter::from_fn(|| shaped.next_job()).collect();
         assert_eq!(got.len(), jobs.len());
+        assert_eq!(shaped.wider(), 0);
         for (orig, j) in jobs.iter().zip(&got) {
             let want = (orig.submit.secs() as f64 / 2.0).round() as i64;
             assert_eq!(j.submit.secs(), want, "submit divides by the load");
-            assert!(j.procs <= 64, "width clamped to the target machine");
-            assert_eq!(j.run, orig.run);
+            assert_eq!((j.id, j.run, j.procs), (orig.id, orig.run, orig.procs));
             assert_eq!(
                 j.estimate, orig.estimate,
                 "estimates pass through untouched with no model"
@@ -631,6 +658,25 @@ mod tests {
         assert!(got.windows(2).all(|w| w[0].submit <= w[1].submit));
         assert!(shaped.label().contains("@load2"));
         assert_eq!(shaped.remaining(), Some(0));
+        assert!(shaped.error().is_none());
+    }
+
+    #[test]
+    fn shaped_source_drops_wide_jobs_counts_and_renumbers() {
+        let jobs = SyntheticConfig::new(SDSC, 17).with_jobs(200).generate();
+        let mut shaped = ShapedSource::new(TraceSource::new(jobs.clone()), 1.0, None, 0, 64);
+        let got: Vec<Job> = std::iter::from_fn(|| shaped.next_job()).collect();
+        let kept: Vec<&Job> = jobs.iter().filter(|j| j.procs <= 64).collect();
+        assert!(kept.len() < jobs.len(), "the trace has jobs wider than 64");
+        assert_eq!(shaped.wider(), jobs.len() - kept.len());
+        assert_eq!(got.len(), kept.len());
+        for (i, (orig, j)) in kept.iter().zip(&got).enumerate() {
+            assert_eq!(j.id.index(), i, "dense ids over the kept jobs");
+            assert_eq!(
+                (j.submit, j.procs, j.run),
+                (orig.submit, orig.procs, orig.run)
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Standard Workload Format (SWF) reader, writer, and streaming source.
+//! Standard Workload Format (SWF) reader and writer.
 //!
 //! Feitelson's Parallel Workloads Archive — the source of the paper's CTC,
 //! SDSC, and KTH traces — distributes logs in SWF: one job per line, 18
 //! whitespace-separated integer fields, `;` comment lines. This module
 //! lets the simulator consume those files directly, so anyone holding the
-//! original logs can rerun every experiment on the real data. Two paths
-//! exist:
+//! original logs can rerun every experiment on the real data.
 //!
-//! * [`parse`] materializes a whole document into a sorted, densely
-//!   renumbered `Vec<Job>` — right for the paper-scale logs,
-//! * [`StreamingSwfSource`] feeds a log through the [`JobSource`] seam
-//!   incrementally, holding only a bounded read-ahead ring of parsed jobs
-//!   — memory stays O(ring), independent of log length, which is what
-//!   makes archive-scale (million-job, multi-GB) sweeps possible.
+//! One reader exists: [`StreamingSwfSource`] feeds a log through the
+//! [`JobSource`] seam line by line, holding only a bounded read-ahead ring
+//! of parsed jobs, so memory stays O(ring) however long the log is — what
+//! makes archive-scale (million-job, multi-GB) sweeps possible. It reads
+//! a log once, so a pipe serves. [`parse`] collects it over an in-memory
+//! document. It never panics: its first error ends the stream and is kept
+//! for [`JobSource::error`].
 //!
 //! Field map (1-based, per the archive definition):
 //! `1` job number, `2` submit time, `3` wait time, `4` run time,
@@ -23,7 +23,7 @@
 //! `17` preceding job, `18` think time. Missing values are `-1`.
 //!
 //! Import policy (documented substitutions for the simulator's model):
-//! * jobs with non-positive run time or processor count are skipped
+//! * jobs with non-positive run time or width are skipped
 //!   (cancelled-before-start entries) and counted,
 //! * data lines with fewer than 11 fields — truncated tails, archive
 //!   damage — are tolerated mid-file: dropped and counted rather than
@@ -31,24 +31,29 @@
 //! * negative submit times (clock-skew artifacts in some archive logs)
 //!   are clamped to 0 and counted — unclamped they would panic the
 //!   simulator's event queue,
+//! * submit times must not decrease: the format lists jobs by submit time
+//!   and a stream cannot sort, so a line that goes back is an error,
 //! * requested processors fall back to allocated processors,
 //! * the estimate falls back to the run time and is clamped to
 //!   `max(estimate, run)` — the simulator never kills jobs at their
 //!   estimate, matching the paper's over-estimation-only model,
 //! * requested memory (KB/processor) is converted to MiB/processor and
 //!   clamped to the paper's [100 MB, 1 GB] band when absent,
-//! * non-numeric fields (`nan` and `inf` included) are errors naming the
-//!   line, and so are numbers outside the model's range, with their
-//!   field: a width above `u32::MAX` processors, and a submit, run or
-//!   requested time above 2^40 s (about 34,800 years). Below that bound
-//!   a job's own instants (submit, plus estimate or run, plus its
-//!   suspension overheads) stay below 2^42 s, so a simulated clock could
-//!   leave `i64` only after millions of such jobs run back to back.
+//! * `;` comment lines are skipped undecoded, so a header in any encoding
+//!   reads; a data line that is not UTF-8 is an error,
+//! * non-numeric fields (`nan` and `inf` included) are errors, and so are
+//!   numbers outside the model's range, with their field: a width above
+//!   `u32::MAX` processors, and a submit, run or requested time above
+//!   2^40 s (about 34,800 years). Below that bound a job's own instants
+//!   (submit, plus estimate or run, plus its suspension overheads) stay
+//!   below 2^42 s, so a simulated clock could leave `i64` only after
+//!   millions of such jobs run back to back,
+//! * jobs wider than the machine are dropped and counted, and the rest
+//!   numbered densely in file order, by the
+//!   [`ShapedSource`](crate::ShapedSource) a run reads the log through
+//!   (the reader does not know the machine; [`parse`] gives it no limit).
 //!
-//! The streaming path cannot sort, so it **requires** submit times to be
-//! nondecreasing and reports a violation as a clean, descriptive panic
-//! (sweep workers catch panics per-cell); the materialized [`parse`]
-//! sorts and accepts any order.
+//! Every error names its line.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -92,105 +97,40 @@ pub struct SwfWarnings {
     pub clamped: usize,
 }
 
-impl SwfWarnings {
-    /// Total irregularities of any kind.
-    pub fn total(&self) -> usize {
-        self.skipped + self.short_lines + self.clamped
-    }
-}
-
 /// Outcome of parsing: the usable jobs plus counts of skipped records.
 #[derive(Clone, Debug, Default)]
 pub struct SwfTrace {
-    /// Imported jobs, re-numbered densely in input order and sorted by
-    /// submit time.
+    /// Imported jobs, numbered densely in input order.
     pub jobs: Vec<Job>,
-    /// Records skipped because run time or width was non-positive
-    /// (mirror of `warnings.skipped`, kept for existing callers).
-    pub skipped: usize,
-    /// Full irregularity counters.
+    /// Irregularity counters.
     pub warnings: SwfWarnings,
 }
 
-impl SwfTrace {
-    /// Drop the jobs wider than a `procs`-processor machine (archive logs
-    /// can include special partitions) and renumber the rest densely, as
-    /// [`parse`] does: the simulator indexes jobs by dense id. Returns how
-    /// many jobs were dropped.
-    pub fn fit_to(&mut self, procs: u32) -> usize {
-        let before = self.jobs.len();
-        self.jobs.retain(|j| j.procs <= procs);
-        renumber(&mut self.jobs);
-        before - self.jobs.len()
-    }
-}
-
-/// Give jobs dense ids in their current order.
-fn renumber(jobs: &mut [Job]) {
-    for (i, j) in jobs.iter_mut().enumerate() {
-        j.id = JobId(i as u32);
-    }
-}
-
-/// One classified input line.
+/// One classified data line.
 enum LineKind {
-    /// Blank or `;` comment.
-    Skip,
     /// Data line with fewer than 11 fields — tolerated, counted.
     Short,
     /// Semantically unusable record (non-positive run or width).
     Unusable,
-    /// A usable record.
-    Record(RawRecord),
-}
-
-/// The fields of one usable record, already folded through the import
-/// policy (fallbacks applied, memory converted, submit clamped).
-struct RawRecord {
-    submit: i64,
-    run: i64,
-    estimate: i64,
-    procs: u32,
-    mem_mb: u32,
-    /// Whether a field was clamped into the model's domain.
-    clamped: bool,
-}
-
-impl RawRecord {
-    /// Materialize as a [`Job`] under the given dense id.
-    fn job(&self, id: u32) -> Job {
-        Job {
-            id: JobId(id),
-            submit: SimTime::new(self.submit),
-            run: self.run,
-            estimate: self.estimate,
-            procs: self.procs,
-            mem_mb: self.mem_mb,
-        }
-    }
+    /// A usable record folded through the import policy (fallbacks
+    /// applied, memory converted, submit clamped), its id unset;
+    /// `clamped` says whether a field was clamped into the model's domain.
+    Record { job: Job, clamped: bool },
 }
 
 /// The largest submit, run or requested time the importer accepts, in
 /// seconds (see the module doc).
 const MAX_SECS: i64 = 1 << 40;
 
-/// Classify one line. Shared by the materialized and streaming parsers so
-/// both apply the exact same import policy; errors on non-numeric fields
-/// and on numbers outside the model's range (structural damage worth
-/// surfacing, unlike a truncated tail).
-fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
-    let line = raw.trim();
-    if line.is_empty() || line.starts_with(';') {
-        return Ok(LineKind::Skip);
-    }
+/// Classify one data line (neither blank nor a comment) under the import
+/// policy. Non-numeric fields and numbers outside the model's range are
+/// errors (structural damage worth surfacing, unlike a truncated tail);
+/// the caller adds the line number.
+fn classify(line: &str) -> Result<LineKind, String> {
     // Capture the six fields the model uses while validating every token;
     // no per-line Vec — this is the hot loop of million-job ingestion.
     let (mut submit, mut run, mut alloc, mut req_procs, mut req_time, mut req_mem) =
         (-1i64, -1i64, -1i64, -1i64, -1i64, -1i64);
-    let error = |message| SwfError {
-        line: lineno,
-        message,
-    };
     // The first time field above the bound, with its token.
     let mut too_late = None;
     let mut n = 0usize;
@@ -200,7 +140,7 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
             .parse::<f64>()
             .ok()
             .filter(|v| v.is_finite())
-            .ok_or_else(|| error(format!("non-numeric field {tok:?}")))? as i64;
+            .ok_or_else(|| format!("non-numeric field {tok:?}"))? as i64;
         if v > MAX_SECS && matches!(n, 1 | 3 | 8) && too_late.is_none() {
             too_late = Some((n, tok));
         }
@@ -224,10 +164,10 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
             3 => "run time",
             _ => "requested time",
         };
-        return Err(error(format!(
+        return Err(format!(
             "{time} (field {}) {tok} is above the import bound of {MAX_SECS} s",
             field + 1
-        )));
+        ));
     }
     let (procs, field) = if req_procs > 0 {
         (req_procs, "requested processors (field 8)")
@@ -235,16 +175,14 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
         (alloc, "allocated processors (field 5)")
     };
     if procs > i64::from(u32::MAX) {
-        return Err(error(format!(
+        return Err(format!(
             "{field} {procs} is above the largest width, {}",
             u32::MAX
-        )));
+        ));
     }
     if run <= 0 || procs <= 0 {
         return Ok(LineKind::Unusable);
     }
-    let clamped = submit < 0;
-    let submit = submit.max(0);
     let estimate = if req_time > 0 { req_time.max(run) } else { run };
     // SWF records requested memory in KB *per processor*; the simulator's
     // overhead model wants the job total, clamped to the paper's
@@ -254,44 +192,35 @@ fn classify(raw: &str, lineno: usize) -> Result<LineKind, SwfError> {
     } else {
         512
     };
-    Ok(LineKind::Record(RawRecord {
-        submit,
-        run,
-        estimate,
-        procs: procs as u32,
-        mem_mb,
-        clamped,
-    }))
+    Ok(LineKind::Record {
+        job: Job {
+            id: JobId(0),
+            submit: SimTime::new(submit.max(0)),
+            run,
+            estimate,
+            procs: procs as u32,
+            mem_mb,
+        },
+        clamped: submit < 0,
+    })
 }
 
-/// Parse SWF text into a materialized trace. Returns an error only for
-/// structurally malformed lines (non-numeric fields, numbers outside the
-/// model's range); short lines and semantically unusable jobs are counted
-/// in [`SwfTrace::warnings`] instead. Jobs are sorted by submit time and
-/// renumbered densely, so any input order is accepted.
+/// Parse SWF text into a materialized trace: [`StreamingSwfSource`]
+/// collected. Returns the reader's error for a malformed line or an
+/// out-of-order submit; short lines and semantically unusable jobs are
+/// counted in [`SwfTrace::warnings`] instead.
 pub fn parse(text: &str) -> Result<SwfTrace, SwfError> {
-    let mut jobs = Vec::new();
-    let mut warnings = SwfWarnings::default();
-    for (lineno, raw) in text.lines().enumerate() {
-        match classify(raw, lineno + 1)? {
-            LineKind::Skip => {}
-            LineKind::Short => warnings.short_lines += 1,
-            LineKind::Unusable => warnings.skipped += 1,
-            LineKind::Record(rec) => {
-                if rec.clamped {
-                    warnings.clamped += 1;
-                }
-                jobs.push(rec.job(jobs.len() as u32));
-            }
-        }
+    let reader = StreamingSwfSource::from_reader(text.as_bytes(), "text");
+    // No width limit: the shaper only numbers the jobs.
+    let mut log = crate::ShapedSource::new(reader, 1.0, None, 0, u32::MAX);
+    let jobs = std::iter::from_fn(|| log.next_job()).collect();
+    match log.error() {
+        Some(e) => Err(e.clone()),
+        None => Ok(SwfTrace {
+            jobs,
+            warnings: log.inner().warnings,
+        }),
     }
-    jobs.sort_by_key(|j| (j.submit, j.id));
-    renumber(&mut jobs);
-    Ok(SwfTrace {
-        jobs,
-        skipped: warnings.skipped,
-        warnings,
-    })
 }
 
 /// Serialize jobs back to SWF (fields the simulator does not model are
@@ -374,56 +303,60 @@ pub fn write_chunked(
 /// simulator state.
 pub const DEFAULT_READAHEAD: usize = 1024;
 
-/// An incremental SWF reader implementing [`JobSource`]: parses the log
-/// line by line into a bounded read-ahead ring, so peak memory is
-/// O(read-ahead) no matter how long the log is. Ids are assigned densely
-/// in emission order (the file's own job numbers are ignored, as in
-/// [`parse`]); submit times must be nondecreasing — the stream cannot
-/// sort — and a violation panics with a descriptive message naming the
-/// line (batch workers catch panics per run and surface them as cell
-/// errors). I/O errors panic the same way.
+/// The SWF reader, a [`JobSource`]: parses the log line by line into a
+/// bounded read-ahead ring, so peak memory is O(read-ahead) no matter how
+/// long the log is. Every job comes out with id 0: the
+/// [`ShapedSource`](crate::ShapedSource) a run reads it through numbers
+/// the jobs it keeps. The first error ends the stream;
+/// [`JobSource::error`] returns it.
 pub struct StreamingSwfSource<R = BufReader<File>> {
     reader: R,
     label: String,
     ring: VecDeque<Job>,
     readahead: usize,
-    line: String,
+    line: Vec<u8>,
     lineno: usize,
-    next_id: u32,
     last_submit: i64,
     warnings: SwfWarnings,
     peak_buffered: usize,
     done: bool,
+    error: Option<SwfError>,
 }
 
 impl StreamingSwfSource<BufReader<File>> {
-    /// Stream the log at `path`.
+    /// Stream the log at `path`, which may be a pipe. A directory, which
+    /// `File::open` accepts, is refused here rather than failing at the
+    /// first read.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref();
+        let file = File::open(path)?;
+        if file.metadata()?.is_dir() {
+            return Err(std::io::Error::other("is a directory"));
+        }
         let label = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
-        Ok(Self::from_reader(BufReader::new(File::open(path)?), &label))
+        Ok(Self::from_reader(BufReader::new(file), &label))
     }
 }
 
 impl<R: BufRead> StreamingSwfSource<R> {
     /// Stream from any buffered reader; `label` names the stream in
-    /// reports and panic messages.
+    /// reports.
     pub fn from_reader(reader: R, label: &str) -> Self {
         StreamingSwfSource {
             reader,
             label: label.to_string(),
             ring: VecDeque::new(),
             readahead: DEFAULT_READAHEAD,
-            line: String::new(),
+            line: Vec::new(),
             lineno: 0,
-            next_id: 0,
             last_submit: 0,
             warnings: SwfWarnings::default(),
             peak_buffered: 0,
             done: false,
+            error: None,
         }
     }
 
@@ -444,51 +377,59 @@ impl<R: BufRead> StreamingSwfSource<R> {
         self.peak_buffered
     }
 
-    /// Jobs emitted so far.
-    pub fn emitted(&self) -> u32 {
-        self.next_id - self.ring.len() as u32
-    }
-
-    /// Top the ring up to the read-ahead cap.
+    /// Top the ring up to the read-ahead cap, or end the stream at EOF or
+    /// at the first error.
     fn refill(&mut self) {
         while self.ring.len() < self.readahead && !self.done {
             self.line.clear();
-            let read = self
-                .reader
-                .read_line(&mut self.line)
-                .unwrap_or_else(|e| panic!("SWF stream {}: read failed: {e}", self.label));
-            if read == 0 {
-                self.done = true;
-                break;
-            }
+            let read = self.reader.read_until(b'\n', &mut self.line);
             self.lineno += 1;
-            let kind = classify(&self.line, self.lineno)
-                .unwrap_or_else(|e| panic!("SWF stream {}: {e}", self.label));
-            match kind {
-                LineKind::Skip => {}
-                LineKind::Short => self.warnings.short_lines += 1,
-                LineKind::Unusable => self.warnings.skipped += 1,
-                LineKind::Record(rec) => {
-                    if rec.clamped {
-                        self.warnings.clamped += 1;
-                    }
-                    assert!(
-                        rec.submit >= self.last_submit,
-                        "SWF stream {} line {}: non-monotone submit time {} after {} — \
-                         streaming ingestion cannot sort; materialize with \
-                         sps_workload::swf::parse instead",
-                        self.label,
-                        self.lineno,
-                        rec.submit,
-                        self.last_submit,
-                    );
-                    self.last_submit = rec.submit;
-                    self.ring.push_back(rec.job(self.next_id));
-                    self.next_id += 1;
+            let outcome = match read {
+                Ok(0) => {
+                    self.done = true;
+                    break;
                 }
+                Ok(_) => self.take_line(),
+                Err(e) => Err(format!("read failed: {e}")),
+            };
+            if let Err(message) = outcome {
+                self.error = Some(SwfError {
+                    line: self.lineno,
+                    message,
+                });
+                self.done = true;
             }
         }
         self.peak_buffered = self.peak_buffered.max(self.ring.len());
+    }
+
+    /// Import the line just read: queue its job, count it, or skip it.
+    fn take_line(&mut self) -> Result<(), String> {
+        // Blank lines and comments are skipped undecoded: comments are
+        // free text in whatever encoding the archive used.
+        let line = self.line.trim_ascii();
+        if line.first().is_none_or(|&b| b == b';') {
+            return Ok(());
+        }
+        let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8 ({e})"))?;
+        match classify(text)? {
+            LineKind::Short => self.warnings.short_lines += 1,
+            LineKind::Unusable => self.warnings.skipped += 1,
+            LineKind::Record { job, clamped } => {
+                let submit = job.submit.secs();
+                if submit < self.last_submit {
+                    return Err(format!(
+                        "submit time {submit} is before the previous job's {}: \
+                         the log must list jobs in submit order",
+                        self.last_submit
+                    ));
+                }
+                self.warnings.clamped += usize::from(clamped);
+                self.last_submit = submit;
+                self.ring.push_back(job);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -508,6 +449,10 @@ impl<R: BufRead + Send> JobSource for StreamingSwfSource<R> {
     fn finite(&self) -> bool {
         // Files end; the length is just not known until EOF.
         true
+    }
+
+    fn error(&self) -> Option<&SwfError> {
+        self.error.as_ref()
     }
 
     fn label(&self) -> String {
@@ -530,8 +475,7 @@ mod tests {
 ";
         let trace = parse(text).unwrap();
         assert_eq!(trace.jobs.len(), 2);
-        assert_eq!(trace.skipped, 0);
-        assert_eq!(trace.warnings.total(), 0);
+        assert_eq!(trace.warnings, SwfWarnings::default());
         let j = &trace.jobs[0];
         assert_eq!(j.submit.secs(), 0);
         assert_eq!(j.run, 100);
@@ -542,6 +486,7 @@ mod tests {
         let k = &trace.jobs[1];
         assert_eq!(k.procs, 1);
         assert_eq!(k.estimate, 50);
+        assert_eq!(k.id, JobId(1), "dense ids in file order");
     }
 
     #[test]
@@ -560,7 +505,7 @@ mod tests {
 ";
         let trace = parse(text).unwrap();
         assert_eq!(trace.jobs.len(), 1);
-        assert_eq!(trace.skipped, 2);
+        assert_eq!(trace.warnings.skipped, 2);
     }
 
     #[test]
@@ -643,28 +588,55 @@ mod tests {
     }
 
     #[test]
-    fn sorts_by_submit_and_renumbers() {
+    fn rejects_an_out_of_order_submit_naming_its_line() {
         let text = "\
 1 100 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
 2 50 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
 ";
-        let trace = parse(text).unwrap();
-        assert_eq!(trace.jobs[0].submit.secs(), 50);
-        assert_eq!(trace.jobs[0].id, JobId(0));
-        assert_eq!(trace.jobs[1].id, JobId(1));
+        let err = parse(text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("submit order"), "{err}");
+        // Equal submits are in order; a clamped negative one counts as 0.
+        let text = "\
+1 0 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+2 -7 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+";
+        assert_eq!(parse(text).unwrap().jobs.len(), 2);
     }
 
     #[test]
-    fn fit_to_drops_wide_jobs_and_renumbers() {
-        let text = "\
-1 0 0 10 4 -1 -1 4 10 -1 1 -1 -1 -1 -1 -1 -1 -1
-2 5 0 10 64 -1 -1 64 10 -1 1 -1 -1 -1 -1 -1 -1 -1
-3 9 0 10 2 -1 -1 2 10 -1 1 -1 -1 -1 -1 -1 -1 -1
-";
-        let mut trace = parse(text).unwrap();
-        assert_eq!(trace.fit_to(32), 1);
-        let kept: Vec<_> = trace.jobs.iter().map(|j| (j.id, j.procs)).collect();
-        assert_eq!(kept, [(JobId(0), 4), (JobId(1), 2)]);
+    fn comments_are_skipped_undecoded_and_data_lines_must_be_utf8() {
+        let mut log = b"; Installation: Universit\xe4t\n".to_vec();
+        log.extend_from_slice(b"  ;\xff indented comment\n");
+        log.extend_from_slice(b"1 0 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+        let mut stream = StreamingSwfSource::from_reader(Cursor::new(log.clone()), "latin1");
+        assert!(stream.next_job().is_some());
+        assert!(stream.next_job().is_none());
+        assert_eq!(stream.error(), None);
+        log.extend_from_slice(b"2 5 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 \xe4 -1 -1 -1\n");
+        let mut stream = StreamingSwfSource::from_reader(Cursor::new(log), "latin1");
+        while stream.next_job().is_some() {}
+        let err = stream.error().expect("a non-UTF-8 data line is an error");
+        assert_eq!(err.line, 4);
+        assert!(err.message.starts_with("not UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn read_failures_end_the_stream_with_an_error() {
+        struct Broken;
+        impl std::io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk on fire"))
+            }
+        }
+        let mut stream = StreamingSwfSource::from_reader(BufReader::new(Broken), "broken");
+        assert!(stream.next_job().is_none());
+        let err = stream.error().expect("the read failure is kept");
+        assert_eq!(err.to_string(), "SWF line 1: read failed: disk on fire");
+        assert_eq!(stream.remaining(), Some(0));
+        let dir = std::env::temp_dir();
+        let refused = StreamingSwfSource::open(&dir).err().expect("a directory");
+        assert_eq!(refused.to_string(), "is a directory");
     }
 
     #[test]
@@ -674,7 +646,7 @@ mod tests {
         let jobs = SyntheticConfig::new(SDSC, 33).with_jobs(250).generate();
         let text = write(&jobs);
         let back = parse(&text).unwrap();
-        assert_eq!(back.skipped, 0);
+        assert_eq!(back.warnings.skipped, 0);
         assert_eq!(back.jobs.len(), jobs.len());
         for (a, b) in jobs.iter().zip(back.jobs.iter()) {
             assert_eq!(a.submit, b.submit);
@@ -694,21 +666,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_materialized_on_sorted_log() {
+    fn readahead_does_not_change_the_stream() {
         use crate::synthetic::SyntheticConfig;
         use crate::traces::SDSC;
         let jobs = SyntheticConfig::new(SDSC, 9).with_jobs(500).generate();
         let text = write(&jobs);
-        let materialized = parse(&text).unwrap().jobs;
-        let mut stream =
-            StreamingSwfSource::from_reader(Cursor::new(text), "test").with_readahead(16);
+        let whole = parse(&text).unwrap().jobs;
+        let stream = StreamingSwfSource::from_reader(Cursor::new(text), "test").with_readahead(16);
+        let mut shaped = crate::ShapedSource::new(stream, 1.0, None, 0, u32::MAX);
         let mut streamed = Vec::new();
-        while let Some(j) = stream.next_job() {
+        while let Some(j) = shaped.next_job() {
             streamed.push(j);
         }
-        assert_eq!(streamed, materialized);
-        assert_eq!(stream.warnings().total(), 0);
-        assert!(stream.peak_buffered() <= 16);
+        assert_eq!(streamed, whole);
+        assert_eq!(shaped.inner().warnings(), SwfWarnings::default());
+        assert!(shaped.inner().peak_buffered() <= 16);
     }
 
     #[test]
@@ -747,20 +719,22 @@ mod tests {
         }
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].submit.secs(), 0, "negative submit clamped");
-        assert_eq!(got[1].id, JobId(1), "dense ids in emission order");
+        assert_eq!(got[1].submit.secs(), 20, "the unusable line is skipped");
         let w = stream.warnings();
         assert_eq!((w.skipped, w.short_lines, w.clamped), (1, 1, 1));
     }
 
     #[test]
-    #[should_panic(expected = "non-monotone submit")]
-    fn streaming_rejects_unsorted_log() {
+    fn streaming_ends_at_an_unsorted_line() {
         let text = "\
 1 100 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
 2 50 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
+3 200 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1
 ";
         let mut stream = StreamingSwfSource::from_reader(Cursor::new(text), "unsorted");
-        while stream.next_job().is_some() {}
+        assert_eq!(stream.next_job().map(|j| j.submit.secs()), Some(100));
+        assert!(stream.next_job().is_none(), "the stream ends at line 2");
+        assert_eq!(stream.error().map(|e| e.line), Some(2));
     }
 
     #[test]
@@ -781,17 +755,18 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read back");
         let trace = parse(&text).expect("chunked output parses");
         assert_eq!(trace.jobs.len(), 250);
-        assert_eq!(trace.skipped, 0);
+        assert_eq!(trace.warnings.skipped, 0);
         // Nondecreasing across batch boundaries — the whole point.
         for w in trace.jobs.windows(2) {
             assert!(w[0].submit <= w[1].submit, "monotone submits");
         }
         // And the streaming reader agrees with the materialized parse.
-        let mut stream = StreamingSwfSource::open(&path)
+        let stream = StreamingSwfSource::open(&path)
             .expect("open")
             .with_readahead(16);
+        let mut shaped = crate::ShapedSource::new(stream, 1.0, None, 0, u32::MAX);
         let mut streamed = Vec::new();
-        while let Some(j) = stream.next_job() {
+        while let Some(j) = shaped.next_job() {
             streamed.push(j);
         }
         assert_eq!(streamed, trace.jobs);

@@ -46,7 +46,7 @@ fn swf_roundtrip_preserves_jobs() {
         let jobs = random_jobs(&mut rng);
         let text = swf::write(&jobs);
         let parsed = swf::parse(&text).expect("own output must parse");
-        assert_eq!(parsed.skipped, 0, "seed {seed}");
+        assert_eq!(parsed.warnings.skipped, 0, "seed {seed}");
         assert_eq!(parsed.jobs.len(), jobs.len(), "seed {seed}");
         for (a, b) in jobs.iter().zip(&parsed.jobs) {
             assert_eq!(a.submit, b.submit, "seed {seed}");

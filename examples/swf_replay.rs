@@ -10,34 +10,36 @@
 //!
 //! Without arguments, the example writes a synthetic trace to a
 //! temporary SWF file and replays it, demonstrating the full round trip
-//! (archive format → parser → simulator → per-category report).
+//! (archive format → streaming reader → width rule → simulator →
+//! per-category report). The log goes through the same reader and shaper
+//! as `sps replay` and `sps sweep --swf`.
 
 use selective_preemption::core::experiment::SchedulerKind;
 use selective_preemption::core::sim::Simulator;
 use selective_preemption::metrics::table::render_comparison;
 use selective_preemption::metrics::CategoryReport;
 use selective_preemption::workload::traces::SDSC;
-use selective_preemption::workload::{swf, SyntheticConfig};
+use selective_preemption::workload::{
+    swf, Job, JobSource, ShapedSource, StreamingSwfSource, SyntheticConfig,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (text, procs, origin) = match args.as_slice() {
+    let (path, procs) = match args.as_slice() {
         [path, procs] => {
-            let text = std::fs::read_to_string(path).expect("readable SWF file");
             let procs: u32 = procs.parse().expect("machine size in processors");
-            (text, procs, path.clone())
+            (std::path::PathBuf::from(path), procs)
         }
         [] => {
-            // Self-contained demo: generate, serialize, re-parse.
+            // Self-contained demo: generate, serialize, re-read.
             let jobs = SyntheticConfig::new(SDSC, 2024).with_jobs(1_500).generate();
-            let text = swf::write(&jobs);
             let path = std::env::temp_dir().join("sps-demo.swf");
-            std::fs::write(&path, &text).expect("writable temp dir");
+            std::fs::write(&path, swf::write(&jobs)).expect("writable temp dir");
             println!(
                 "(no SWF supplied; wrote a synthetic demo log to {})\n",
                 path.display()
             );
-            (text, SDSC.procs, path.display().to_string())
+            (path, SDSC.procs)
         }
         _ => {
             eprintln!("usage: swf_replay [<log.swf> <machine_procs>]");
@@ -45,19 +47,23 @@ fn main() {
         }
     };
 
-    let mut trace = swf::parse(&text).expect("well-formed SWF");
+    // Jobs wider than the simulated machine (some archive logs contain
+    // special partitions) are dropped and counted; the log's own arrival
+    // times and estimates are kept.
+    let log = StreamingSwfSource::open(&path).expect("readable SWF file");
+    let mut shaped = ShapedSource::new(log, 1.0, None, 0, procs);
+    let jobs: Vec<Job> = std::iter::from_fn(|| shaped.next_job()).collect();
+    if let Some(e) = shaped.error() {
+        eprintln!("{}: {e}", path.display());
+        std::process::exit(1);
+    }
     println!(
-        "parsed {} usable jobs from {origin} ({} records skipped)",
-        trace.jobs.len(),
-        trace.skipped
-    );
-    // Drop jobs wider than the simulated machine (some archive logs
-    // contain special partitions).
-    let wide = trace.fit_to(procs);
-    let jobs = trace.jobs;
-    println!(
-        "replaying {} jobs on {procs} processors ({wide} wider than the machine dropped)\n",
-        jobs.len()
+        "replaying {} usable jobs from {} on {procs} processors \
+         ({} records skipped, {} wider than the machine dropped)\n",
+        jobs.len(),
+        path.display(),
+        shaped.inner().warnings().skipped,
+        shaped.wider(),
     );
 
     let mut grids = Vec::new();

@@ -11,6 +11,7 @@
 //! sps report [--system SDSC] [--sched ss --sf 2] [--load 0.85]
 //!           [--loads 0.7,0.85,1.0] [--out report.md] [--prom PREFIX]
 //! sps replay --swf LOG.swf --procs 430 --sched ns [--sched tss:2 ...]
+//!           [--load 1.2] [--estimates mixture] [--seed 42]
 //! sps trace --system SDSC --sched ss:2 --out trace.jsonl [--format csv]
 //! sps validate trace.jsonl [--allow-migration]
 //! sps schedulers
@@ -18,10 +19,11 @@
 //!
 //! `run` simulates a calibrated synthetic trace and prints the
 //! per-category report; `replay` does the same for a Standard Workload
-//! Format log. Multiple `--sched` flags compare schemes on the same
-//! trace. `sweep` runs a scheduler × load × seed grid over the synthetic
-//! trace, or, with `--swf`, streams an SWF log of any size through every
-//! run with O(machine) memory; each grid rejects the other's flags.
+//! Format log, read and shaped as `sweep --swf` reads it. Multiple
+//! `--sched` flags compare schemes on the same trace. `sweep` runs a
+//! scheduler × load × seed grid over the synthetic trace, or, with
+//! `--swf`, streams an SWF log of any size through every run with
+//! O(machine) memory; each grid rejects the other's flags.
 //! `--csv PREFIX` additionally writes one per-job CSV per scheme
 //! (`PREFIX.<scheme>.csv`) for external analysis. `trace` streams the
 //! full event log of one run to disk (JSONL embeds the experiment
@@ -53,7 +55,8 @@ use selective_preemption::telemetry::{
 };
 use selective_preemption::trace::{validate_jsonl, CsvSink, JsonlSink, ReplayOptions};
 use selective_preemption::workload::{
-    parse_secs, swf, ArrivalSpec, EstimateModel, Job, SyntheticConfig, SystemPreset, TraceSource,
+    parse_secs, ArrivalSpec, EstimateModel, Job, JobSource, SyntheticConfig, SystemPreset,
+    TraceSource,
 };
 
 fn fail(msg: &str) -> ! {
@@ -92,6 +95,8 @@ fn usage() -> ! {
     eprintln!("             [--jobs N] [--load F] [--loads F,F,...] [--seed N] [--reps N]");
     eprintln!("             [--mtbf SECS] [--mttr SECS] [--out FILE] [--prom PREFIX]");
     eprintln!("  sps replay --swf FILE --procs N --sched <SPEC> [--sched <SPEC>...] [--worst]");
+    eprintln!("             [--load F] [--seed N] [--estimates accurate|mixture]");
+    eprintln!("             [run's overhead, fault, preemption, admission, speed, stop flags]");
     eprintln!("  sps trace  --system <CTC|SDSC|KTH> --sched <SPEC> --out FILE");
     eprintln!("             [--format jsonl|csv] [--jobs N] [--load F] [--seed N] ...");
     eprintln!("  sps validate FILE [--allow-migration]");
@@ -111,6 +116,8 @@ fn usage() -> ! {
     eprintln!("       pattern and --estimates (if given) re-draws user estimates, seeded per");
     eprintln!("       replication; the synthetic grid's machine, fault, preemption, speed");
     eprintln!("       and open-system flags do not apply and are rejected");
+    eprintln!("replay: reads the log like sweep --swf (--load for --loads); both drop and");
+    eprintln!("       count jobs wider than --procs and refuse a malformed log up front");
     eprintln!("observability: --timeline FILE writes a Chrome-trace / Perfetto JSON");
     eprintln!("       timeline (run: one lane per scheme with run-loop phase spans;");
     eprintln!("       sweep: one lane per worker with per-cell spans and in-run");
@@ -130,7 +137,7 @@ fn usage() -> ! {
     eprintln!("        per-processor image bandwidth and --ckpt-contention fair-shares it");
     eprintln!("sweep budget: --budget caps the sweep's wall clock in ms — queued runs past");
     eprintln!("        the deadline are skipped and in-flight runs abort with partial");
-    eprintln!("        metrics; --retries re-runs panicked workers with backoff");
+    eprintln!("        metrics; --retries re-runs a run that panics, with backoff");
     eprintln!("open system: --arrivals picks the arrival process:");
     eprintln!("        trace | poisson[:load] | mmpp:[load,]burst,dwell |");
     eprintln!("        ramp:from,to,over | diurnal:[load,]amplitude");
@@ -327,6 +334,15 @@ impl Args {
         spec
     }
 
+    /// How `replay` and `sweep --swf` read the log at `swf` on a
+    /// `procs`-processor machine: estimates re-drawn under `--seed` only
+    /// when `--estimates` is given.
+    fn log_spec(&self, swf: &str, procs: u32) -> MegaSweepSpec {
+        MegaSweepSpec::new(swf, procs)
+            .with_seed(self.seed)
+            .with_estimates(self.estimates_given.then_some(self.estimates))
+    }
+
     /// The SWF-log grid the flags describe (`sweep --swf`). A replayed
     /// log fixes the machine and its arrivals, so the synthetic grid's
     /// machine, fault, preemption, speed and open-system flags are
@@ -356,16 +372,13 @@ impl Args {
         let procs = self
             .procs
             .unwrap_or_else(|| fail("--procs required with --swf"));
-        let mut spec = MegaSweepSpec::new(swf, procs)
+        let mut spec = self
+            .log_spec(swf, procs)
             .with_schedulers(self.scheds.clone())
             .with_loads(self.loads.clone().unwrap_or_else(|| vec![self.load]))
-            .with_seed(self.seed)
             .with_reps(self.reps.unwrap_or(1))
             .with_overhead(self.overhead)
             .with_timeline(self.timeline.is_some());
-        if self.estimates_given {
-            spec = spec.with_estimates(Some(self.estimates));
-        }
         if let Some(n) = self.readahead {
             spec = spec.with_readahead(n);
         }
@@ -377,6 +390,26 @@ impl Args {
         }
         spec
     }
+}
+
+/// Read `spec`'s log once at `load` through the reader and shaper its
+/// runs use, handing each job to `keep`, and return the count line both
+/// SWF commands print. The log's first error is a usage error (exit 2).
+fn read_log(spec: &MegaSweepSpec, load: f64, keep: impl FnMut(Job)) -> String {
+    let mut log = spec
+        .source(load, spec.base_seed)
+        .unwrap_or_else(|e| fail(&e.to_string()));
+    let usable = std::iter::from_fn(|| log.next_job()).map(keep).count();
+    if let Some(e) = log.error() {
+        fail(&e.to_string());
+    }
+    format!(
+        "{}: {usable} usable jobs ({} skipped, {} wider than the machine), machine {} procs",
+        spec.swf.display(),
+        log.inner().warnings().skipped,
+        log.wider(),
+        spec.procs,
+    )
 }
 
 /// Fail on the first flag in `given` that was passed: it does not apply
@@ -1030,6 +1063,8 @@ fn main() {
                 Some(swf_path) => {
                     let spec = args.swf_spec(swf_path);
                     spec.validate().unwrap_or_else(|e| fail(&e.to_string()));
+                    // One counting pass refuses a bad log before any run.
+                    eprintln!("{}", read_log(&spec, 1.0, drop));
                     eprintln!(
                         "{}: {} cells x {} reps = {} streaming runs on {} threads",
                         swf_path,
@@ -1346,20 +1381,32 @@ fn main() {
         }
         "replay" => {
             let args = parse_args(argv.into_iter());
+            reject(
+                &[
+                    (args.system.is_some(), "--system"),
+                    (args.jobs.is_some(), "--jobs"),
+                    (args.diurnal > 0.0, "--diurnal"),
+                    (args.arrivals.is_some(), "--arrivals"),
+                    (args.loads.is_some(), "--loads"),
+                    (args.reps.is_some(), "--reps"),
+                    (args.budget.is_some(), "--budget"),
+                    (args.retries.is_some(), "--retries"),
+                    (args.readahead.is_some(), "--readahead"),
+                    (args.format.is_some(), "--format"),
+                    (args.out.is_some(), "--out"),
+                    (args.prom.is_some(), "--prom"),
+                    (args.progress.is_some(), "--progress/--no-progress"),
+                    (args.top, "--top"),
+                ],
+                "an SWF replay",
+            );
             let path = args.swf.clone().unwrap_or_else(|| fail("--swf required"));
             let procs = args.procs.unwrap_or_else(|| fail("--procs required"));
             let configs = args.configs(SystemPreset::swf(procs));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let mut trace = swf::parse(&text).unwrap_or_else(|e| fail(&e.to_string()));
-            let wide = trace.fit_to(procs);
-            println!(
-                "{path}: {} usable jobs ({} skipped, {wide} wider than the machine), \
-                 machine {procs} procs\n",
-                trace.jobs.len(),
-                trace.skipped
-            );
-            report(trace.jobs, &configs, &args);
+            let mut jobs = Vec::new();
+            let counts = read_log(&args.log_spec(&path, procs), args.load, |j| jobs.push(j));
+            println!("{counts}\n");
+            report(jobs, &configs, &args);
         }
         "trace" => {
             let args = parse_args(argv.into_iter());

@@ -5,6 +5,8 @@
 //! `ExperimentConfig::validate`, and `sweep` its grid through the spec's
 //! `validate`, before any simulation work starts or any output is printed.
 //! A flag only the CLI knows (`--diurnal`) is checked as it is parsed.
+//! `replay` and `sweep --swf` read an SWF log once, through the reader
+//! every SWF run uses, before any run, and refuse a malformed one alike.
 
 use std::process::Command;
 
@@ -179,4 +181,104 @@ fn replay_rejects_out_of_range_swf_numbers() {
         assert!(stderr.starts_with("error: SWF line 2: "), "{stderr}");
         assert!(stderr.contains(field), "{stderr}");
     }
+}
+
+/// `replay` and `sweep --swf` read a log through one reader, so a bad log
+/// gets one refusal from both, before any run: exit 2 and the same
+/// `error: …` line, never a panic.
+#[test]
+fn replay_and_swf_sweep_refuse_a_bad_log_alike() {
+    let ok = b"1 0 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n".as_slice();
+    let dir = std::env::temp_dir().join(format!("sps-cli-errors-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let cases: [(&str, &[u8], &str); 3] = [
+        (
+            "field",
+            b"2 10 0 100 4 -1 -1 4 1x0 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+            "error: SWF line 2: non-numeric field \"1x0\"",
+        ),
+        (
+            "order",
+            b"2 -1 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n\
+              3 60 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n\
+              4 30 0 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+            "error: SWF line 4: submit time 30 is before the previous job's 60",
+        ),
+        (
+            "utf8",
+            b"2 10 0 100 4 -1 -1 4 100 -1 1 \xe4 -1 -1 -1 -1 -1 -1\n",
+            "error: SWF line 2: not UTF-8",
+        ),
+    ];
+    let mut logs: Vec<(std::path::PathBuf, String)> = cases
+        .iter()
+        .map(|(tag, bad, want)| {
+            let log = dir.join(format!("{tag}.swf"));
+            std::fs::write(&log, [ok, bad].concat()).expect("write SWF log");
+            (log, want.to_string())
+        })
+        .collect();
+    // `File::open` accepts a directory; both commands must refuse it.
+    let dir_log = dir.join("dir.swf");
+    std::fs::create_dir_all(&dir_log).expect("mkdir");
+    let want = format!("error: bad SWF log: {}: is a directory", dir_log.display());
+    logs.push((dir_log, want));
+    for (log, want) in &logs {
+        let path = log.display().to_string();
+        let lines: Vec<String> = ["replay", "sweep"]
+            .iter()
+            .map(|command| {
+                let (code, stderr) =
+                    sps(&[command, "--swf", &path, "--procs", "8", "--sched", "ns"]);
+                assert_eq!(code, Some(2), "{command} {path}: {stderr}");
+                assert!(!stderr.contains("panicked"), "{command} {path}: {stderr}");
+                stderr.lines().next().unwrap_or_default().to_string()
+            })
+            .collect();
+        assert!(lines[0].starts_with(want.as_str()), "{path}: {}", lines[0]);
+        assert_eq!(
+            lines[0], lines[1],
+            "{path}: replay and sweep --swf disagree"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `replay` applies `--load`, `--estimates` and `--seed` to the log the
+/// way `sweep --swf` does, and refuses the synthetic-workload, grid and
+/// report-output flags, which mean nothing for a replay.
+#[test]
+fn replay_refuses_flags_that_do_not_apply_to_a_log() {
+    let log = one_job_log("replay-flags");
+    let path = log.display().to_string();
+    for flag in [
+        ["--system", "SDSC"],
+        ["--jobs", "5"],
+        ["--diurnal", "0.5"],
+        ["--arrivals", "poisson"],
+        ["--loads", "1,2"],
+        ["--reps", "2"],
+        ["--budget", "5"],
+        ["--retries", "1"],
+        ["--readahead", "64"],
+        ["--format", "csv"],
+        ["--out", "replay.md"],
+        ["--prom", "replay"],
+        ["--progress", ""],
+        ["--top", ""],
+    ] {
+        let mut args = vec!["replay", "--swf", &path, "--procs", "32", "--sched", "ns"];
+        args.extend(flag.into_iter().filter(|a| !a.is_empty()));
+        let stderr = refused(&args);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("error: {}", flag[0])),
+            "{stderr}"
+        );
+        assert!(
+            first.ends_with("does not apply to an SWF replay"),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&log);
 }
