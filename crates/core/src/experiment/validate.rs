@@ -29,6 +29,9 @@ pub enum ConfigError {
     /// a resource limit, not a configuration error, and is not caught
     /// here.
     TooManyJobs(usize),
+    /// `until` waits for more completed jobs than [`MAX_JOBS`] job ids
+    /// can name (the count attached).
+    TooManyUntilJobs(usize),
     /// The fault model is inconsistent (reason attached).
     BadFaults(&'static str),
     /// A sweep grid axis is empty (which axis is attached).
@@ -61,6 +64,12 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "n_jobs must be at most {MAX_JOBS} (job ids are 32-bit), got {n}"
+                )
+            }
+            ConfigError::TooManyUntilJobs(n) => {
+                write!(
+                    f,
+                    "until must be at most {MAX_JOBS}j (job ids are 32-bit), got {n}j"
                 )
             }
             ConfigError::BadFaults(reason) => write!(f, "bad fault model: {reason}"),
@@ -99,6 +108,11 @@ impl ExperimentConfig {
         }
         if self.n_jobs as u64 > MAX_JOBS {
             return Err(ConfigError::TooManyJobs(self.n_jobs));
+        }
+        if let RunUntil::Jobs(n) = self.until {
+            if n as u64 > MAX_JOBS {
+                return Err(ConfigError::TooManyUntilJobs(n));
+            }
         }
         if let Some(mtbf) = self.faults.mtbf {
             if mtbf < 1 {

@@ -1,21 +1,8 @@
 //! `sps` — command-line front end to the selective-preemption simulator.
 //!
-//! ```text
-//! sps run   --system SDSC --sched tss:2 [--jobs 5000] [--load 1.0]
-//!           [--seed 42] [--estimates accurate|mixture]
-//!           [--overhead none|paper] [--diurnal 0.0] [--worst]
-//! sps sweep --system SDSC --sched ns --sched ss:2 --loads 0.7,0.85,1.0
-//!           [--reps 5] [--progress]
-//! sps sweep --swf LOG.swf --procs 430 --sched ss:2 [--loads 0.7,1.0]
-//!           [--reps 5] [--readahead 1024] [--threads N]
-//! sps report [--system SDSC] [--sched ss --sf 2] [--load 0.85]
-//!           [--loads 0.7,0.85,1.0] [--out report.md] [--prom PREFIX]
-//! sps replay --swf LOG.swf --procs 430 --sched ns [--sched tss:2 ...]
-//!           [--load 1.2] [--estimates mixture] [--seed 42]
-//! sps trace --system SDSC --sched ss:2 --out trace.jsonl [--format csv]
-//! sps validate trace.jsonl [--allow-migration]
-//! sps schedulers
-//! ```
+//! Run `sps` without arguments for the usage text: each command's
+//! synopsis, printed from the flag table (`FLAGS`), and what the flags
+//! mean. Every command refuses a flag it does not read.
 //!
 //! `run` simulates a calibrated synthetic trace and prints the
 //! per-category report; `replay` does the same for a Standard Workload
@@ -23,7 +10,7 @@
 //! `--sched` flags compare schemes on the same trace. `sweep` runs a
 //! scheduler × load × seed grid over the synthetic trace, or, with
 //! `--swf`, streams an SWF log of any size through every run with
-//! O(machine) memory; each grid rejects the other's flags.
+//! O(machine) memory.
 //! `--csv PREFIX` additionally writes one per-job CSV per scheme
 //! (`PREFIX.<scheme>.csv`) for external analysis. `trace` streams the
 //! full event log of one run to disk (JSONL embeds the experiment
@@ -32,13 +19,17 @@
 //! runs an instrumented comparison (telemetry registry + health
 //! detectors attached) and emits a self-contained Markdown report.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::io::IsTerminal as _;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 use selective_preemption::cluster::SpeedSpec;
 use selective_preemption::core::admission::AdmissionModel;
 use selective_preemption::core::checkpoint::{CheckpointModel, PreemptionMode};
-use selective_preemption::core::experiment::{default_threads, ExperimentConfig, SchedulerKind};
+use selective_preemption::core::experiment::{
+    default_threads, ConfigError, ExperimentConfig, SchedulerKind,
+};
 use selective_preemption::core::faults::{FaultModel, RecoveryPolicy};
 use selective_preemption::core::mega::{run_mega_sweep_observed, MegaSweepSpec};
 use selective_preemption::core::overhead::OverheadModel;
@@ -59,51 +50,270 @@ use selective_preemption::workload::{
     TraceSource,
 };
 
+/// A command-line error: `error: msg`, then the usage text, exit 2.
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!();
     usage();
 }
 
+/// A file error (an SWF log the reader refuses, a path that cannot be
+/// read or written): only `error: msg`, exit 2. The command line is fine,
+/// so the usage text would not help.
+fn fail_file(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Refuse a configuration: an SWF log that cannot be read is a file
+/// error, anything else comes from the command line.
+fn refuse(e: ConfigError) -> ! {
+    match e {
+        ConfigError::BadSwf(_) => fail_file(&e.to_string()),
+        _ => fail(&e.to_string()),
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout. Once its reader has gone (`sps … | head`), the
+/// command ends quietly with exit 0: the reader took what it wanted.
+fn emit(text: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail_file(&format!("cannot write to stdout: {e}"));
+    }
+}
+
+// The modes a flag can apply to. A mode is a command, or a command
+// together with the flag that switches its pipeline: `run` with an open
+// `--arrivals`, `sweep --swf` and `report --loads`.
+const RUN: u8 = 1;
+const OPEN_RUN: u8 = 1 << 1;
+const SWEEP: u8 = 1 << 2;
+const SWF_SWEEP: u8 = 1 << 3;
+const REPORT: u8 = 1 << 4;
+const LOAD_REPORT: u8 = 1 << 5;
+const REPLAY: u8 = 1 << 6;
+const TRACE: u8 = 1 << 7;
+/// What a refusal calls each mode, in bit order.
+const TARGETS: [&str; 8] = [
+    "a closed-trace run",
+    "an open-system run",
+    "a synthetic sweep",
+    "an SWF sweep",
+    "report without --loads",
+    "report --loads",
+    "an SWF replay",
+    "trace",
+];
+const ALL: u8 = u8::MAX;
+/// The modes whose runs take their configuration from the run flags; an
+/// SWF sweep's runs take only the overhead model beside the log.
+const CONFIG: u8 = ALL & !SWF_SWEEP;
+/// The modes that simulate a synthetic workload on a `--system`.
+const SYNTH: u8 = CONFIG & !REPLAY;
+/// The modes that read an SWF log.
+const LOGS: u8 = SWF_SWEEP | REPLAY;
+/// The modes that run a sweep grid.
+const GRID: u8 = SWEEP | SWF_SWEEP | LOAD_REPORT;
+const REPORTS: u8 = REPORT | LOAD_REPORT;
+/// The modes whose runs stop at `--until`; a report compares drained
+/// closed-trace runs.
+const STOPS: u8 = CONFIG & !REPORTS;
+
+type Setter = fn(&mut Args, &str) -> Result<(), String>;
+
+/// One flag of `sps`: its name, its value's placeholder in the usage
+/// text (empty for a switch), the modes that read it, and the setter
+/// that parses its value into [`Args`].
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    modes: u8,
+    set: Setter,
+}
+
+const fn flag(name: &'static str, value: &'static str, modes: u8, set: Setter) -> Flag {
+    Flag {
+        name,
+        value,
+        modes,
+        set,
+    }
+}
+
+/// Parse a flag's value, keeping the parser's message.
+fn parse<T: FromStr<Err: Display>>(value: &str) -> Result<T, String> {
+    value.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// Store a setter's parsed value.
+fn put<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// Store a flag's value, parsed, in an optional slot.
+fn some<T: FromStr<Err: Display>>(slot: &mut Option<T>, value: &str) -> Result<(), String> {
+    put(slot, Some(parse(value)?))
+}
+
+/// Every flag of `sps`, in usage order: the one place that says which
+/// modes read a flag and how its value parses.
+static FLAGS: [Flag; 40] = [
+    flag("--system", "<CTC|SDSC|KTH>", SYNTH, |a, v| {
+        let system = SystemPreset::by_name(v).ok_or("expected CTC, SDSC or KTH")?;
+        put(&mut a.system, Some(system))
+    }),
+    flag("--swf", "FILE", LOGS, |a, v| some(&mut a.swf, v)),
+    flag("--procs", "N", LOGS, |a, v| some(&mut a.procs, v)),
+    flag("--sched", "<SPEC>", ALL, |a, v| {
+        a.specs.push(v.to_string());
+        Ok(())
+    }),
+    flag("--sf", "F", ALL, |a, v| some(&mut a.sf, v)),
+    flag("--jobs", "N", SYNTH & !OPEN_RUN, |a, v| {
+        some(&mut a.jobs, v)
+    }),
+    flag("--load", "F", ALL, |a, v| put(&mut a.load, parse(v)?)),
+    flag("--loads", "F,F,...", GRID, |a, v| {
+        let loads = v.split(',').map(|s| parse(s.trim()));
+        put(&mut a.loads, Some(loads.collect::<Result<_, _>>()?))
+    }),
+    flag("--reps", "N", GRID, |a, v| some(&mut a.reps, v)),
+    flag("--seed", "N", ALL, |a, v| put(&mut a.seed, parse(v)?)),
+    flag("--threads", "N", !(REPORT | TRACE), |a, v| {
+        some(&mut a.threads, v)
+    }),
+    flag("--estimates", "accurate|mixture", ALL, |a, v| match v {
+        "accurate" => put(&mut a.estimates, Some(EstimateModel::Accurate)),
+        "mixture" => put(&mut a.estimates, Some(EstimateModel::paper_mixture())),
+        _ => Err("expected accurate or mixture".into()),
+    }),
+    flag("--overhead", "none|paper", ALL, |a, v| match v {
+        "none" => put(&mut a.overhead, OverheadModel::None),
+        "paper" => put(&mut a.overhead, OverheadModel::paper()),
+        _ => Err("expected none or paper".into()),
+    }),
+    flag("--diurnal", "A", RUN, |a, v| match parse(v)? {
+        amplitude if (0.0..1.0).contains(&amplitude) => put(&mut a.diurnal, amplitude),
+        amplitude => Err(format!("must be in [0, 1), got {amplitude}")),
+    }),
+    flag("--mtbf", "SECS", CONFIG, |a, v| some(&mut a.mtbf, v)),
+    flag("--mttr", "SECS", CONFIG, |a, v| some(&mut a.mttr, v)),
+    flag("--recovery", "wait|resubmit|remap", CONFIG, |a, v| {
+        some(&mut a.recovery, v)
+    }),
+    flag("--fault-seed", "N", CONFIG, |a, v| {
+        some(&mut a.fault_seed, v)
+    }),
+    flag(
+        "--preemption",
+        "suspend|checkpoint|migrate",
+        CONFIG,
+        |a, v| some(&mut a.preemption, v),
+    ),
+    flag("--ckpt-interval", "SECS", CONFIG, |a, v| {
+        some(&mut a.ckpt_interval, v)
+    }),
+    flag("--ckpt-rate", "MB/S", CONFIG, |a, v| {
+        some(&mut a.ckpt_rate, v)
+    }),
+    flag("--ckpt-contention", "", CONFIG, |a, _| {
+        put(&mut a.ckpt_contention, true)
+    }),
+    flag("--arrivals", "SPEC", STOPS & !REPLAY, |a, v| {
+        some(&mut a.arrivals, v)
+    }),
+    flag("--until", "DUR|Nj", STOPS, |a, v| some(&mut a.until, v)),
+    flag("--warmup", "DUR", STOPS, |a, v| {
+        put(&mut a.warmup, Some(parse_secs(v)?))
+    }),
+    flag("--admission", "SPEC", CONFIG, |a, v| {
+        some(&mut a.admission, v)
+    }),
+    flag("--speed", "SPEC", CONFIG, |a, v| some(&mut a.speed, v)),
+    flag("--speed-blind", "", CONFIG, |a, _| {
+        put(&mut a.speed_blind, true)
+    }),
+    flag("--budget", "MS", GRID, |a, v| some(&mut a.budget, v)),
+    flag("--retries", "N", GRID, |a, v| some(&mut a.retries, v)),
+    flag("--readahead", "N", SWF_SWEEP, |a, v| {
+        some(&mut a.readahead, v)
+    }),
+    flag("--format", "FORMAT", SWEEP | SWF_SWEEP | TRACE, |a, v| {
+        some(&mut a.format, v)
+    }),
+    flag("--out", "FILE", GRID | REPORT | TRACE, |a, v| {
+        some(&mut a.out, v)
+    }),
+    flag("--csv", "PREFIX", RUN | REPLAY, |a, v| some(&mut a.csv, v)),
+    flag("--prom", "PREFIX", REPORTS, |a, v| some(&mut a.prom, v)),
+    flag(
+        "--timeline",
+        "FILE",
+        RUN | SWEEP | SWF_SWEEP | REPLAY,
+        |a, v| some(&mut a.timeline, v),
+    ),
+    flag("--worst", "", RUN | REPLAY, |a, _| put(&mut a.worst, true)),
+    flag("--top", "", SWEEP | SWF_SWEEP, |a, _| put(&mut a.top, true)),
+    flag("--progress", "", GRID, |a, _| {
+        put(&mut a.progress, Some(true))
+    }),
+    flag("--no-progress", "", GRID, |a, _| {
+        put(&mut a.progress, Some(false))
+    }),
+];
+
+/// Each command's synopsis in the usage text: its name, the modes it
+/// runs in and its required flags, shown first and without brackets.
+const SYNOPSES: [(&str, u8, &[&str]); 6] = [
+    ("run", RUN | OPEN_RUN, &["--system", "--sched"]),
+    ("sweep", SWEEP, &["--system", "--sched"]),
+    ("sweep", SWF_SWEEP, &["--swf", "--procs", "--sched"]),
+    ("report", REPORTS, &[]),
+    ("replay", REPLAY, &["--swf", "--procs", "--sched"]),
+    ("trace", TRACE, &["--system", "--sched", "--out"]),
+];
+
 fn usage() -> ! {
     eprintln!("usage:");
-    eprintln!("  sps run    --system <CTC|SDSC|KTH> --sched <SPEC> [--sched <SPEC>...]");
-    eprintln!("             [--jobs N] [--load F] [--seed N] [--estimates accurate|mixture]");
-    eprintln!("             [--overhead none|paper] [--diurnal A] [--worst] [--csv PREFIX]");
-    eprintln!("             [--mtbf SECS] [--mttr SECS] [--recovery wait|resubmit|remap]");
-    eprintln!("             [--fault-seed N] [--threads N]");
-    eprintln!("             [--preemption suspend|checkpoint|migrate] [--ckpt-interval SECS]");
-    eprintln!("             [--ckpt-rate MB/S] [--ckpt-contention]");
-    eprintln!("             [--arrivals SPEC] [--until DUR|Nj] [--warmup DUR] [--admission SPEC]");
-    eprintln!("             [--speed SPEC] [--speed-blind] [--timeline FILE]");
-    eprintln!("  sps sweep  --system <CTC|SDSC|KTH> --sched <SPEC> [--sched <SPEC>...]");
-    eprintln!("             [--loads F,F,...] [--jobs N] [--seed N] [--reps N] [--threads N]");
-    eprintln!("             [--estimates accurate|mixture] [--overhead none|paper]");
-    eprintln!("             [--format table|csv|json] [--out FILE] [--progress|--no-progress]");
-    eprintln!("             [--mtbf SECS] [--mttr SECS] [--recovery ...] [--preemption ...]");
-    eprintln!("             [--budget MS] [--retries N] [--timeline FILE] [--top]");
-    eprintln!("             [--arrivals SPEC] [--until DUR|Nj] [--warmup DUR] [--admission SPEC]");
-    eprintln!("             [--speed SPEC] [--speed-blind]");
-    eprintln!("  sps sweep  --swf FILE --procs N --sched <SPEC> [--sched <SPEC>...]");
-    eprintln!("             [--loads F,F,...] [--reps N] [--seed N] [--threads N]");
-    eprintln!(
-        "             [--estimates accurate|mixture] [--overhead none|paper] [--readahead N]"
-    );
-    eprintln!("             [--budget MS] [--retries N] [--format table|csv|json] [--out FILE]");
-    eprintln!("             [--progress|--no-progress] [--timeline FILE] [--top]");
-    eprintln!("  sps report [--system <CTC|SDSC|KTH>] [--sched <SPEC>...] [--sf F]");
-    eprintln!("             [--jobs N] [--load F] [--loads F,F,...] [--seed N] [--reps N]");
-    eprintln!("             [--mtbf SECS] [--mttr SECS] [--out FILE] [--prom PREFIX]");
-    eprintln!("  sps replay --swf FILE --procs N --sched <SPEC> [--sched <SPEC>...] [--worst]");
-    eprintln!("             [--load F] [--seed N] [--estimates accurate|mixture]");
-    eprintln!("             [run's overhead, fault, preemption, admission, speed, stop flags]");
-    eprintln!("  sps trace  --system <CTC|SDSC|KTH> --sched <SPEC> --out FILE");
-    eprintln!("             [--format jsonl|csv] [--jobs N] [--load F] [--seed N] ...");
+    for (command, modes, required) in SYNOPSES {
+        let mut line = format!("  sps {command:<6}");
+        let (head, rest): (Vec<&Flag>, _) = FLAGS
+            .iter()
+            .filter(|f| f.modes & modes != 0)
+            .partition(|f| required.contains(&f.name));
+        for f in head.into_iter().chain(rest) {
+            let item = match f.value {
+                "" => format!(" [{}]", f.name),
+                value if required.contains(&f.name) => format!(" {} {value}", f.name),
+                value => format!(" [{} {value}]", f.name),
+            };
+            if line.len() + item.len() > 80 {
+                eprintln!("{line}");
+                line = " ".repeat(12);
+            }
+            line.push_str(&item);
+        }
+        eprintln!("{line}");
+    }
     eprintln!("  sps validate FILE [--allow-migration]");
     eprintln!("  sps schedulers");
     eprintln!();
+    eprintln!("every command refuses a flag it does not read (exit 2)");
     eprintln!("scheduler SPEC: fcfs | cons | ns | flex:<depth> | is | gang | ss:<sf> | tss:<sf>");
     eprintln!("                (a bare ss/tss takes its factor from --sf, default 2)");
+    eprintln!("FORMAT: table | csv | json for sweep (default table), jsonl | csv for trace");
     eprintln!("sweep: the full scheduler x load grid runs --reps seed replications per cell");
     eprintln!("       and reports per-cell means with 95% confidence half-widths;");
     eprintln!("       --threads defaults to the SPS_THREADS env var, then all cores;");
@@ -114,8 +324,7 @@ fn usage() -> ! {
     eprintln!("       default 1024) and folds outcomes in-simulator instead of materializing");
     eprintln!("       them; --loads reshapes inter-arrival gaps around the log's own arrival");
     eprintln!("       pattern and --estimates (if given) re-draws user estimates, seeded per");
-    eprintln!("       replication; the synthetic grid's machine, fault, preemption, speed");
-    eprintln!("       and open-system flags do not apply and are rejected");
+    eprintln!("       replication");
     eprintln!("replay: reads the log like sweep --swf (--load for --loads); both drop and");
     eprintln!("       count jobs wider than --procs and refuse a malformed log up front");
     eprintln!("observability: --timeline FILE writes a Chrome-trace / Perfetto JSON");
@@ -154,19 +363,17 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_sched(spec: &str) -> SchedulerKind {
-    spec.parse().unwrap_or_else(|e| fail(&format!("{e}")))
-}
-
 #[derive(Default)]
 struct Args {
     system: Option<SystemPreset>,
+    /// The `--sched` specs, resolved into `scheds` once `--sf` is known.
+    specs: Vec<String>,
     scheds: Vec<SchedulerKind>,
     jobs: Option<usize>,
     load: f64,
     seed: u64,
-    estimates: EstimateModel,
-    estimates_given: bool,
+    /// `None` keeps the workload's own estimates (a log's, or exact ones).
+    estimates: Option<EstimateModel>,
     readahead: Option<usize>,
     overhead: OverheadModel,
     diurnal: f64,
@@ -188,7 +395,7 @@ struct Args {
     retries: Option<u32>,
     loads: Option<Vec<f64>>,
     reps: Option<usize>,
-    threads: Option<usize>,
+    threads: Option<NonZeroUsize>,
     sf: Option<f64>,
     progress: Option<bool>,
     prom: Option<String>,
@@ -273,7 +480,7 @@ impl Args {
         let mut cfg = ExperimentConfig::new(system, kind)
             .with_seed(self.seed)
             .with_load_factor(self.load)
-            .with_estimates(self.estimates)
+            .with_estimates(self.estimates.unwrap_or_default())
             .with_overhead(self.overhead)
             .with_faults(self.faults())
             .with_preemption(self.preemption())
@@ -313,13 +520,6 @@ impl Args {
     /// The synthetic scheduler × load grid the flags describe on
     /// `system` (`sweep`, and `report --loads`).
     fn sweep_spec(&self, system: SystemPreset, scheds: Vec<SchedulerKind>) -> SweepSpec {
-        reject(
-            &[
-                (self.procs.is_some(), "--procs"),
-                (self.readahead.is_some(), "--readahead"),
-            ],
-            "a synthetic sweep (SWF sweeps take --swf)",
-        );
         // The scheduler axis replaces the base configuration's scheduler.
         let mut spec = SweepSpec::over(self.config(system, SchedulerKind::Easy))
             .with_schedulers(scheds)
@@ -340,35 +540,11 @@ impl Args {
     fn log_spec(&self, swf: &str, procs: u32) -> MegaSweepSpec {
         MegaSweepSpec::new(swf, procs)
             .with_seed(self.seed)
-            .with_estimates(self.estimates_given.then_some(self.estimates))
+            .with_estimates(self.estimates)
     }
 
-    /// The SWF-log grid the flags describe (`sweep --swf`). A replayed
-    /// log fixes the machine and its arrivals, so the synthetic grid's
-    /// machine, fault, preemption, speed and open-system flags are
-    /// rejected rather than dropped.
+    /// The SWF-log grid the flags describe (`sweep --swf`).
     fn swf_spec(&self, swf: &str) -> MegaSweepSpec {
-        reject(
-            &[
-                (self.system.is_some(), "--system"),
-                (self.jobs.is_some(), "--jobs"),
-                (self.mtbf.is_some(), "--mtbf"),
-                (self.mttr.is_some(), "--mttr"),
-                (self.recovery.is_some(), "--recovery"),
-                (self.fault_seed.is_some(), "--fault-seed"),
-                (self.preemption.is_some(), "--preemption"),
-                (self.ckpt_interval.is_some(), "--ckpt-interval"),
-                (self.ckpt_rate.is_some(), "--ckpt-rate"),
-                (self.ckpt_contention, "--ckpt-contention"),
-                (self.speed.is_some(), "--speed"),
-                (self.speed_blind, "--speed-blind"),
-                (self.arrivals.is_some(), "--arrivals"),
-                (self.until.is_some(), "--until"),
-                (self.warmup.is_some(), "--warmup"),
-                (self.admission.is_some(), "--admission"),
-            ],
-            "an SWF sweep (--swf)",
-        );
         let procs = self
             .procs
             .unwrap_or_else(|| fail("--procs required with --swf"));
@@ -394,14 +570,14 @@ impl Args {
 
 /// Read `spec`'s log once at `load` through the reader and shaper its
 /// runs use, handing each job to `keep`, and return the count line both
-/// SWF commands print. The log's first error is a usage error (exit 2).
+/// SWF commands print. The log's first error is a file error (exit 2).
 fn read_log(spec: &MegaSweepSpec, load: f64, keep: impl FnMut(Job)) -> String {
     let mut log = spec
         .source(load, spec.base_seed)
-        .unwrap_or_else(|e| fail(&e.to_string()));
+        .unwrap_or_else(|e| refuse(e));
     let usable = std::iter::from_fn(|| log.next_job()).map(keep).count();
     if let Some(e) = log.error() {
-        fail(&e.to_string());
+        fail_file(&e.to_string());
     }
     format!(
         "{}: {usable} usable jobs ({} skipped, {} wider than the machine), machine {} procs",
@@ -412,171 +588,76 @@ fn read_log(spec: &MegaSweepSpec, load: f64, keep: impl FnMut(Job)) -> String {
     )
 }
 
-/// Fail on the first flag in `given` that was passed: it does not apply
-/// to `target`.
-fn reject(given: &[(bool, &str)], target: &str) {
-    if let Some((_, flag)) = given.iter().find(|(passed, _)| *passed) {
-        fail(&format!("{flag} does not apply to {target}"));
-    }
-}
-
-fn parse_args(mut argv: std::vec::IntoIter<String>) -> Args {
+/// Parse the flags of `command` (`run`, `sweep`, `report`, `replay` or
+/// `trace`) through [`FLAGS`], and refuse any flag its mode does not read
+/// before the command prints or simulates anything.
+fn parse_args(command: &str, argv: Vec<String>) -> Args {
     let mut args = Args {
         load: 1.0,
         seed: 42,
-        estimates: EstimateModel::Accurate,
-        overhead: OverheadModel::None,
         ..Default::default()
     };
-    // `--sched` specs are resolved after the loop so a bare `ss`/`tss`
-    // can pick up the `--sf` flag regardless of argument order.
-    let mut sched_specs: Vec<String> = Vec::new();
-    while let Some(flag) = argv.next() {
-        let mut value = || {
-            argv.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+    let mut given: Vec<&Flag> = Vec::new();
+    let mut argv = argv.into_iter();
+    while let Some(name) = argv.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.name == name) else {
+            fail(&format!("unknown flag {name:?}"));
         };
-        match flag.as_str() {
-            "--system" => {
-                let name = value();
-                args.system =
-                    Some(SystemPreset::by_name(&name).unwrap_or_else(|| {
-                        fail(&format!("unknown system {name:?} (CTC, SDSC, KTH)"))
-                    }));
-            }
-            "--sched" => sched_specs.push(value()),
-            "--sf" => args.sf = Some(value().parse().unwrap_or_else(|_| fail("bad --sf"))),
-            "--jobs" => args.jobs = Some(value().parse().unwrap_or_else(|_| fail("bad --jobs"))),
-            "--load" => args.load = value().parse().unwrap_or_else(|_| fail("bad --load")),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| fail("bad --seed")),
-            "--estimates" => {
-                args.estimates = match value().as_str() {
-                    "accurate" => EstimateModel::Accurate,
-                    "mixture" => EstimateModel::paper_mixture(),
-                    other => fail(&format!("unknown estimate model {other:?}")),
-                };
-                args.estimates_given = true;
-            }
-            "--readahead" => {
-                args.readahead = Some(value().parse().unwrap_or_else(|_| fail("bad --readahead")));
-            }
-            "--overhead" => {
-                args.overhead = match value().as_str() {
-                    "none" => OverheadModel::None,
-                    "paper" => OverheadModel::paper(),
-                    other => fail(&format!("unknown overhead model {other:?}")),
-                }
-            }
-            "--diurnal" => {
-                let amplitude: f64 = value().parse().unwrap_or_else(|_| fail("bad --diurnal"));
-                if !(0.0..1.0).contains(&amplitude) {
-                    fail(&format!("--diurnal must be in [0, 1), got {amplitude}"));
-                }
-                args.diurnal = amplitude;
-            }
-            "--mtbf" => args.mtbf = Some(value().parse().unwrap_or_else(|_| fail("bad --mtbf"))),
-            "--mttr" => args.mttr = Some(value().parse().unwrap_or_else(|_| fail("bad --mttr"))),
-            "--recovery" => {
-                args.recovery = Some(value().parse().unwrap_or_else(|e| fail(&format!("{e}"))))
-            }
-            "--fault-seed" => {
-                args.fault_seed = Some(value().parse().unwrap_or_else(|_| fail("bad --fault-seed")))
-            }
-            "--preemption" => {
-                args.preemption = Some(value().parse().unwrap_or_else(|e| fail(&format!("{e}"))))
-            }
-            "--ckpt-interval" => {
-                args.ckpt_interval = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --ckpt-interval")),
-                )
-            }
-            "--ckpt-rate" => {
-                args.ckpt_rate = Some(value().parse().unwrap_or_else(|_| fail("bad --ckpt-rate")))
-            }
-            "--ckpt-contention" => args.ckpt_contention = true,
-            "--budget" => {
-                args.budget = Some(value().parse().unwrap_or_else(|_| fail("bad --budget")))
-            }
-            "--retries" => {
-                args.retries = Some(value().parse().unwrap_or_else(|_| fail("bad --retries")))
-            }
-            "--loads" => {
-                args.loads = Some(
-                    value()
-                        .split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| fail("bad --loads")))
-                        .collect(),
-                )
-            }
-            "--reps" => args.reps = Some(value().parse().unwrap_or_else(|_| fail("bad --reps"))),
-            "--threads" => {
-                let n: usize = value().parse().unwrap_or_else(|_| fail("bad --threads"));
-                if n == 0 {
-                    fail("--threads must be at least 1");
-                }
-                args.threads = Some(n);
-            }
-            "--arrivals" => {
-                args.arrivals = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("bad --arrivals: {e}"))),
-                )
-            }
-            "--until" => {
-                args.until = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("bad --until: {e}"))),
-                )
-            }
-            "--warmup" => {
-                args.warmup = Some(
-                    parse_secs(&value()).unwrap_or_else(|e| fail(&format!("bad --warmup: {e}"))),
-                )
-            }
-            "--admission" => {
-                args.admission = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("bad --admission: {e}"))),
-                )
-            }
-            "--speed" => {
-                args.speed = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("bad --speed: {e}"))),
-                )
-            }
-            "--speed-blind" => args.speed_blind = true,
-            "--worst" => args.worst = true,
-            "--timeline" => args.timeline = Some(value()),
-            "--top" => args.top = true,
-            "--progress" => args.progress = Some(true),
-            "--no-progress" => args.progress = Some(false),
-            "--prom" => args.prom = Some(value()),
-            "--swf" => args.swf = Some(value()),
-            "--csv" => args.csv = Some(value()),
-            "--out" => args.out = Some(value()),
-            "--format" => args.format = Some(value()),
-            "--procs" => args.procs = Some(value().parse().unwrap_or_else(|_| fail("bad --procs"))),
-            other => fail(&format!("unknown flag {other:?}")),
-        }
+        let value = match flag.value {
+            "" => String::new(),
+            _ => argv
+                .next()
+                .unwrap_or_else(|| fail(&format!("{name} needs a value"))),
+        };
+        (flag.set)(&mut args, &value).unwrap_or_else(|e| fail(&format!("bad {name}: {e}")));
+        given.push(flag);
+    }
+    let open = args.arrivals.is_some_and(|a| !a.is_trace());
+    let mode = match command {
+        "run" if open => OPEN_RUN,
+        "run" => RUN,
+        "sweep" if args.swf.is_some() => SWF_SWEEP,
+        "sweep" => SWEEP,
+        "report" if args.loads.is_some() => LOAD_REPORT,
+        "report" => REPORT,
+        "replay" => REPLAY,
+        "trace" => TRACE,
+        _ => unreachable!("{command} takes no flags"),
+    };
+    if let Some(flag) = given.iter().find(|f| f.modes & mode == 0) {
+        // Name the mode when the command has no other, or another reads it.
+        let modes = SYNOPSES
+            .iter()
+            .filter(|s| s.0 == command)
+            .fold(0, |m, s| m | s.1);
+        let target = if modes == mode || modes & flag.modes != 0 {
+            TARGETS[mode.trailing_zeros() as usize]
+        } else {
+            command
+        };
+        fail(&format!("{} does not apply to {target}", flag.name));
     }
     if args.speed_blind && args.speed.is_none() {
         fail("--speed-blind needs --speed to enable heterogeneous processors");
     }
-    for spec in sched_specs {
+    if open && args.jobs.is_some() {
+        fail("--jobs sizes a closed trace; open --arrivals stop at --until");
+    }
+    if mode & (SWEEP | SWF_SWEEP) != 0
+        && args.loads.is_some()
+        && given.iter().any(|f| f.name == "--load")
+    {
+        fail("--load and --loads both set a sweep's loads; list them all in --loads");
+    }
+    for spec in std::mem::take(&mut args.specs) {
         let resolved = match spec.as_str() {
             // A bare preemptive scheme takes its factor from --sf
             // (suspension factor 2 is the paper's headline setting).
             "ss" | "tss" => format!("{spec}:{}", args.sf.unwrap_or(2.0)),
             _ => spec,
         };
-        args.scheds.push(parse_sched(&resolved));
+        let kind = resolved.parse().unwrap_or_else(|e| fail(&format!("{e}")));
+        args.scheds.push(kind);
     }
     args
 }
@@ -588,7 +669,7 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
     let procs = configs[0].system.procs;
     // Simulate every scheme first — in parallel when --threads (or
     // SPS_THREADS) allows it — then print in input order.
-    let threads = args.threads.unwrap_or_else(default_threads);
+    let threads = args.threads.map_or_else(default_threads, usize::from);
     let simulate = |cfg: &ExperimentConfig| {
         let mut run = cfg
             .runner()
@@ -612,7 +693,7 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
     let mut lanes: Vec<(String, Vec<SpanEvent>)> = Vec::new();
     for (&kind, mut res) in args.scheds.iter().zip(results) {
         let rep = CategoryReport::from_outcomes(&res.outcomes);
-        println!(
+        outln!(
             "{:<14} overall slowdown {:>7.2}  mean turnaround {:>8.0} s  utilization {:>5.1}%  preemptions {:>6}",
             kind.label(),
             rep.overall.mean_slowdown,
@@ -620,7 +701,7 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
             res.utilization * 100.0,
             res.preemptions,
         );
-        println!(
+        outln!(
             "{:<14}   kernel: {} events, {} decides in {:.1} ms ({} events/s)",
             "",
             res.kernel.events,
@@ -634,13 +715,13 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
             },
         );
         if let Some(phases) = &res.kernel.phases {
-            println!("{:<14}   {}", "", render_phase_line(phases, &res.kernel));
+            outln!("{:<14}   {}", "", render_phase_line(phases, &res.kernel));
         }
         if let Some(spans) = res.spans.take() {
             lanes.push((kind.label(), spans));
         }
         if res.faults.any() {
-            println!(
+            outln!(
                 "{:<14}   failures {:>4}  jobs killed {:>4}  lost work {:>9} proc-s  stranded {:>7} s  goodput {:>5.1}%",
                 "",
                 res.faults.proc_failures,
@@ -650,14 +731,16 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
                 goodput(&res.outcomes, procs, res.faults.downtime) * 100.0,
             );
             if res.faults.migrations > 0 || res.faults.ckpt_overhead > 0 {
-                println!(
+                outln!(
                     "{:<14}   migrations {:>4}  checkpoint overhead {:>9} proc-s",
-                    "", res.faults.migrations, res.faults.ckpt_overhead,
+                    "",
+                    res.faults.migrations,
+                    res.faults.ckpt_overhead,
                 );
             }
         }
         if res.rejections.any() {
-            println!(
+            outln!(
                 "{:<14}   admission: rejected {:>5} jobs  ({:.1}% of submissions)  penalty {:.3e}",
                 "",
                 res.rejections.rejected,
@@ -668,7 +751,7 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
             );
         }
         if let Some(wdw) = &res.windowed {
-            println!(
+            outln!(
                 "{:<14}   window [{}..{}] s: {} jobs  slowdown {:.2}  turnaround {:.0} s  util {:.1}%  {:.1} jobs/h",
                 "",
                 wdw.start.secs(),
@@ -709,7 +792,7 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
     } else {
         "average slowdown per category"
     };
-    println!("\n{}", render_comparison(title, &named));
+    outln!("\n{}", render_comparison(title, &named));
     if let Some(path) = &args.timeline {
         // One Perfetto lane per scheme; each lane holds that scheme's
         // run-loop phase spans (every scheme's clock starts at its own
@@ -777,12 +860,16 @@ fn fmt_ns(ns: u64) -> String {
 /// configuration per `--sched`, from [`Args::configs`]).
 fn open_run(configs: Vec<ExperimentConfig>, args: &Args) {
     let cfg = &configs[0];
-    println!(
+    outln!(
         "{}: open system — arrivals {}, until {}, warmup {} s, admission {}\n",
-        cfg.system.name, cfg.arrivals, cfg.until, cfg.warmup, cfg.admission,
+        cfg.system.name,
+        cfg.arrivals,
+        cfg.until,
+        cfg.warmup,
+        cfg.admission,
     );
     let results = BatchRunner::new(configs)
-        .threads(args.threads.unwrap_or_else(default_threads))
+        .threads(args.threads.map_or_else(default_threads, usize::from))
         .run_checked();
     let mut failed = false;
     for (&kind, result) in args.scheds.iter().zip(&results) {
@@ -799,7 +886,7 @@ fn open_run(configs: Vec<ExperimentConfig>, args: &Args) {
             .windowed
             .as_ref()
             .expect("open-system runs always carry a windowed report");
-        println!(
+        outln!(
             "{:<14} window [{}..{}] s: {:>6} jobs  mean slowdown {:>7.2}  worst {:>8.1}  \
              turnaround {:>7.0} s  utilization {:>5.1}%  {:>6.1} jobs/h",
             kind.label(),
@@ -812,7 +899,7 @@ fn open_run(configs: Vec<ExperimentConfig>, args: &Args) {
             wdw.utilization * 100.0,
             wdw.jobs_per_hour,
         );
-        println!(
+        outln!(
             "{:<14}   preemptions {:>6}  in flight at stop {:>5}  kernel: {} events in {:.1} ms",
             "",
             r.sim.preemptions,
@@ -822,7 +909,7 @@ fn open_run(configs: Vec<ExperimentConfig>, args: &Args) {
         );
         if r.sim.rejections.any() {
             let rej = &r.sim.rejections;
-            println!(
+            outln!(
                 "{:<14}   admission: rejected {:>5} jobs ({:.1}% of submissions)  \
                  refused work {} proc-s  penalty {:.3e}",
                 "",
@@ -999,26 +1086,20 @@ fn main() {
     let command = argv.remove(0);
     match command.as_str() {
         "schedulers" => {
-            println!("fcfs        first-come-first-served, no backfilling");
-            println!("cons        conservative backfilling (reservation per job)");
-            println!("ns          EASY / aggressive backfilling (paper's No-Suspension)");
-            println!("flex:<d>    backfilling with reservations for the first <d> queued jobs");
-            println!("is          Immediate Service (Chiang & Vernon)");
-            println!("gang        time-sliced gang scheduling (10-min quantum)");
-            println!("ss:<sf>     Selective Suspension at suspension factor <sf>");
-            println!("tss:<sf>    Tunable Selective Suspension at factor <sf>");
+            outln!("fcfs        first-come-first-served, no backfilling");
+            outln!("cons        conservative backfilling (reservation per job)");
+            outln!("ns          EASY / aggressive backfilling (paper's No-Suspension)");
+            outln!("flex:<d>    backfilling with reservations for the first <d> queued jobs");
+            outln!("is          Immediate Service (Chiang & Vernon)");
+            outln!("gang        time-sliced gang scheduling (10-min quantum)");
+            outln!("ss:<sf>     Selective Suspension at suspension factor <sf>");
+            outln!("tss:<sf>    Tunable Selective Suspension at factor <sf>");
         }
         "run" => {
-            let args = parse_args(argv.into_iter());
+            let args = parse_args(&command, argv);
             let system = args.system.unwrap_or_else(|| fail("--system required"));
             let configs = args.configs(system);
             if args.arrivals.is_some_and(|a| !a.is_trace()) {
-                if args.diurnal > 0.0 {
-                    fail(
-                        "--diurnal modulates the finite trace; open-system runs use \
-                          --arrivals diurnal:<amplitude> instead",
-                    );
-                }
                 open_run(configs, &args);
                 return;
             }
@@ -1029,8 +1110,10 @@ fn main() {
                 synth = synth.with_diurnal(args.diurnal);
             }
             let mut jobs = synth.generate();
-            args.estimates.apply(&mut jobs, args.seed.wrapping_add(1));
-            println!(
+            args.estimates
+                .unwrap_or_default()
+                .apply(&mut jobs, args.seed.wrapping_add(1));
+            outln!(
                 "{}: {} jobs, load factor {:.2}, seed {}\n",
                 system.name,
                 jobs.len(),
@@ -1040,14 +1123,19 @@ fn main() {
             report(jobs, &configs, &args);
         }
         "sweep" => {
-            let args = parse_args(argv.into_iter());
+            let args = parse_args(&command, argv);
             if args.scheds.is_empty() {
                 fail("at least one --sched required");
             }
-            if args.diurnal > 0.0 {
-                fail("--diurnal is not supported by sweep");
-            }
-            let threads = args.threads.unwrap_or_else(default_threads);
+            let render: fn(&SweepReport) -> String = match args.format.as_deref() {
+                None | Some("table") => SweepReport::render_table,
+                Some("csv") => SweepReport::to_csv,
+                Some("json") => |report| report.to_json().render() + "\n",
+                Some(other) => fail(&format!(
+                    "unknown sweep format {other:?} (table, csv, json)"
+                )),
+            };
+            let threads = args.threads.map_or_else(default_threads, usize::from);
             let progress = args
                 .progress
                 .unwrap_or_else(|| std::io::stderr().is_terminal());
@@ -1062,7 +1150,7 @@ fn main() {
                 // memory stays O(machine) however long the log is.
                 Some(swf_path) => {
                     let spec = args.swf_spec(swf_path);
-                    spec.validate().unwrap_or_else(|e| fail(&e.to_string()));
+                    spec.validate().unwrap_or_else(|e| refuse(e));
                     // One counting pass refuses a bad log before any run.
                     eprintln!("{}", read_log(&spec, 1.0, drop));
                     eprintln!(
@@ -1080,7 +1168,7 @@ fn main() {
                     let spec = args
                         .sweep_spec(system, args.scheds.clone())
                         .with_timeline(args.timeline.is_some());
-                    spec.validate().unwrap_or_else(|e| fail(&e.to_string()));
+                    spec.validate().unwrap_or_else(|e| refuse(e));
                     eprintln!(
                         "{}: {} cells x {} reps = {} runs of {} jobs on {} threads",
                         system.name,
@@ -1093,7 +1181,7 @@ fn main() {
                     run_sweep_observed(&spec, threads, observe)
                 }
             }
-            .unwrap_or_else(|e| fail(&e.to_string()));
+            .unwrap_or_else(|e| refuse(e));
             if progress && !args.top {
                 eprintln!();
             }
@@ -1104,32 +1192,21 @@ fn main() {
             if let Some(path) = &args.timeline {
                 write_grid_timeline(path, &report, "sps sweep");
             }
-            let rendered = match args.format.as_deref().unwrap_or("table") {
-                "table" => report.render_table(),
-                "csv" => report.to_csv(),
-                "json" => {
-                    let mut s = report.to_json().render();
-                    s.push('\n');
-                    s
-                }
-                other => fail(&format!(
-                    "unknown sweep format {other:?} (table, csv, json)"
-                )),
-            };
+            let rendered = render(&report);
             match &args.out {
                 Some(path) => {
                     std::fs::write(path, &rendered)
-                        .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+                        .unwrap_or_else(|e| fail_file(&format!("cannot write {path}: {e}")));
                     eprintln!("wrote {path}");
                 }
-                None => print!("{rendered}"),
+                None => emit(format_args!("{rendered}")),
             }
             if !report.failures.is_empty() {
                 std::process::exit(1);
             }
         }
         "report" => {
-            let args = parse_args(argv.into_iter());
+            let args = parse_args(&command, argv);
             let system = args
                 .system
                 .unwrap_or(selective_preemption::workload::traces::SDSC);
@@ -1145,15 +1222,6 @@ fn main() {
             } else {
                 args.scheds.clone()
             };
-            // Every report run replays one closed trace.
-            reject(
-                &[
-                    (args.arrivals.is_some_and(|a| !a.is_trace()), "--arrivals"),
-                    (args.until.is_some(), "--until"),
-                    (args.warmup.is_some(), "--warmup"),
-                ],
-                "report (it compares closed-trace runs)",
-            );
             // One shared trace: the job list is scheduler-independent.
             let jobs = args.checked_config(system, scheds[0]).trace();
 
@@ -1185,7 +1253,8 @@ fn main() {
             let _ = writeln!(
                 w,
                 "- estimates: {:?}; overhead: {:?}",
-                args.estimates, args.overhead
+                args.estimates.unwrap_or_default(),
+                args.overhead
             );
             if let Some(mtbf) = args.mtbf {
                 let _ = writeln!(
@@ -1319,7 +1388,7 @@ fn main() {
 
             if args.loads.is_some() {
                 let spec = args.sweep_spec(system, scheds.clone()).with_telemetry(true);
-                let threads = args.threads.unwrap_or_else(default_threads);
+                let threads = args.threads.map_or_else(default_threads, usize::from);
                 let progress = args
                     .progress
                     .unwrap_or_else(|| std::io::stderr().is_terminal());
@@ -1360,12 +1429,12 @@ fn main() {
                     let slug = scheme_slug(&kind.label());
                     let prom_path = format!("{prefix}.{slug}.prom");
                     std::fs::write(&prom_path, tel.render_prom())
-                        .unwrap_or_else(|e| fail(&format!("cannot write {prom_path}: {e}")));
+                        .unwrap_or_else(|e| fail_file(&format!("cannot write {prom_path}: {e}")));
                     let json_path = format!("{prefix}.{slug}.json");
                     let mut body = tel.snapshot_json().render();
                     body.push('\n');
                     std::fs::write(&json_path, body)
-                        .unwrap_or_else(|e| fail(&format!("cannot write {json_path}: {e}")));
+                        .unwrap_or_else(|e| fail_file(&format!("cannot write {json_path}: {e}")));
                     eprintln!("wrote {prom_path} and {json_path}");
                 }
             }
@@ -1373,56 +1442,35 @@ fn main() {
             match &args.out {
                 Some(path) => {
                     std::fs::write(path, &md)
-                        .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+                        .unwrap_or_else(|e| fail_file(&format!("cannot write {path}: {e}")));
                     eprintln!("wrote {path}");
                 }
-                None => print!("{md}"),
+                None => emit(format_args!("{md}")),
             }
         }
         "replay" => {
-            let args = parse_args(argv.into_iter());
-            reject(
-                &[
-                    (args.system.is_some(), "--system"),
-                    (args.jobs.is_some(), "--jobs"),
-                    (args.diurnal > 0.0, "--diurnal"),
-                    (args.arrivals.is_some(), "--arrivals"),
-                    (args.loads.is_some(), "--loads"),
-                    (args.reps.is_some(), "--reps"),
-                    (args.budget.is_some(), "--budget"),
-                    (args.retries.is_some(), "--retries"),
-                    (args.readahead.is_some(), "--readahead"),
-                    (args.format.is_some(), "--format"),
-                    (args.out.is_some(), "--out"),
-                    (args.prom.is_some(), "--prom"),
-                    (args.progress.is_some(), "--progress/--no-progress"),
-                    (args.top, "--top"),
-                ],
-                "an SWF replay",
-            );
+            let args = parse_args(&command, argv);
             let path = args.swf.clone().unwrap_or_else(|| fail("--swf required"));
             let procs = args.procs.unwrap_or_else(|| fail("--procs required"));
             let configs = args.configs(SystemPreset::swf(procs));
             let mut jobs = Vec::new();
             let counts = read_log(&args.log_spec(&path, procs), args.load, |j| jobs.push(j));
-            println!("{counts}\n");
+            outln!("{counts}\n");
             report(jobs, &configs, &args);
         }
         "trace" => {
-            let args = parse_args(argv.into_iter());
+            let args = parse_args(&command, argv);
             let system = args.system.unwrap_or_else(|| fail("--system required"));
             if args.scheds.len() != 1 {
                 fail("trace needs exactly one --sched");
-            }
-            if args.diurnal > 0.0 {
-                fail("--diurnal is not supported by trace (the embedded config could not reproduce it)");
             }
             let out = args
                 .out
                 .clone()
                 .unwrap_or_else(|| fail("--out FILE required"));
             let cfg = args.checked_config(system, args.scheds[0]);
-            let io_fail = |e: std::io::Error| -> ! { fail(&format!("cannot write {out}: {e}")) };
+            let io_fail =
+                |e: std::io::Error| -> ! { fail_file(&format!("cannot write {out}: {e}")) };
             let result = match args.format.as_deref().unwrap_or("jsonl") {
                 "jsonl" => {
                     let mut sink = JsonlSink::create(&out).unwrap_or_else(|e| io_fail(e));
@@ -1438,7 +1486,7 @@ fn main() {
                 }
                 other => fail(&format!("unknown trace format {other:?} (jsonl, csv)")),
             };
-            println!(
+            outln!(
                 "{}: traced {} jobs under {} to {out}  (slowdown {:.2}, preemptions {})",
                 system.name,
                 result.report.overall.count,
@@ -1463,7 +1511,7 @@ fn main() {
             }
             let path = path.unwrap_or_else(|| fail("validate needs a trace FILE"));
             let file = std::fs::File::open(&path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+                .unwrap_or_else(|e| fail_file(&format!("cannot read {path}: {e}")));
             match validate_jsonl(std::io::BufReader::new(file), opts) {
                 Ok(stats) => {
                     let faults = if stats.proc_failures > 0 || stats.kills > 0 {
@@ -1474,7 +1522,7 @@ fn main() {
                     } else {
                         String::new()
                     };
-                    println!(
+                    outln!(
                         "{path}: OK — {} records, {} arrivals, {} completions, {} suspensions, \
                          {} decisions, peak {} procs{faults}{}",
                         stats.records,

@@ -168,3 +168,29 @@ fn warmup_window_excludes_ramp_in() {
         "windowed count must not exceed jobs submitted in the window"
     );
 }
+
+/// A job-count stop is bounded by the 32-bit job-id space, as `n_jobs`
+/// is: `validate` refuses a count past it, so no run (and no `run`,
+/// `sweep` or `trace` command) sets out to complete more jobs than it
+/// can number.
+#[test]
+fn validate_bounds_a_job_count_stop_by_the_job_ids() {
+    use selective_preemption::core::experiment::MAX_JOBS;
+    use sps_workload::traces::SDSC;
+    let open = ExperimentConfig::new(SDSC, SchedulerKind::Easy)
+        .with_arrivals(ArrivalSpec::Poisson { load: None });
+    let limit = MAX_JOBS as usize;
+    assert_eq!(
+        open.clone().with_until(RunUntil::Jobs(limit)).validate(),
+        Ok(())
+    );
+    for n in [limit + 1, 99_999_999_999] {
+        let err = open.clone().with_until(RunUntil::Jobs(n)).validate();
+        assert_eq!(err, Err(ConfigError::TooManyUntilJobs(n)));
+        let msg = err.unwrap_err().to_string();
+        assert!(
+            msg.contains("until") && msg.contains(&MAX_JOBS.to_string()),
+            "{msg}"
+        );
+    }
+}
