@@ -84,10 +84,11 @@ pub struct DecideCtx<'a> {
     /// would skip a tick, and `None` otherwise. A decide that returns no
     /// actions — tick or not — may then store `Some(h)`, `h > floor`, if
     /// it can prove that every tick decide before the instant `h` would
-    /// act on nothing and write the decision records this decide wrote
-    /// (lapsed ticks replay those), unless an event arrives first. A
-    /// non-tick decide writes none, so it may report only a horizon under
-    /// which tick decides write none either. The simulator arms its
+    /// act on nothing, unless an event arrives first. No decision record
+    /// is replayed for the ticks it lets lapse, which write only their
+    /// gauges, so those tick decides must write none either (TSS's
+    /// `disable_limit` records change only at transitions and
+    /// completions, which executed batches carry). The simulator arms its
     /// ticker at the first tick at or after `h − period` (one period of
     /// margin against rounding) and lets the ticks before it lapse. A
     /// value not past `floor` reads as no horizon, so a policy that

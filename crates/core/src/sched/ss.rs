@@ -28,6 +28,21 @@
 //!   `1.5 × average slowdown of its category` cannot be chosen as a victim
 //!   (Section IV-E), bounding worst-case slowdown/turnaround.
 //!
+//! # Disable-limit records
+//!
+//! TSS protection belongs to a running job: its xfactor is frozen while it
+//! runs, so its status changes only when it is dispatched or resumed, or
+//! when a completion moves its category's limit. A traced TSS decide on a
+//! machine that is not quiescent (`SimState::quiescent`, the predicate the
+//! run loop's decide skip reads) first writes a `disable_limit` record for
+//! each running job whose protection differs from its last record, before
+//! any fast path; a job that stops running drops its status without one.
+//! Protection changes only at an acting decide or a completion batch, both
+//! schedules run the tick after an acting decide, and the elided schedule
+//! skips a decide only at a quiescent batch with no arrivals. So elided and
+//! every-tick runs write the same records, and a no-op decide never has a
+//! record for the ticks it lets lapse to replay.
+//!
 //! # Decides that repeat the last no-op
 //!
 //! Between two events only waiting jobs' xfactors move, each at `1/e` per
@@ -35,12 +50,12 @@
 //! (free ∪ draining), the claims of suspended jobs, the victim table
 //! (running jobs by ascending frozen priority), the width rule and the TSS
 //! limits stay put. So a full decide that acts on nothing can name H, the
-//! first instant a later decide could act or, for TSS, write other
-//! decision records, and report it through [`DecideCtx::noop_until`]. In
-//! such a decide every job fails alone: a pinned suspended job `s`
-//! (one that must re-enter on its own processors) sees F and the table,
-//! and a fresh job `f` sees F, the table and `B_f`, the claims of the
-//! pinned jobs above it in the idle order. H is the earliest of:
+//! first instant a later decide could act, and report it through
+//! [`DecideCtx::noop_until`]. In such a decide every job fails alone: a
+//! pinned suspended job `s` (one that must re-enter on its own
+//! processors) sees F and the table, and a fresh job `f` sees F, the table
+//! and `B_f`, the claims of the pinned jobs above it in the idle order. H
+//! is the earliest of:
 //!
 //! * **(a) re-entry** of `s`, not stranded: the instant `x_s` reaches
 //!   `SF × prio` of the last victim of the first table prefix whose cover
@@ -56,17 +71,12 @@
 //!   `f` is re-tested against the smaller `B_f`; the term is the later of
 //!   the crossing and `f`'s own instant under it. No other swap changes a
 //!   test: two fresh or two suspended jobs test the same sets in either
-//!   order, and a suspended job rising above a fresh one only grows `B_f`;
-//! * **(d) TSS records**, traced or not: a protected, width-eligible
-//!   victim joining a fresh job's qualifying prefix, and the first swap of
-//!   two fresh jobs whose `blocked_by_disable_limit` sequences differ.
+//!   order, and a suspended job rising above a fresh one only grows `B_f`.
 //!
 //! Every full no-op decide reports H when the simulator offers a floor,
-//! tick or not. A non-tick decide keeps no decision record for the ticks
-//! it lets lapse, so under TSS it reports H only when a tick scan of the
-//! same state would write none. A crossing re-test ignores pinned jobs
-//! that rise above the fresh job meanwhile, which only delay its start,
-//! so H never comes after the first change.
+//! tick or not. A crossing re-test ignores pinned jobs that rise above the
+//! fresh job meanwhile, which only delay its start, so H never comes after
+//! the first change.
 //!
 //! After a full no-op decide SS/TSS keep a `Certificate`: the
 //! simulator's lifecycle-transition count ([`SimState::transitions`]) and
@@ -84,6 +94,7 @@
 //! builds run the full decide behind every certified one.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 
 use sps_cluster::ProcSet;
 use sps_metrics::JobOutcome;
@@ -137,16 +148,21 @@ impl SsConfig {
         }
     }
 
-    /// If `victim` is protected from preemption (TSS limit exceeded),
-    /// the category, the victim's xfactor, and the limit it exceeds.
-    fn protection(&self, state: &SimState, victim: JobId) -> Option<(Category, f64, f64)> {
+    /// TSS: running job `id`'s category, its xfactor and the category's
+    /// disable limit; the job is protected iff `xfactor > limit`. `None`
+    /// for plain SS.
+    fn disable_limit(&self, state: &SimState, id: JobId) -> Option<(Category, f64, f64)> {
         let limits = self.limits.as_ref()?;
         // The hot copies of the estimate (floored at 1 s, which moves no
         // job across a category boundary) and width.
-        let cat = Category::classify(state.xfactor_est(victim), state.width(victim));
-        let limit = limits.limit_for(cat);
-        let xf = state.xfactor(victim);
-        (xf > limit).then_some((cat, xf, limit))
+        let cat = Category::classify(state.xfactor_est(id), state.width(id));
+        Some((cat, state.xfactor(id), limits.limit_for(cat)))
+    }
+
+    /// Whether the TSS limit protects running job `victim` from preemption.
+    fn protected(&self, state: &SimState, victim: JobId) -> bool {
+        self.disable_limit(state, victim)
+            .is_some_and(|(_, xf, limit)| xf > limit)
     }
 
     /// Whether idle job `id` must re-enter on its original processors:
@@ -174,8 +190,8 @@ struct Certificate {
     /// non-tick decide first needs it.
     act: Option<f64>,
     /// The tick horizon a non-tick decide may report: exact for the jobs
-    /// seen so far, with no tick scan writing a decision record. `None`
-    /// when it was not computed whole or no floor is on offer.
+    /// seen so far. `None` when it was not computed whole or no floor is
+    /// on offer.
     tick: Option<f64>,
 }
 
@@ -196,6 +212,9 @@ pub struct SelectiveSuspension {
     scratch: HorizonScratch,
     /// What the last full no-op decide proved, while it may still hold.
     cert: Option<Certificate>,
+    /// TSS, traced: the running jobs whose last `disable_limit` record
+    /// says they are protected.
+    recorded: HashSet<JobId>,
     /// Non-tick decides answered from the certificate.
     #[cfg(test)]
     certified: u64,
@@ -210,6 +229,7 @@ impl SelectiveSuspension {
             idle: IdleOrder::default(),
             scratch: HorizonScratch::default(),
             cert: None,
+            recorded: HashSet::new(),
             #[cfg(test)]
             certified: 0,
         }
@@ -236,10 +256,7 @@ impl SelectiveSuspension {
     ///
     /// When neither holds, the decide provably produces nothing: skip
     /// the idle order's repair, the mirror, and every per-decide
-    /// allocation. It writes no record either — the full scan would
-    /// place nothing and stop every victim scan at its first,
-    /// unqualified entry, before any TSS limit is consulted — so traced
-    /// runs take it too. Returns whether it answered the decide.
+    /// allocation. Returns whether it answered the decide.
     fn cheap_noop(&mut self, state: &SimState, ctx: &DecideCtx<'_>, floor: Option<f64>) -> bool {
         let wf = state.free_count() + state.draining_set().count();
         let idle_ids = || state.queued().iter().chain(state.suspended().iter());
@@ -370,10 +387,9 @@ impl SelectiveSuspension {
         }
         let mut tick = cert.tick;
         for &id in ctx.arrivals {
-            let mut job = Fresh {
+            let job = Fresh {
                 x: state.xfactor(id),
                 e: state.xfactor_est(id) as f64,
-                k: 0,
                 need: state.width(id),
                 above: s.above.len(),
             };
@@ -393,22 +409,18 @@ impl SelectiveSuspension {
                 return false;
             }
             if let (Some(h), Some(floor)) = (tick.as_mut(), floor) {
-                let victims = arena.table.entries();
-                job.k = victims.partition_point(|v| job.x >= cfg.sf * v.prio);
-                let loud =
-                    cfg.limits.is_some() && shielded_terms(cfg, victims, &s.shielded, now, &job, h);
                 let mirror = Mirror {
                     cfg,
                     state,
                     free: &arena.free,
-                    victims,
+                    victims: arena.table.entries(),
                     bars: &s.bars,
                     covers: arena.table.built_covers(),
                     protected: &s.protected,
                 };
                 *h = h.min(mirror.start(&s.claims, Some(&mut s.counted), now, &job, *h));
                 *h = h.min(mirror.crossing_term(&s.above, &s.pinned, &mut s.cross, now, &job, *h));
-                if loud || *h <= floor {
+                if *h <= floor {
                     tick = None;
                 }
             }
@@ -459,10 +471,6 @@ impl SelectiveSuspension {
             )
             .expect("an unbounded walk reports a horizon");
             assert!(
-                full.scratch.writers.is_empty(),
-                "at {at}: a reported horizon over tick scans that write records"
-            );
-            assert!(
                 h <= exact + 1e-6 * exact.abs().max(1.0),
                 "at {at}: horizon {h} past {exact}"
             );
@@ -488,20 +496,45 @@ impl SelectiveSuspension {
             let idle = self.idle.entries();
             horizon(&self.cfg, idle, state, arena, &mut self.scratch, now, floor)
         });
-        // A non-tick decide keeps no decision record for the ticks it lets
-        // lapse, so it reports only a horizon whose tick scans write none.
-        // Its placements are bounded either way.
-        if ctx.tick || self.scratch.writers.is_empty() {
-            if let Some(h) = h {
-                ctx.noop_until.set(Some(h));
-            }
+        if h.is_some() {
+            ctx.noop_until.set(h);
         }
         self.cert = Some(Certificate {
             transitions: state.transitions(),
             at: now,
             act: h,
-            tick: h.filter(|_| self.scratch.writers.is_empty()),
+            tick: h,
         });
+    }
+
+    /// TSS, traced: write a `disable_limit` record for each running job
+    /// whose protection differs from its last record. A job that stopped
+    /// running drops its status without one.
+    fn record_protection(&mut self, state: &SimState, ctx: &DecideCtx<'_>) {
+        // A lean run may have reclaimed the slot of a job that completed
+        // since the last record.
+        self.recorded
+            .retain(|&id| !state.reclaimed(id) && state.is_running(id));
+        for &id in state.running() {
+            let (cat, xfactor, limit) = self.cfg.disable_limit(state, id).expect("TSS has limits");
+            let protected = xfactor > limit;
+            let changed = if protected {
+                self.recorded.insert(id)
+            } else {
+                self.recorded.remove(&id)
+            };
+            if changed {
+                ctx.trace.decision(
+                    state.now().secs(),
+                    Reason::DisableLimit {
+                        job: id.0,
+                        category: cat.name(),
+                        xfactor,
+                        limit,
+                    },
+                );
+            }
+        }
     }
 
     /// The full decide: walk the idle jobs in serving order, placing,
@@ -560,12 +593,10 @@ impl SelectiveSuspension {
         // that must fail is rejected in O(set words), and one that may
         // succeed falls through to the scan unchanged, so actions and
         // trace records are exactly the reference scan's. The reference
-        // scan runs without prunes; so does a traced TSS fresh-job scan,
-        // whose failures still emit `BlockedByDisableLimit` records.
+        // scan runs without prunes.
         let sf = self.cfg.sf;
         let total = state.total_procs();
-        let prune_reentry = !ctx.reference;
-        let prune_fresh = prune_reentry && !(ctx.trace.enabled() && self.cfg.limits.is_some());
+        let prune = !ctx.reference;
 
         // The running mirror is only consulted on ticks (the paper's
         // once-a-minute preemption routine); between ticks only free
@@ -634,7 +665,7 @@ impl SelectiveSuspension {
                 // needed set must qualify as a victim (no width
                 // restriction for re-entry).
                 ensure_table!();
-                if prune_reentry {
+                if prune {
                     // A qualifying victim holding a `missing` processor
                     // overlaps `needed`, so the scan's `covered` holds
                     // exactly the processors of `missing` that `cover[k]`
@@ -744,7 +775,7 @@ impl SelectiveSuspension {
                 // enough unblocked processors exist, then suspend the
                 // widest first.
                 ensure_table!();
-                if prune_fresh {
+                if prune {
                     // The scan gains `|set ∖ blocked|` from some of the
                     // `k` qualifying victims. Running jobs hold disjoint
                     // sets, so all `k` together gain `|cover[k] ∖
@@ -774,21 +805,7 @@ impl SelectiveSuspension {
                         // further qualifies either.
                         break;
                     }
-                    if !self.cfg.width_ok(r, need) {
-                        continue;
-                    }
-                    if let Some((cat, xf, limit)) = self.cfg.protection(state, r.id) {
-                        if ctx.trace.enabled() {
-                            ctx.trace.decision(
-                                state.now().secs(),
-                                Reason::BlockedByDisableLimit {
-                                    victim: r.id.0,
-                                    category: cat.name(),
-                                    xfactor: xf,
-                                    limit,
-                                },
-                            );
-                        }
+                    if !self.cfg.width_ok(r, need) || self.cfg.protected(state, r.id) {
                         continue;
                     }
                     arena.indices.push(idx);
@@ -877,14 +894,18 @@ impl Policy for SelectiveSuspension {
 
     // The preemption routine only acts on idle (queued + suspended) jobs;
     // with none, the loop body never runs. The TSS per-category limits
-    // change in `on_completion`, not here, and the kept idle order is a
-    // cache that every full decide repairs against the state, so skipping
-    // a decide cannot change a later one.
+    // change in `on_completion`, not here, the `disable_limit` records are
+    // written only on a machine that is not quiescent, and the kept idle
+    // order is a cache that every full decide repairs against the state,
+    // so skipping a decide cannot change a later one.
     fn quiescent_noop(&self) -> bool {
         true
     }
 
     fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
+        if ctx.trace.enabled() && self.cfg.limits.is_some() && !state.quiescent() {
+            self.record_protection(state, ctx);
+        }
         // The least horizon worth reporting, when the simulator asks for
         // one (see `DecideCtx::noop_until`). The reference scan reports
         // none, and takes neither fast path below.
@@ -952,14 +973,12 @@ struct Pinned {
     e: f64,
 }
 
-/// A fresh job as a horizon walk met it: xfactor, growth, qualifying
-/// prefix (TSS walks only), width, and how many pinned jobs were above
-/// it.
+/// A fresh job as a horizon walk met it: xfactor, growth, width, and how
+/// many pinned jobs were above it.
 #[derive(Clone, Copy, Debug)]
 struct Fresh {
     x: f64,
     e: f64,
-    k: usize,
     need: u32,
     above: usize,
 }
@@ -996,11 +1015,6 @@ struct HorizonScratch {
     order: Vec<(f64, usize)>,
     /// TSS: per victim, whether its limit protects it.
     protected: Vec<bool>,
-    /// TSS: the protected victims' indices, ascending.
-    shielded: Vec<usize>,
-    /// TSS: the fresh jobs whose tick scans write
-    /// `blocked_by_disable_limit` records, in serving order.
-    writers: Vec<Fresh>,
 }
 
 impl Default for HorizonScratch {
@@ -1018,8 +1032,6 @@ impl Default for HorizonScratch {
             reach: Vec::new(),
             order: Vec::new(),
             protected: Vec::new(),
-            shielded: Vec::new(),
-            writers: Vec::new(),
         }
     }
 }
@@ -1110,17 +1122,16 @@ fn push_pinned(scratch: &mut HorizonScratch, x: f64, e: f64, claim: &ProcSet) {
 
 /// The horizon of a decide that acted on nothing, read off the mirror it
 /// left in `arena` (`free` the working free pool, `table` the ascending
-/// victim table): the earliest instant a later tick decide could act or
-/// write other decision records if no transition comes first, or `None`
-/// if a term lies at or before `floor` (the walk stops there). `idle` is
-/// the idle order as of `now`. The walk lists in `scratch.writers` the
-/// fresh jobs whose tick scans write a decision record. A walk that
-/// returns `Some` leaves every pinned claim in `scratch.claims`.
+/// victim table): the earliest instant a later tick decide could act if
+/// no transition comes first, or `None` if a term lies at or before
+/// `floor` (the walk stops there). `idle` is the idle order as of `now`.
+/// A walk that returns `Some` leaves every pinned claim in
+/// `scratch.claims`.
 ///
 /// The first pass walks the idle order once, growing the claims as it
-/// goes, and takes every job's own term: (a), (b) and, for TSS, (d); a
-/// fresh job that one of its width above it covers takes no (b) or (c).
-/// Crossings (c) come second, bounded by the best term so far.
+/// goes, and takes every job's own term, (a) or (b); a fresh job that one
+/// of its width above it covers takes no (b) or (c). Crossings (c) come
+/// second, bounded by the best term so far.
 #[allow(clippy::too_many_arguments)]
 fn horizon(
     cfg: &SsConfig,
@@ -1131,7 +1142,6 @@ fn horizon(
     now: f64,
     floor: f64,
 ) -> Option<f64> {
-    let tss = cfg.limits.is_some();
     let total = state.total_procs();
     let vset = |vid: JobId| state.assigned_set(vid).expect("running job has a set");
     let n = arena.table.entries().len();
@@ -1144,8 +1154,6 @@ fn horizon(
     scratch.walks += 1;
     scratch.fastest.resize(total as usize + 1, (0, 0.0));
     scratch.protected.clear();
-    scratch.shielded.clear();
-    scratch.writers.clear();
     if scratch.claims.universe() != total {
         scratch.claims = ProcSet::empty(total);
     }
@@ -1153,21 +1161,16 @@ fn horizon(
     scratch.counted.start(arena.free.count(), victims.len());
     if let Some(limits) = &cfg.limits {
         // A running victim's frozen priority is its xfactor, so this is
-        // `SsConfig::protection` with each category's limit taken once.
+        // `SsConfig::protected` with each category's limit taken once.
         let limit: [f64; 16] = std::array::from_fn(|i| limits.limit_for(Category::from_index(i)));
-        for (j, v) in victims.iter().enumerate() {
+        for v in victims {
             let cat = Category::classify(state.xfactor_est(v.id), v.procs);
             let protected = v.prio > limit[cat.index()];
-            debug_assert_eq!(protected, cfg.protection(state, v.id).is_some());
+            debug_assert_eq!(protected, cfg.protected(state, v.id));
             scratch.protected.push(protected);
-            if protected {
-                scratch.shielded.push(j);
-            }
         }
     }
     let mut best = f64::INFINITY;
-    // TSS: the qualifying prefix only shrinks down the idle order.
-    let mut prefix = scratch.bars.len();
     macro_rules! fold {
         ($term:expr) => {
             best = best.min($term);
@@ -1198,24 +1201,12 @@ fn horizon(
             push_pinned(scratch, x, e, needed);
             continue;
         }
-        let victims = arena.table.entries();
-        let mut job = Fresh {
+        let job = Fresh {
             x,
             e,
-            k: 0,
             need: state.width(id),
             above: scratch.above.len(),
         };
-        if tss {
-            while prefix > 0 && x < scratch.bars[prefix - 1] {
-                prefix -= 1;
-            }
-            job.k = prefix;
-            if shielded_terms(cfg, victims, &scratch.shielded, now, &job, &mut best) {
-                scratch.writers.push(job);
-            }
-            fold!(best);
-        }
         // A fresh job above of the same width that grows at least as fast
         // stays at or above this one, sees no claim this one does not, and
         // qualifies against every victim no later: whenever this one could
@@ -1230,16 +1221,13 @@ fn horizon(
             cfg,
             state,
             free: &arena.free,
-            victims,
+            victims: arena.table.entries(),
             bars: &scratch.bars,
             covers: arena.table.built_covers(),
             protected: &scratch.protected,
         };
         fold!(mirror.start(&scratch.claims, Some(&mut scratch.counted), now, &job, best));
         scratch.fresh.push(job);
-    }
-    if !scratch.writers.is_empty() {
-        fold!(record_swaps(cfg, arena.table.entries(), scratch, now, best));
     }
     // Crossings (c). A fresh job rises above a pinned `s` before `best`
     // iff it is above `s` then — an O(1) test against the least pinned
@@ -1471,75 +1459,6 @@ fn reentry_term(
         Some(k) => reaches(now, x, e, bars[k - 1]).max(now),
         None => f64::INFINITY,
     }
-}
-
-/// TSS, term (d) for one fresh job: fold into `best` the instant the
-/// first protected victim it may suspend joins its qualifying prefix, and
-/// return whether the prefix holds one already — whether its tick scan
-/// writes `blocked_by_disable_limit` records.
-fn shielded_terms(
-    cfg: &SsConfig,
-    victims: &[Victim],
-    shielded: &[usize],
-    now: f64,
-    job: &Fresh,
-    best: &mut f64,
-) -> bool {
-    let mut loud = false;
-    for &j in shielded {
-        if !cfg.width_ok(&victims[j], job.need) {
-            continue;
-        }
-        if j < job.k {
-            loud = true;
-            continue;
-        }
-        *best = best.min(reaches(now, job.x, job.e, cfg.sf * victims[j].prio));
-        break;
-    }
-    loud
-}
-
-/// TSS, term (d) for the order of fresh jobs: the first instant two whose
-/// record sequences differ swap places, or `best` if none does before it.
-/// The sequences are written in serving order. A job that writes nothing
-/// may move freely (term (d) for its own prefix covers the instant it
-/// starts writing), and so may the writers of a run of equal neighbours
-/// among `scratch.writers`: the first swap that changes what is written
-/// is between adjacent runs.
-fn record_swaps(
-    cfg: &SsConfig,
-    victims: &[Victim],
-    scratch: &HorizonScratch,
-    now: f64,
-    mut best: f64,
-) -> f64 {
-    let in_seq = |j: usize, f: &Fresh| j < f.k && cfg.width_ok(&victims[j], f.need);
-    let same = |a: &Fresh, b: &Fresh| {
-        scratch
-            .shielded
-            .iter()
-            .all(|&j| in_seq(j, a) == in_seq(j, b))
-    };
-    let fresh = &scratch.writers;
-    let run_end = |from: usize| {
-        let mut i = from + 1;
-        while i < fresh.len() && same(&fresh[i - 1], &fresh[i]) {
-            i += 1;
-        }
-        i
-    };
-    let (mut lo, mut mid) = (0, run_end(0));
-    while mid < fresh.len() {
-        let hi = run_end(mid);
-        for a in &fresh[lo..mid] {
-            for b in fresh[mid..hi].iter().filter(|b| b.e < a.e) {
-                best = best.min(now + (a.x - b.x) * a.e * b.e / (a.e - b.e));
-            }
-        }
-        (lo, mid) = (mid, hi);
-    }
-    best
 }
 
 #[cfg(test)]
@@ -1905,16 +1824,17 @@ mod tests {
     }
 
     #[test]
-    fn a_protected_victim_joining_a_prefix_ends_the_tss_horizon() {
+    fn tss_records_protection_once_and_leaves_the_horizon_alone() {
         // TSS with static limits that always protect V's category (L, N)
         // and no other. V (8 wide, est 20 000) and Z (3 wide, until 500)
         // fill an 11-processor machine; U (3 wide, est 10⁶) starts when Z
         // completes, at xfactor 1.0005. G (1 wide, est 10, from 600)
         // qualifies against all of them but may suspend none, so every
-        // tick runs the full scan. F (8 wide, est 5 000, from 1 000) can never start (U
-        // alone gives 3 of 8, and V is protected), but once it qualifies
-        // against V at 6 000 every tick scan writes a
-        // `blocked_by_disable_limit` record for V: the horizon ends there.
+        // tick runs the full scan. F (8 wide, est 5 000, from 1 000) can
+        // never start: U alone gives 3 of 8, and V is protected. V's
+        // protection is recorded once, at the tick after its dispatch, and
+        // F qualifying against V at 6 000 changes no test, so the 1 020
+        // tick's horizon is infinite and nothing decides until V completes.
         let v = Category::classify(20_000, 8);
         let mut avgs = [f64::INFINITY; 16];
         avgs[v.index()] = 0.5;
@@ -1929,15 +1849,38 @@ mod tests {
             Job::new(3, 600, 10, 10, 1),
             Job::new(4, 1_000, 5_000, 5_000, 8),
         ];
-        let (res, log) = run_logged(jobs, 11, SelectiveSuspension::new(cfg));
+        let log = DecideLog::default();
+        let logged = Logged {
+            inner: SelectiveSuspension::new(cfg),
+            log: std::rc::Rc::clone(&log),
+        };
+        let mut sink = sps_trace::MemorySink::new();
+        let res = Simulator::traced_source(
+            Box::new(sps_workload::TraceSource::new(jobs)),
+            11,
+            Box::new(logged),
+            crate::overhead::OverheadModel::None,
+            crate::sim::DEFAULT_TICK_PERIOD,
+            &mut sink,
+        )
+        .run();
         assert_eq!(res.preemptions, 0);
         let (_, tick, h, _) = decide_at(&log, 1_020);
         assert!(tick);
-        assert_horizon(h, 6_000.0);
-        assert!(
-            log.borrow().iter().any(|d| d.0 == 5_940),
-            "the tick armed before the record begins"
-        );
+        assert_eq!(h, Some(f64::INFINITY));
+        assert_eq!(res.kernel.decide_calls, 9);
+        let limits: Vec<(i64, u32)> = sink
+            .records()
+            .iter()
+            .filter_map(|rec| match rec {
+                sps_trace::TraceRecord::Decision {
+                    t,
+                    reason: Reason::DisableLimit { job, .. },
+                } => Some((*t, *job)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(limits, [(60, 0)]);
     }
 
     #[test]

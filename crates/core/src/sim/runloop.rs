@@ -226,13 +226,15 @@ pub struct SimResult {
 /// them while the ticker is disarmed, or those before a tick armed at a
 /// no-op horizon ([`DecideCtx::noop_until`]). Nothing runs between two
 /// executed batches, so the machine a lapsed tick would have seen is the
-/// one the last batch left, and its decide — a certified no-op — repeats
-/// the last decide's. Each lapsed tick is replayed when the next batch (or
-/// the end of the run) passes it: it writes the last decide's decision
-/// records again with its own `t`, then its gauge; on a machine with jobs
-/// waiting or draining it also takes telemetry's per-instant sample, with
-/// xfactors as of the tick, and forwards the health events that follow.
-/// It is counted in the trace's `engine` record, but nothing is simulated.
+/// one the last batch left, and its decide — a certified no-op — writes
+/// no decision record: a no-op decide writes none, and TSS's
+/// `disable_limit` records change only at transitions and completions,
+/// which executed batches carry. Each lapsed tick is replayed when the
+/// next batch (or the end of the run) passes it: it writes its gauge; on a
+/// machine with jobs waiting or draining it also takes telemetry's
+/// per-instant sample, with xfactors as of the tick, and forwards the
+/// health events that follow. It is counted in the trace's `engine`
+/// record, but nothing is simulated.
 #[derive(Default)]
 struct LapsedTicks {
     /// The next tick the every-tick schedule would deliver while the
@@ -242,37 +244,11 @@ struct LapsedTicks {
     /// (the every-tick schedule's armed tick still fires once on the
     /// emptied machine).
     next: Option<SimTime>,
-    /// The decision records of the last decide, kept only when it
-    /// reported a no-op horizon (TSS's `blocked_by_disable_limit` can be
-    /// written without an action); the lapsed ticks write them again.
-    decisions: Vec<TraceRecord>,
     /// Lapsed ticks replayed as tick-only batches of their own.
     batches: u64,
     /// Lapsed ticks that fell on an executed batch's instant, which then
     /// decided as a tick batch.
     merged: u64,
-}
-
-/// The sink a decide writes through: it forwards every record to the
-/// run's sink and keeps the decision records, which the ticks a no-op
-/// decide lets lapse write again ([`LapsedTicks::decisions`]).
-struct KeepDecisions<'a, S> {
-    sink: &'a mut S,
-    kept: &'a mut Vec<TraceRecord>,
-}
-
-impl<S: TraceSink> TraceSink for KeepDecisions<'_, S> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-
-    fn record(&mut self, rec: &TraceRecord) {
-        if matches!(rec, TraceRecord::Decision { .. }) {
-            self.kept.push(rec.clone());
-        }
-        self.sink.record(rec);
-    }
 }
 
 /// The simulator: a trace, a machine, a policy, an overhead model.
@@ -499,14 +475,15 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// phase is absolute (ticks land on multiples of the period), so the
     /// tick continuous ticking would deliver next is known throughout: a
     /// batch that lands on it decides as a tick batch, and the ticks that
-    /// lapse before it are replayed (`LapsedTicks`) — each writes the last
-    /// no-op decide's decision records and its trace gauge, counts in the
-    /// trace's `engine` record and, on a machine with waiting jobs, takes
-    /// its telemetry sample. The schedule, outcomes,
-    /// every trace byte and the health report are unchanged, traced or
-    /// not; only [`KernelStats`] and the telemetry registry's executed-work
-    /// counts (events, decides, victim scans) see fewer events, decides and
-    /// instants. This holds for fault-injected and admission-controlled
+    /// lapse before it are replayed (`LapsedTicks`) — each writes its trace
+    /// gauge, counts in the trace's `engine` record and, on a machine with
+    /// waiting jobs, takes its telemetry sample. A no-op decide's decision
+    /// records are never replayed: it writes none, apart from TSS's
+    /// `disable_limit` records, which a lapsed tick would not write again.
+    /// The schedule, outcomes, every trace byte and the health report are
+    /// unchanged, traced or not; only [`KernelStats`] and the telemetry
+    /// registry's executed-work counts (events, decides, victim scans) see
+    /// fewer events, decides and instants. This holds for fault-injected and admission-controlled
     /// runs too (see `elision_active` for why). Passing `false` is the only
     /// way to execute the every-tick schedule (the before-side of
     /// `sweep_throughput`, and any bench that pins event counts).
@@ -657,15 +634,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         });
     }
 
-    /// Whether nothing is waiting for processors: no queued, suspended,
-    /// or draining job. Completions of running jobs are events of their
-    /// own, so a certified policy has nothing to do at such an instant.
-    fn quiescent(&self) -> bool {
-        self.state.queued.is_empty()
-            && self.state.suspended.is_empty()
-            && self.state.index.draining_jobs() == 0
-    }
-
     /// Whether any arrived job is unfinished, which keeps ticks flowing.
     /// The draining check reads the index counter — a job-table scan here
     /// made every batch O(jobs).
@@ -690,7 +658,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
 
     /// Replay the lapsed ticks before `end` (exclusive) and return the
     /// last one. Each is a tick-only batch of the every-tick schedule whose
-    /// decide is a certified no-op, so only its records, its telemetry
+    /// decide is a certified no-op, so only its gauge, its telemetry
     /// sample and its count remain; `queue_events` is the event-queue
     /// length that schedule sampled (its pending events, no tick). While
     /// work is pending that schedule ticks every period up to `end`; an
@@ -710,18 +678,12 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         };
         // A quiescent machine feeds no health detector (nothing queued,
         // suspended or claimed), so its lapsed ticks are not sampled.
-        let sample = self.telemetry.enabled() && !self.quiescent();
+        let sample = self.telemetry.enabled() && !self.state.quiescent();
         if self.sink.enabled() || sample {
             let now = self.state.now;
             for k in 0..n {
                 let t = first + k * period;
                 if self.sink.enabled() {
-                    for rec in &mut self.lapsed.decisions {
-                        if let TraceRecord::Decision { t: at, .. } = rec {
-                            *at = t.secs();
-                        }
-                        self.sink.record(rec);
-                    }
                     let gauge = self.gauge(t);
                     self.sink.record(&gauge);
                 }
@@ -742,8 +704,8 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// certifies quiescent no-ops. It covers both the quiescent skip and
     /// no-op horizons: only such a run offers its decides
     /// [`DecideCtx::noop_until`]. Observation does not opt out: a lapsed
-    /// tick's decision records, trace gauge and telemetry sample are
-    /// replayed from the unchanged state ([`LapsedTicks`]).
+    /// tick's trace gauge and telemetry sample are replayed from the
+    /// unchanged state ([`LapsedTicks`]).
     ///
     /// Fault injection and admission control do not opt out either, and
     /// the elided schedule stays exact for them:
@@ -1406,7 +1368,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                 }
             }
         }
-        self.lapsed.decisions.clear();
         let drain_start = prof.then(Instant::now);
         for ev in batch.drain(..) {
             if tel {
@@ -1498,7 +1459,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         // a leftover tick, or a completion with an empty queue) cannot
         // change the schedule when the policy certifies it — skip the
         // decide outright.
-        let skip_decide = elidable && arrivals.is_empty() && self.quiescent();
+        let skip_decide = elidable && arrivals.is_empty() && self.state.quiescent();
         // With the ticker idle, a horizon past the tick after next lets at
         // least one tick lapse.
         let floor = match &self.ticker {
@@ -1515,15 +1476,9 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                 // The sink is lent (type-erased) into the decision context
                 // so policies can record *why* they acted; the borrow ends
                 // before `apply` emits the lifecycle records those actions
-                // cause. It is lent through `KeepDecisions`, which keeps
-                // the decision records for the ticks a no-op decide lets
-                // lapse. The telemetry sink is lent the same way, so
+                // cause. The telemetry sink is lent the same way, so
                 // policies can report span data like victim-scan width.
-                let mut keep = KeepDecisions {
-                    sink: &mut self.sink,
-                    kept: &mut self.lapsed.decisions,
-                };
-                let tracer = TraceCtx::new(&mut keep);
+                let tracer = TraceCtx::new(&mut self.sink);
                 // `tel` is a compile-time constant for `NullTelemetry`,
                 // so the disabled arm folds to a unit struct and no
                 // type-erased borrow is ever built on the default path.
@@ -1563,14 +1518,11 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         // decides report none, and a quiescent machine waits for an event
         // whatever its decide did.
         let reported = noop_until.get().filter(|&h| floor.is_some_and(|f| h > f));
-        let horizon = if elidable && self.quiescent() {
+        let horizon = if elidable && self.state.quiescent() {
             Some(f64::INFINITY)
         } else {
             reported
         };
-        if reported.is_none() {
-            self.lapsed.decisions.clear();
-        }
 
         // Per-tick gauges, after the instant's decisions have been applied.
         if tick && self.sink.enabled() {

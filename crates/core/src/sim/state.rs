@@ -488,6 +488,18 @@ impl SimState {
         self.transitions
     }
 
+    /// Whether nothing is waiting for processors: no queued, suspended,
+    /// or draining job. Completions of running jobs are events of their
+    /// own, so a policy that certifies quiescent no-ops
+    /// ([`Policy::quiescent_noop`](crate::policy::Policy::quiescent_noop))
+    /// has nothing to do at such an instant, and the run loop skips its
+    /// decide when nothing arrived either. TSS writes its `disable_limit`
+    /// records only at decides on a machine that is not quiescent, so it
+    /// must read this same predicate.
+    pub(crate) fn quiescent(&self) -> bool {
+        self.queued.is_empty() && self.suspended.is_empty() && self.index.draining_jobs() == 0
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -12,8 +12,8 @@
 //!   exists, so a replay can re-check allocation invariants.
 //! * **Scheduler decisions** ([`Reason`]): *why* the scheduler did what it
 //!   did — a backfill past the reservation, a preemption with both
-//!   xfactors, a preemption blocked by the TSS disable limit, a re-entry
-//!   on the original processors.
+//!   xfactors, a re-entry on the original processors — and the TSS
+//!   protection of each running job, written when it changes.
 //! * **Gauges**: per-tick counts of queue depth, idle processors, draining
 //!   occupancy, and suspended jobs, plus end-of-run engine statistics.
 
@@ -22,7 +22,7 @@ use std::fmt::Write;
 use crate::json::{write_escaped, write_num, Json, JsonError};
 
 /// Schema version written into [`TraceRecord::Header`].
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// A job lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,16 +129,18 @@ pub enum Reason {
         /// Suspender's xfactor at decision time.
         suspender_xf: f64,
     },
-    /// A preemption candidate was skipped because its category's slowdown
-    /// already exceeds the tuned disable limit (TSS).
-    BlockedByDisableLimit {
-        /// The protected running job.
-        victim: u32,
+    /// A running job's TSS protection changed: it is protected from
+    /// preemption iff `xfactor > limit`. Written when the status differs
+    /// from the job's last record; a job that stops running drops its
+    /// status without one.
+    DisableLimit {
+        /// The running job.
+        job: u32,
         /// Paper-style category name, e.g. `"L W"`.
         category: String,
-        /// The victim's xfactor at decision time.
+        /// The job's xfactor, frozen while it runs.
         xfactor: f64,
-        /// The category's current disable limit.
+        /// Its category's current disable limit.
         limit: f64,
     },
     /// A suspended job re-entered service on exactly its original
@@ -164,7 +166,7 @@ impl Reason {
         match self {
             Reason::Backfilled { .. } => "backfilled",
             Reason::PreemptedVictim { .. } => "preempted_victim",
-            Reason::BlockedByDisableLimit { .. } => "blocked_by_disable_limit",
+            Reason::DisableLimit { .. } => "disable_limit",
             Reason::ReentryOnOriginalProcs { .. } => "reentry_on_original_procs",
             Reason::MigratedResume { .. } => "migrated_resume",
         }
@@ -331,13 +333,13 @@ impl TraceRecord {
                         out.push_str(",\"suspender_xf\":");
                         write_num(*suspender_xf, out);
                     }
-                    Reason::BlockedByDisableLimit {
-                        victim,
+                    Reason::DisableLimit {
+                        job,
                         category,
                         xfactor,
                         limit,
                     } => {
-                        let _ = write!(out, ",\"victim\":{victim},\"category\":");
+                        let _ = write!(out, ",\"job\":{job},\"category\":");
                         write_escaped(category, out);
                         out.push_str(",\"xfactor\":");
                         write_num(*xfactor, out);
@@ -476,8 +478,8 @@ impl TraceRecord {
                         victim_xf: f64_field("victim_xf")?,
                         suspender_xf: f64_field("suspender_xf")?,
                     },
-                    "blocked_by_disable_limit" => Reason::BlockedByDisableLimit {
-                        victim: u32_field("victim")?,
+                    "disable_limit" => Reason::DisableLimit {
+                        job: u32_field("job")?,
                         category: v
                             .get("category")
                             .and_then(Json::as_str)
@@ -641,14 +643,14 @@ impl TraceRecord {
                         row.num(Col::VictimXf, victim_xf);
                         row.num(Col::SuspenderXf, suspender_xf);
                     }
-                    Reason::BlockedByDisableLimit {
-                        victim,
+                    Reason::DisableLimit {
+                        job,
                         category,
                         xfactor,
                         limit,
                     } => {
+                        row.num(Col::Job, job);
                         row.raw(Col::Reason, reason.name());
-                        row.num(Col::Victim, victim);
                         row.text(Col::Category, category);
                         row.num(Col::Xfactor, xfactor);
                         row.num(Col::Limit, limit);
@@ -858,8 +860,8 @@ mod tests {
             },
             TraceRecord::Decision {
                 t: 11,
-                reason: Reason::BlockedByDisableLimit {
-                    victim: 4,
+                reason: Reason::DisableLimit {
+                    job: 4,
                     category: "L W".into(),
                     xfactor: 9.5,
                     limit: 4.25,

@@ -12,11 +12,12 @@
 //!   relax with [`ReplayOptions::allow_migration`]).
 //! * **No processor overlap** — at no instant do two live allocations
 //!   share a processor (draining jobs still hold theirs until `drain`).
-//! * **Disable-limit records** — a `blocked_by_disable_limit` decision is
-//!   self-consistent (`xfactor > limit`, limit positive and finite), and
-//!   per category the limit only ever *activates* (first blocked record)
-//!   monotonically in time — it never reports as disabled before its
-//!   activation.
+//! * **Disable-limit state** — a `disable_limit` record names a running
+//!   job and flips its TSS protection (`xfactor > limit`), with a finite,
+//!   positive limit; a job that stops running drops its protection. A
+//!   `preempted_victim` never names a protected job, unless its suspender
+//!   re-enters on its original processors in the same instant (re-entry
+//!   is exempt from the limit).
 //! * **SF threshold** — when the header names an `ss:`/`tss:` scheduler,
 //!   every preemption satisfies `suspender_xf ≥ sf × victim_xf`.
 //! * **Time** — timestamps never decrease; at most one header, first.
@@ -112,6 +113,8 @@ struct JobTrack {
     held: Vec<u32>,
     /// Processor set released by the last suspension.
     suspend_set: Vec<u32>,
+    /// TSS protection as of the last `disable_limit` record while it runs.
+    protected: bool,
 }
 
 /// Incremental validator; feed records in order, then [`Validator::finish`].
@@ -131,8 +134,10 @@ pub struct Validator {
     /// tier counts enumerate every processor, so any claim at or beyond
     /// their sum references a processor the speed map does not cover.
     speed_procs: Option<u32>,
-    /// category -> time of first blocked record (activation).
-    limit_active: HashMap<String, i64>,
+    /// This instant's preemptions of protected victims, as (record index,
+    /// victim, suspender): each must be cleared by its suspender's
+    /// `reentry_on_original_procs` before the instant ends.
+    protected_preemptions: Vec<(usize, u32, u32)>,
     stats: ReplayStats,
     violations: Vec<Violation>,
 }
@@ -160,18 +165,19 @@ impl Validator {
             occupied: HashMap::new(),
             down: HashSet::new(),
             speed_procs: None,
-            limit_active: HashMap::new(),
+            protected_preemptions: Vec::new(),
             stats: ReplayStats::default(),
             violations: Vec::new(),
         }
     }
 
     fn violation(&mut self, message: String) {
+        self.violation_at(self.index, message);
+    }
+
+    fn violation_at(&mut self, index: usize, message: String) {
         if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(Violation {
-                index: self.index,
-                message,
-            });
+            self.violations.push(Violation { index, message });
         }
     }
 
@@ -184,8 +190,9 @@ impl Validator {
             }
             if t > self.last_t {
                 // The instant is over: a failure must have evicted any
-                // holder of a down processor within its own instant.
-                self.check_down_unoccupied();
+                // holder of a down processor within its own instant, and a
+                // protected victim's suspender must have re-entered.
+                self.end_instant();
             }
             self.last_t = self.last_t.max(t);
         }
@@ -240,9 +247,9 @@ impl Validator {
             } => {
                 self.job_event(*t, *job, *event, procs.as_deref());
             }
-            TraceRecord::Decision { t, reason } => {
+            TraceRecord::Decision { reason, .. } => {
                 self.stats.decisions += 1;
-                self.decision(*t, reason);
+                self.decision(reason);
             }
             TraceRecord::Gauge { .. } => self.stats.gauges += 1,
             TraceRecord::Proc { proc, event, .. } => self.proc_event(*proc, *event),
@@ -271,9 +278,23 @@ impl Validator {
         }
     }
 
+    /// The checks that close an instant, when time advances and at the
+    /// end of the trace.
+    fn end_instant(&mut self) {
+        self.check_down_unoccupied();
+        for (index, victim, suspender) in std::mem::take(&mut self.protected_preemptions) {
+            self.violation_at(
+                index,
+                format!(
+                    "preemption of {victim} by {suspender}: the victim is protected by its \
+                     disable limit, and {suspender} did not re-enter on its original processors"
+                ),
+            );
+        }
+    }
+
     /// Any down processor still held by a job is a violation — the
-    /// simulator evicts holders in the failure's own instant. Called when
-    /// time advances and at the end of the trace.
+    /// simulator evicts holders in the failure's own instant.
     fn check_down_unoccupied(&mut self) {
         let stale: Vec<(u32, u32)> = self
             .down
@@ -300,6 +321,7 @@ impl Validator {
                         state: JobState::Queued,
                         held: Vec::new(),
                         suspend_set: Vec::new(),
+                        protected: false,
                     },
                 );
                 if prev.is_some() {
@@ -340,6 +362,7 @@ impl Validator {
                 if let Some(track) = self.jobs.get_mut(&job) {
                     track.state = JobState::Draining;
                     track.suspend_set = held;
+                    track.protected = false;
                 }
             }
             Drain => {
@@ -390,6 +413,7 @@ impl Validator {
                 if let Some(track) = self.jobs.get_mut(&job) {
                     track.state = JobState::Done;
                     track.held.clear();
+                    track.protected = false;
                 }
             }
             Kill => {
@@ -408,6 +432,7 @@ impl Validator {
                     track.state = JobState::Queued;
                     track.held.clear();
                     track.suspend_set.clear();
+                    track.protected = false;
                 }
             }
             Reject => {
@@ -465,7 +490,7 @@ impl Validator {
         self.occupied.retain(|_, holder| *holder != job);
     }
 
-    fn decision(&mut self, t: i64, reason: &Reason) {
+    fn decision(&mut self, reason: &Reason) {
         match reason {
             Reason::Backfilled { .. } => {}
             Reason::PreemptedVictim {
@@ -488,34 +513,46 @@ impl Validator {
                         "preemption of {victim} by {suspender}: non-finite xfactor"
                     ));
                 }
+                if self.jobs.get(victim).is_some_and(|tr| tr.protected) {
+                    self.protected_preemptions
+                        .push((self.index, *victim, *suspender));
+                }
             }
-            Reason::BlockedByDisableLimit {
-                victim,
-                category,
+            Reason::DisableLimit {
+                job,
                 xfactor,
                 limit,
+                ..
             } => {
                 if !(limit.is_finite() && *limit > 0.0) {
                     self.violation(format!(
-                        "blocked victim {victim}: disable limit {limit} not finite/positive"
+                        "job {job}: disable limit {limit} not finite/positive"
                     ));
                 }
-                if xfactor <= limit {
+                let protected = xfactor > limit;
+                let Some(tr) = self
+                    .jobs
+                    .get_mut(job)
+                    .filter(|tr| tr.state == JobState::Running)
+                else {
+                    let state = self.jobs.get(job).map(|tr| tr.state.clone());
+                    self.violation(format!("job {job}: disable_limit while {state:?}"));
+                    return;
+                };
+                let restated = std::mem::replace(&mut tr.protected, protected) == protected;
+                if restated {
                     self.violation(format!(
-                        "blocked victim {victim}: xfactor {xfactor} does not exceed limit {limit}"
-                    ));
-                }
-                // Activation monotonicity: once a category's limit is
-                // finite (first blocked record), later blocked records
-                // must not pre-date it.
-                let first = *self.limit_active.entry(category.clone()).or_insert(t);
-                if t < first {
-                    self.violation(format!(
-                        "category {category}: blocked record at {t} before activation at {first}"
+                        "job {job}: disable_limit restates its protection ({protected}) \
+                         without a change"
                     ));
                 }
             }
-            Reason::ReentryOnOriginalProcs { .. } => {}
+            // Re-entry is exempt from the disable limit: it clears the
+            // suspender's preemptions of protected victims.
+            Reason::ReentryOnOriginalProcs { job, .. } => {
+                self.protected_preemptions
+                    .retain(|&(_, _, suspender)| suspender != *job);
+            }
             // Advisory annotation; the set change itself is checked (and
             // counted) on the Restart record.
             Reason::MigratedResume { .. } => {}
@@ -524,7 +561,7 @@ impl Validator {
 
     /// Finish: return the stats, or every violation found.
     pub fn finish(mut self) -> Result<ReplayStats, Vec<Violation>> {
-        self.check_down_unoccupied();
+        self.end_instant();
         self.stats.live_at_end = self
             .jobs
             .values()
@@ -790,21 +827,166 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rejects_inconsistent_blocked_record() {
-        let trace = vec![TraceRecord::Decision {
-            t: 0,
-            reason: Reason::BlockedByDisableLimit {
-                victim: 1,
+    fn disable_limit(t: i64, job: u32, xfactor: f64, limit: f64) -> TraceRecord {
+        TraceRecord::Decision {
+            t,
+            reason: Reason::DisableLimit {
+                job,
                 category: "L W".into(),
-                xfactor: 2.0,
-                limit: 3.0,
+                xfactor,
+                limit,
             },
-        }];
+        }
+    }
+
+    fn preempted(t: i64, victim: u32, suspender: u32) -> TraceRecord {
+        TraceRecord::Decision {
+            t,
+            reason: Reason::PreemptedVictim {
+                victim,
+                suspender,
+                victim_xf: 1.0,
+                suspender_xf: 2.5,
+            },
+        }
+    }
+
+    fn tss_header() -> TraceRecord {
+        TraceRecord::Header {
+            version: TRACE_VERSION,
+            scheduler: "tss:2.0".into(),
+            config: Json::Null,
+        }
+    }
+
+    fn messages(trace: &[TraceRecord]) -> Vec<String> {
+        match validate_records(trace, ReplayOptions::default()) {
+            Ok(_) => Vec::new(),
+            Err(violations) => violations.into_iter().map(|v| v.message).collect(),
+        }
+    }
+
+    #[test]
+    fn a_disable_limit_record_must_flip_the_status() {
+        use JobEvent::*;
+        let running = [job(0, 1, Arrival, None), job(0, 1, Dispatch, Some(vec![0]))];
+        // Protected at 5, unprotected at 9 (a completion raised the
+        // limit): two changes.
+        let flips = [
+            &running[..],
+            &[disable_limit(5, 1, 2.0, 1.5), disable_limit(9, 1, 2.0, 2.5)],
+        ]
+        .concat();
+        assert_eq!(messages(&flips), Vec::<String>::new());
+        // Restating either status changes nothing.
+        for restated in [
+            vec![disable_limit(5, 1, 1.0, 1.5)],
+            vec![disable_limit(5, 1, 2.0, 1.5), disable_limit(9, 1, 2.0, 1.4)],
+        ] {
+            let trace = [&running[..], &restated].concat();
+            let found = messages(&trace);
+            assert!(found.iter().any(|m| m.contains("restates")), "{found:?}");
+        }
+        for limit in [f64::INFINITY, 0.0, -1.0] {
+            let trace = [&running[..], &[disable_limit(5, 1, 2.0, limit)]].concat();
+            let found = messages(&trace);
+            assert!(found.iter().any(|m| m.contains("not finite")), "{found:?}");
+        }
+    }
+
+    #[test]
+    fn a_disable_limit_record_must_name_a_running_job() {
+        use JobEvent::*;
+        for trace in [
+            vec![disable_limit(0, 1, 2.0, 1.5)],
+            vec![job(0, 1, Arrival, None), disable_limit(0, 1, 2.0, 1.5)],
+            vec![
+                job(0, 1, Arrival, None),
+                job(0, 1, Dispatch, Some(vec![0])),
+                job(5, 1, Complete, None),
+                disable_limit(5, 1, 2.0, 1.5),
+            ],
+        ] {
+            let found = messages(&trace);
+            assert!(
+                found.iter().any(|m| m.contains("disable_limit while")),
+                "{found:?}"
+            );
+        }
+        // A job that stops running drops its status: protected again
+        // after a restart is a change.
+        let trace = vec![
+            job(0, 1, Arrival, None),
+            job(0, 1, Dispatch, Some(vec![0])),
+            disable_limit(0, 1, 2.0, 1.5),
+            job(5, 1, Suspend, Some(vec![0])),
+            job(5, 1, Drain, None),
+            job(9, 1, Restart, Some(vec![0])),
+            disable_limit(9, 1, 3.0, 1.5),
+        ];
+        assert_eq!(messages(&trace), Vec::<String>::new());
+    }
+
+    #[test]
+    fn rejects_a_fresh_job_preempting_a_protected_victim() {
+        use JobEvent::*;
+        let trace = vec![
+            tss_header(),
+            job(0, 1, Arrival, None),
+            job(0, 1, Dispatch, Some(vec![0, 1])),
+            disable_limit(0, 1, 1.0, 0.75),
+            job(5, 2, Arrival, None),
+            preempted(60, 1, 2),
+            job(60, 1, Suspend, Some(vec![0, 1])),
+            job(60, 1, Drain, None),
+            job(60, 2, Dispatch, Some(vec![0, 1])),
+            job(90, 2, Complete, None),
+        ];
         let violations = validate_records(&trace, ReplayOptions::default()).unwrap_err();
-        assert!(violations
-            .iter()
-            .any(|v| v.message.contains("does not exceed")));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].index, 5, "the preemption record");
+        assert!(
+            violations[0].message.contains("protected"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn reentry_may_preempt_a_protected_victim() {
+        use JobEvent::*;
+        // Job 1 is suspended by 2; job 3 squats on its processors and is
+        // protected; job 1 re-enters on them, suspending 3.
+        let reentry = TraceRecord::Decision {
+            t: 120,
+            reason: Reason::ReentryOnOriginalProcs { job: 1, victims: 1 },
+        };
+        let trace = vec![
+            tss_header(),
+            job(0, 1, Arrival, None),
+            job(0, 1, Dispatch, Some(vec![0, 1])),
+            job(5, 2, Arrival, None),
+            preempted(60, 1, 2),
+            job(60, 1, Suspend, Some(vec![0, 1])),
+            job(60, 1, Drain, None),
+            job(60, 2, Dispatch, Some(vec![0, 1])),
+            job(70, 2, Complete, None),
+            job(70, 3, Arrival, None),
+            job(70, 3, Dispatch, Some(vec![0, 1])),
+            disable_limit(70, 3, 1.0, 0.75),
+            preempted(120, 3, 1),
+            reentry.clone(),
+            job(120, 3, Suspend, Some(vec![0, 1])),
+            job(120, 3, Drain, None),
+            job(120, 1, Restart, Some(vec![0, 1])),
+            job(200, 1, Complete, None),
+            job(200, 3, Restart, Some(vec![0, 1])),
+            job(300, 3, Complete, None),
+        ];
+        assert_eq!(messages(&trace), Vec::<String>::new());
+        // Without the re-entry record, the same preemption is refused.
+        let fresh: Vec<TraceRecord> = trace.into_iter().filter(|r| *r != reentry).collect();
+        let found = messages(&fresh);
+        assert!(found.iter().any(|m| m.contains("protected")), "{found:?}");
     }
 
     #[test]

@@ -65,6 +65,12 @@ fn fail_file(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Write a file the user asked for, or fail with a file error.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| fail_file(&format!("cannot write {path}: {e}")));
+}
+
 /// Refuse a configuration: an SWF log that cannot be read is a file
 /// error, anything else comes from the command line.
 fn refuse(e: ConfigError) -> ! {
@@ -780,10 +786,8 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
         if let Some(prefix) = &args.csv {
             let path = format!("{prefix}.{}.csv", scheme_slug(&kind.label()));
             let csv = selective_preemption::metrics::export::outcomes_csv(&res.outcomes);
-            match std::fs::write(&path, csv) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-            }
+            write_file(&path, csv);
+            eprintln!("wrote {path}");
         }
     }
     let named: Vec<(&str, [f64; 16])> = grids.iter().map(|(n, g)| (n.as_str(), *g)).collect();
@@ -804,10 +808,8 @@ fn report(jobs: Vec<Job>, configs: &[ExperimentConfig], args: &Args) {
             tl.thread_name(1, tid, label);
             tl.phase_spans(1, tid, 0, spans);
         }
-        match std::fs::write(path, tl.render()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-        }
+        write_file(path, tl.render());
+        eprintln!("wrote {path}");
     }
 }
 
@@ -1038,10 +1040,8 @@ fn write_grid_timeline(path: &str, report: &SweepReport, process: &str) {
         tl.phase_spans(1, *worker as u32 + 1, 0, spans);
     }
     let events = tl.len();
-    match std::fs::write(path, tl.render()) {
-        Ok(()) => eprintln!("wrote {path} ({events} trace events)"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
+    write_file(path, tl.render());
+    eprintln!("wrote {path} ({events} trace events)");
 }
 
 fn fmt_eta(secs: f64) -> String {
@@ -1086,6 +1086,9 @@ fn main() {
     let command = argv.remove(0);
     match command.as_str() {
         "schedulers" => {
+            if let Some(arg) = argv.first() {
+                fail(&format!("{arg} does not apply to schedulers"));
+            }
             outln!("fcfs        first-come-first-served, no backfilling");
             outln!("cons        conservative backfilling (reservation per job)");
             outln!("ns          EASY / aggressive backfilling (paper's No-Suspension)");
@@ -1195,8 +1198,7 @@ fn main() {
             let rendered = render(&report);
             match &args.out {
                 Some(path) => {
-                    std::fs::write(path, &rendered)
-                        .unwrap_or_else(|e| fail_file(&format!("cannot write {path}: {e}")));
+                    write_file(path, &rendered);
                     eprintln!("wrote {path}");
                 }
                 None => emit(format_args!("{rendered}")),
@@ -1222,6 +1224,12 @@ fn main() {
             } else {
                 args.scheds.clone()
             };
+            // The load grid is refused before the first run, not after.
+            let load_sweep = args.loads.is_some().then(|| {
+                let spec = args.sweep_spec(system, scheds.clone()).with_telemetry(true);
+                spec.validate().unwrap_or_else(|e| refuse(e));
+                spec
+            });
             // One shared trace: the job list is scheduler-independent.
             let jobs = args.checked_config(system, scheds[0]).trace();
 
@@ -1386,8 +1394,7 @@ fn main() {
                 let _ = writeln!(w, "```text\n{}```", tel.health_report().render());
             }
 
-            if args.loads.is_some() {
-                let spec = args.sweep_spec(system, scheds.clone()).with_telemetry(true);
+            if let Some(spec) = load_sweep {
                 let threads = args.threads.map_or_else(default_threads, usize::from);
                 let progress = args
                     .progress
@@ -1428,21 +1435,18 @@ fn main() {
                 for (kind, _, _, tel) in &outs {
                     let slug = scheme_slug(&kind.label());
                     let prom_path = format!("{prefix}.{slug}.prom");
-                    std::fs::write(&prom_path, tel.render_prom())
-                        .unwrap_or_else(|e| fail_file(&format!("cannot write {prom_path}: {e}")));
+                    write_file(&prom_path, tel.render_prom());
                     let json_path = format!("{prefix}.{slug}.json");
                     let mut body = tel.snapshot_json().render();
                     body.push('\n');
-                    std::fs::write(&json_path, body)
-                        .unwrap_or_else(|e| fail_file(&format!("cannot write {json_path}: {e}")));
+                    write_file(&json_path, body);
                     eprintln!("wrote {prom_path} and {json_path}");
                 }
             }
 
             match &args.out {
                 Some(path) => {
-                    std::fs::write(path, &md)
-                        .unwrap_or_else(|e| fail_file(&format!("cannot write {path}: {e}")));
+                    write_file(path, &md);
                     eprintln!("wrote {path}");
                 }
                 None => emit(format_args!("{md}")),

@@ -484,3 +484,71 @@ fn a_closed_stdout_ends_the_command_quietly() {
         assert!(!stderr.contains("panicked"), "sps {args:?}: {stderr}");
     }
 }
+
+/// `report --loads` refuses its load grid before the first of its
+/// comparison runs, which on a million jobs would take minutes, and
+/// `schedulers` refuses any argument.
+#[test]
+fn report_and_schedulers_refuse_before_they_work() {
+    let report = [
+        "report", "--system", "SDSC", "--jobs", "1000000", "--loads", "0,1",
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sps"))
+        .args(report)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("sps runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("sps is waited on").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("sps {report:?} ran its comparison before refusing its loads");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("sps exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(out.stdout.is_empty());
+
+    let stderr = refused(&["schedulers", "--jobs", "5"]);
+    assert_eq!(
+        stderr.lines().next(),
+        Some("error: --jobs does not apply to schedulers")
+    );
+}
+
+/// A file the user asked for that cannot be written ends the command
+/// with one `error: cannot write …` line and exit 2, after whatever it
+/// printed before: per-job CSVs and timelines of `run` and `replay`, and
+/// a sweep's timeline.
+#[test]
+fn unwritable_output_files_exit_2() {
+    let tmp = Scratch::new("unwritable");
+    let (missing, log) = (tmp.path("missing/out"), tmp.path("one.swf"));
+    std::fs::write(&log, ONE_JOB).expect("write SWF log");
+    let run = ["run", "--system", "SDSC", "--sched", "ns", "--jobs", "50"];
+    let replay = ["replay", "--swf", &log, "--procs", "32", "--sched", "ns"];
+    let sweep = ["sweep", "--system", "SDSC", "--sched", "ns", "--jobs", "50"];
+    for (base, flag) in [
+        (&run[..], "--csv"),
+        (&run, "--timeline"),
+        (&replay, "--csv"),
+        (&replay, "--timeline"),
+        (&sweep, "--timeline"),
+    ] {
+        let args = [base, &[flag, &missing]].concat();
+        let (code, _, stderr) = sps(&args);
+        assert_eq!(code, Some(2), "sps {args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(&format!("error: cannot write {missing}"))),
+            "sps {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("warning"), "sps {args:?}: {stderr}");
+    }
+}

@@ -9,7 +9,7 @@
 
 use selective_preemption::prelude::*;
 use selective_preemption::simcore::Watchdog;
-use selective_preemption::trace::{validate_records, JobEvent, ReplayOptions};
+use selective_preemption::trace::{validate_records, JobEvent, Reason, ReplayOptions};
 use selective_preemption::workload::traces::{CTC, KTH, SDSC};
 use sps_core::policy::{Action, DecideCtx, Policy};
 use sps_core::SimState;
@@ -283,6 +283,40 @@ fn fault_traces_validate_under_every_recovery_policy() {
                 (r.sim.faults.jobs_killed + r.sim.faults.job_crashes) as usize
             );
         }
+    }
+}
+
+/// A fault kill ends a protected TSS job's run, and with it its
+/// protection: once re-dispatched, the job's status is recorded afresh.
+/// The validator replays every `disable_limit` record against the kills.
+#[test]
+fn tss_protection_records_restart_after_a_kill() {
+    for recovery in [RecoveryPolicy::WaitForRepair, RecoveryPolicy::Resubmit] {
+        let cfg = ExperimentConfig::new(SDSC, SchedulerKind::Tss { sf: 1.5 })
+            .with_jobs(800)
+            .with_seed(5)
+            .with_load_factor(1.4)
+            .with_overhead(OverheadModel::paper())
+            .with_faults(FaultModel::proc_faults(400_000, 1_800, 0).with_recovery(recovery));
+        let mut sink = MemorySink::new();
+        let r = cfg.runner().trace_sink(&mut sink).run();
+        assert!(r.sim.faults.jobs_killed > 0, "{recovery}: no kill");
+        let limits = sink
+            .records()
+            .iter()
+            .filter(|rec| {
+                matches!(
+                    rec,
+                    TraceRecord::Decision {
+                        reason: Reason::DisableLimit { .. },
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(limits > 0, "{recovery}: no disable_limit record");
+        validate_records(sink.records(), ReplayOptions::default())
+            .unwrap_or_else(|v| panic!("{recovery}: {v:?}"));
     }
 }
 

@@ -9,6 +9,7 @@
 mod common;
 
 use selective_preemption::prelude::*;
+use selective_preemption::trace::{validate_jsonl, ReplayOptions};
 use selective_preemption::workload::traces::{CTC, KTH, SDSC};
 
 /// What one observed run leaves behind.
@@ -202,9 +203,21 @@ fn paper_overhead_and_an_odd_tick_period_match() {
     }
 }
 
-/// A saturated TSS run whose no-op tick decides still write
-/// `blocked_by_disable_limit` records: every tick that lapses before a
-/// no-op horizon writes them again.
+/// A TSS trace holds `disable_limit` records and passes the replay
+/// validator, whose state rules check them against the job records.
+fn assert_valid_tss_trace(obs: &Observed, label: &str) {
+    assert!(
+        obs.trace.contains(r#""reason":"disable_limit""#),
+        "{label}: no disable_limit record"
+    );
+    if let Err(violations) = validate_jsonl(obs.trace.as_bytes(), ReplayOptions::default()) {
+        panic!("{label}: {violations:?}");
+    }
+}
+
+/// A saturated TSS run with the paper's overhead: the elided run writes
+/// the every-tick run's `disable_limit` records, though no lapsed tick
+/// replays a record, and the trace validates.
 #[test]
 fn lapsed_noop_ticks_rewrite_tss_decision_records() {
     let cfg = ExperimentConfig::new(KTH, SchedulerKind::Tss { sf: 2.0 })
@@ -212,18 +225,16 @@ fn lapsed_noop_ticks_rewrite_tss_decision_records() {
         .with_seed(1201)
         .with_load_factor(2.0)
         .with_overhead(OverheadModel::paper());
-    let (_, every_tick) = check(&cfg, "tss:2 on KTH at load 2.0, paper overhead");
-    assert!(
-        every_tick.trace.contains(r#""blocked_by_disable_limit""#),
-        "no blocked_by_disable_limit record"
-    );
+    let label = "tss:2 on KTH at load 2.0, paper overhead";
+    let (_, every_tick) = check(&cfg, label);
+    assert_valid_tss_trace(&every_tick, label);
 }
 
 /// Saturated SS and TSS: fresh jobs wait on suspended jobs' claims, the
 /// no-op decides report horizons at crossings and certify arrivals and
 /// stale completions, and the every-tick trace still comes out, with and
-/// without the paper's overhead. The TSS run writes
-/// `blocked_by_disable_limit` records, which lapsed ticks replay.
+/// without the paper's overhead. The TSS traces hold `disable_limit`
+/// records and validate.
 #[test]
 fn saturated_ss_and_tss_keep_the_every_tick_trace() {
     for spec in ["ss:2", "tss:2"] {
@@ -231,19 +242,32 @@ fn saturated_ss_and_tss_keep_the_every_tick_trace() {
             .with_jobs(1_200)
             .with_seed(31)
             .with_load_factor(2.0);
-        let (obs, _) = check(&cfg, &format!("{spec} on CTC at load 2.0"));
-        if spec == "tss:2" {
-            assert!(
-                obs.trace.contains(r#""blocked_by_disable_limit""#),
-                "{spec}: no blocked_by_disable_limit record"
-            );
+        let paper = cfg.clone().with_overhead(OverheadModel::paper());
+        for (cfg, label) in [
+            (cfg, format!("{spec} on CTC at load 2.0")),
+            (paper, format!("{spec} on CTC at load 2.0, paper overhead")),
+        ] {
+            let (obs, _) = check(&cfg, &label);
+            if spec == "tss:2" {
+                assert_valid_tss_trace(&obs, &label);
+            }
         }
-        let paper = cfg.with_overhead(OverheadModel::paper());
-        check(
-            &paper,
-            &format!("{spec} on CTC at load 2.0, paper overhead"),
-        );
     }
+}
+
+/// TSS at a load where the machine keeps emptying and the category
+/// limits engage: a completion that leaves the machine quiescent can move
+/// a running job's protection, and both schedules record the change at
+/// the next decide on a machine with jobs waiting.
+#[test]
+fn tss_limits_that_move_on_an_emptying_machine_keep_the_every_tick_trace() {
+    let cfg = ExperimentConfig::new(SDSC, SchedulerKind::Tss { sf: 2.0 })
+        .with_jobs(600)
+        .with_seed(1)
+        .with_load_factor(0.7);
+    let label = "tss:2 on SDSC at load 0.7";
+    let (obs, _) = check(&cfg, label);
+    assert_valid_tss_trace(&obs, label);
 }
 
 /// Saturated Immediate Service under the paper's overhead: its no-op

@@ -306,9 +306,8 @@ fn reference_and_fast_decides_agree_end_to_end() {
 }
 
 /// A traced saturated TSS run writes the same JSONL bytes with and
-/// without the fast decide paths. Tracing keeps TSS's fresh-job scans
-/// whole (a failing scan still reports the protected victims it passed
-/// over), and the log must show that those records occur.
+/// without the fast decide paths. TSS writes its `disable_limit` records
+/// before any fast path, and the log must show that they occur.
 #[test]
 fn traced_tss_log_is_identical_with_reference_decides() {
     let cfg = ExperimentConfig::new(CTC, SchedulerKind::Tss { sf: 2.0 })
@@ -333,11 +332,11 @@ fn traced_tss_log_is_identical_with_reference_decides() {
         r == f,
         "traced TSS logs diverge between reference and fast decides"
     );
-    let blocked = f
+    let limits = f
         .lines()
-        .filter(|l| l.contains("\"blocked_by_disable_limit\""))
+        .filter(|l| l.contains(r#""reason":"disable_limit""#))
         .count();
-    assert!(blocked > 0, "no BlockedByDisableLimit record in the log");
+    assert!(limits > 0, "no disable_limit record in the log");
 }
 
 /// Tick elision must not change *any* observable simulation output, for

@@ -153,8 +153,8 @@ fn every_record_variant() -> Vec<TraceRecord> {
         },
         TraceRecord::Decision {
             t: 11,
-            reason: Reason::BlockedByDisableLimit {
-                victim: 4,
+            reason: Reason::DisableLimit {
+                job: 4,
                 category: "L W".into(),
                 xfactor: 9.5,
                 limit: 4.25,
@@ -215,13 +215,13 @@ fn every_record_variant() -> Vec<TraceRecord> {
 #[test]
 fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
     let expected = [
-        r#"{"type":"header","version":1,"scheduler":"ss:2.0","config":{"system":{"name":"SDSC","procs":128},"loads":[0.85,1.0],"seed":42,"faults":null,"speed_blind":false}}"#,
+        r#"{"type":"header","version":2,"scheduler":"ss:2.0","config":{"system":{"name":"SDSC","procs":128},"loads":[0.85,1.0],"seed":42,"faults":null,"speed_blind":false}}"#,
         r#"{"type":"job","t":0,"job":3,"event":"arrival"}"#,
         r#"{"type":"job","t":5,"job":3,"event":"dispatch","procs":[0,1,7]}"#,
         r#"{"type":"job","t":6,"job":4,"event":"reject"}"#,
         r#"{"type":"decision","t":9,"reason":"backfilled","job":7,"shadow":1000}"#,
         r#"{"type":"decision","t":10,"reason":"preempted_victim","victim":1,"suspender":2,"victim_xf":0.30000000000000004,"suspender_xf":10000000000000000}"#,
-        r#"{"type":"decision","t":11,"reason":"blocked_by_disable_limit","victim":4,"category":"L W","xfactor":9.5,"limit":4.25}"#,
+        r#"{"type":"decision","t":11,"reason":"disable_limit","job":4,"category":"L W","xfactor":9.5,"limit":4.25}"#,
         r#"{"type":"decision","t":12,"reason":"reentry_on_original_procs","job":1,"victims":2}"#,
         r#"{"type":"decision","t":13,"reason":"migrated_resume","job":6}"#,
         r#"{"type":"gauge","t":60,"queued":3,"idle":10,"draining":4,"suspended":1,"running":9}"#,
@@ -246,13 +246,13 @@ fn jsonl_sink_bytes_of_every_record_variant_are_pinned() {
 fn csv_sink_bytes_of_every_record_variant_are_pinned() {
     let expected = [
         r#"record,t,job,event,procs,reason,victim,suspender,victim_xf,suspender_xf,category,xfactor,limit,shadow,victims,queued,idle,draining,suspended,running,batches,events,proc,version,scheduler,detector,value"#,
-        r#"header,,,,,,,,,,,,,,,,,,,,,,,1,ss:2.0,,"#,
+        r#"header,,,,,,,,,,,,,,,,,,,,,,,2,ss:2.0,,"#,
         r#"job,0,3,arrival,,,,,,,,,,,,,,,,,,,,,,,"#,
         r#"job,5,3,dispatch,0 1 7,,,,,,,,,,,,,,,,,,,,,,"#,
         r#"job,6,4,reject,,,,,,,,,,,,,,,,,,,,,,,"#,
         r#"decision,9,7,,,backfilled,,,,,,,,1000,,,,,,,,,,,,,"#,
         r#"decision,10,,,,preempted_victim,1,2,0.30000000000000004,10000000000000000,,,,,,,,,,,,,,,,,"#,
-        r#"decision,11,,,,blocked_by_disable_limit,4,,,,L W,9.5,4.25,,,,,,,,,,,,,,"#,
+        r#"decision,11,4,,,disable_limit,,,,,L W,9.5,4.25,,,,,,,,,,,,,,"#,
         r#"decision,12,1,,,reentry_on_original_procs,,,,,,,,,2,,,,,,,,,,,,"#,
         r#"decision,13,6,,,migrated_resume,,,,,,,,,,,,,,,,,,,,,"#,
         r#"gauge,60,,,,,,,,,,,,,,3,10,4,1,9,,,,,,,"#,
