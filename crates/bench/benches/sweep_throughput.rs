@@ -6,11 +6,11 @@
 //!
 //! * **before** — what a batch looked like pre-sweep-engine: every run
 //!   regenerates its own trace, the simulator processes every idle tick
-//!   (no quiescent elision), every decide runs the policies' exhaustive
-//!   reference scan (no fast-path certifications), and every run is
-//!   folded into the full result record of the old batch path — a cloned
-//!   config plus three per-category reports next to the raw `SimResult` —
-//!   all retained until the end, when the batch is folded into cells.
+//!   (no quiescent elision, so no no-op horizon or certificate), and
+//!   every run is folded into the full result record of the old batch
+//!   path — a cloned config plus three per-category reports next to the
+//!   raw `SimResult` — all retained until the end, when the batch is
+//!   folded into cells.
 //! * **after** — [`run_sweep`]: traces shared through the
 //!   [`TraceCache`](sps_workload::TraceCache), idle ticks elided for
 //!   policies that certify quiescent decides as no-ops, fast no-op
@@ -98,19 +98,14 @@ struct Retained {
 }
 
 /// The naive path: regenerate per run, simulate with idle-tick elision
-/// off and reference decides, build and retain the old full result
-/// record for every run until the end, fold last.
+/// off, build and retain the old full result record for every run until
+/// the end, fold last.
 fn run_before(spec: &SweepSpec) -> (Vec<CellStats>, u64) {
     let configs = spec.expand();
     let mut retained: Vec<Retained> = Vec::with_capacity(configs.len());
     let mut events = 0u64;
     for cfg in configs {
-        let sim = cfg
-            .runner()
-            .build()
-            .with_tick_elision(false)
-            .with_reference_decides();
-        let res = sim.run();
+        let res = cfg.runner().build().with_tick_elision(false).run();
         events += res.kernel.events;
         let reports = [
             CategoryReport::from_outcomes(&res.outcomes),

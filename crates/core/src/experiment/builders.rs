@@ -17,7 +17,7 @@ use sps_workload::SwfError;
 use super::{ConfigError, ExperimentConfig};
 
 /// Per-worker shard counters for one batch: what each worker of the pool
-/// actually did. Collected on a [`ShardBoard`] when the caller asks for
+/// actually did. Collected on a `ShardBoard` when the caller asks for
 /// one (the sweep and mega-sweep engines always do) and surfaced through
 /// `SweepReport::workers` and the live `SweepProgress::workers`
 /// snapshots.

@@ -69,7 +69,7 @@ impl std::fmt::Display for RecoveryPolicy {
     }
 }
 
-/// A recovery-policy spec string that [`RecoveryPolicy::from_str`]
+/// A recovery-policy spec string that [`RecoveryPolicy`]'s `from_str`
 /// rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseRecoveryError {

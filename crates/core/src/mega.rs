@@ -14,8 +14,9 @@
 //!   load and seed axes on the fly (arrival compression, optional
 //!   estimate re-drawing); [`MegaSweepSpec::source`] builds that pair,
 //!   and `sps replay` reads its log through it too,
-//! * the run itself is **lean** ([`RunBuilder::lean`]): completions fold
-//!   into fixed-size accumulators inside the simulator, so no per-job
+//! * the run itself is **lean**
+//!   ([`RunBuilder::lean`](crate::runner::RunBuilder::lean)): completions
+//!   fold into fixed-size accumulators inside the simulator, so no per-job
 //!   outcome vector ever exists.
 //!
 //! End to end, a 16-cell sweep over a million-job log peaks at tens of

@@ -50,6 +50,18 @@ pub enum Action {
 }
 
 /// Per-instant context handed to [`Policy::decide`].
+///
+/// The simulator decides once per instant that holds an arrival, a tick of
+/// the once-a-minute preemption routine, or a lifecycle transition (a
+/// completion, a drain end, a fault). A batch of only stale events (the
+/// completion, drain end or crash of a dispatch that was since suspended
+/// or killed) is not a decide instant, and an eliding run also skips the
+/// quiescent instants its policy certifies. Fast paths inside a decide
+/// (SS/TSS's cheap no-op test and certificate, their victim-scan prunes,
+/// IS's empty-queue shortcut) must answer exactly as the full decide
+/// would; debug builds re-run the full decide behind each of them, and
+/// `tests/oracle.rs` checks the schedules against a naive transcription
+/// of the paper.
 #[derive(Clone, Copy, Debug)]
 pub struct DecideCtx<'a> {
     /// Jobs that arrived at this instant (already present in the queued
@@ -69,15 +81,6 @@ pub struct DecideCtx<'a> {
     /// disabled and every emission site is skipped; standalone policies
     /// can use [`TelemetryCtx::disabled`].
     pub metrics: &'a TelemetryCtx<'a>,
-    /// Ask the policy to run its exhaustive reference scan, bypassing any
-    /// provably-equivalent fast path (e.g. the SS/IS no-op tick
-    /// certifications and the certificate SS/TSS keep from their last
-    /// no-op decide). Decisions must be identical either way — the
-    /// differential tests in `tests/sweep_equivalence.rs` pin that — so
-    /// this only changes how much work a decide performs. Set by
-    /// [`Simulator::with_reference_decides`](crate::sim::Simulator::with_reference_decides)
-    /// for A/B benchmarks and fast-path validation.
-    pub reference: bool,
     /// A no-op decide's horizon. On entry the simulator stores
     /// `Some(floor)` when it could let ticks lapse (idle elision is active
     /// and no tick is armed), where `floor` is the least horizon that
@@ -94,7 +97,7 @@ pub struct DecideCtx<'a> {
     /// value not past `floor` reads as no horizon, so a policy that
     /// ignores the field reports none; only SS/TSS (the exact first
     /// instant a decide could act, crossings of the idle order included)
-    /// and IS report one, and never on the reference scan.
+    /// and IS report one.
     pub noop_until: &'a Cell<Option<f64>>,
 }
 

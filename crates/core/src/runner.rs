@@ -104,9 +104,8 @@ impl<S: TraceSink, T: TelemetrySink> RunBuilder<S, T> {
     /// Feed the run from an explicit [`JobSource`] instead of the
     /// workload implied by the configuration ([`ExperimentConfig::trace`]
     /// for closed systems, [`ExperimentConfig::open_source`] otherwise).
-    /// The sweep harness uses this to share one cached
-    /// [`TraceSource`](sps_workload::TraceSource) across a scheduler
-    /// grid.
+    /// The sweep harness uses this to share one cached [`TraceSource`]
+    /// across a scheduler grid.
     pub fn source(mut self, source: Box<dyn JobSource>) -> Self {
         self.source = Some(source);
         self

@@ -10,7 +10,7 @@
 //!
 //! The mechanics shared by every policy's `decide` — the planning free
 //! pool, claim protection, victim tables, claim-aware placement, and
-//! profile anchor searches — live in the crate-private [`planner`]
+//! profile anchor searches — live in the crate-private `planner`
 //! module, driven by the simulator's incremental occupancy index.
 
 pub(crate) mod planner;

@@ -136,15 +136,14 @@ impl VictimTable {
         self.reorder();
     }
 
-    /// Remove the entries at `indices` (any order), feeding each removed
-    /// victim to `f`; `indices` is drained for reuse. Uses
-    /// descending-index `swap_remove`, so surviving entries may be
-    /// reordered — callers that rely on a sorted mirror re-sort
-    /// afterwards.
+    /// Remove the entries at `indices` (any order), feeding the removed
+    /// victims to `f` from the highest index down; `indices` is drained
+    /// for reuse. The surviving entries keep their order, so a sorted
+    /// table stays sorted.
     pub fn remove_all(&mut self, indices: &mut Vec<usize>, mut f: impl FnMut(Victim)) {
         indices.sort_unstable_by(|a, b| b.cmp(a));
         for idx in indices.drain(..) {
-            f(self.entries.swap_remove(idx));
+            f(self.entries.remove(idx));
         }
         self.reorder();
     }
@@ -321,9 +320,9 @@ impl IdleOrder {
         }
     }
 
-    /// Build the order from scratch with a full sort (the reference
-    /// path). The marks are left alone: a run takes either this path or
-    /// [`repair`](Self::repair), never both.
+    /// Build the order from scratch with a full sort, the order that
+    /// debug builds check every [`repair`](Self::repair) against. The
+    /// marks are left alone.
     pub fn rebuild(&mut self, state: &SimState) {
         self.entries.clear();
         self.entries.extend(

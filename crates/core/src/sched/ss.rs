@@ -79,7 +79,7 @@
 //! the first change.
 //!
 //! After a full no-op decide SS/TSS keep a `Certificate`: the
-//! simulator's lifecycle-transition count ([`SimState::transitions`]) and
+//! simulator's lifecycle-transition count (`SimState::transitions`) and
 //! a lower bound on the first instant a non-tick decide could act (H,
 //! when it was computed whole; otherwise the certificate bounds nothing).
 //! While the count holds, only arrivals and the clock moved; a new job
@@ -295,6 +295,13 @@ impl SelectiveSuspension {
                 cert.tick = None;
             }
         }
+        if cfg!(debug_assertions) {
+            let reported = ctx
+                .noop_until
+                .get()
+                .filter(|&h| floor.is_some_and(|f| h > f));
+            self.check_certified(state, ctx, reported);
+        }
         true
     }
 
@@ -360,9 +367,6 @@ impl SelectiveSuspension {
             // No floor is offered until the next tick decide, which is a
             // full one.
             cert.tick = None;
-        }
-        if ctx.arrivals.is_empty() {
-            return true;
         }
         // Each new job has waited 0 s, so its xfactor of 1 sits below
         // every older idle job's: it sees every pinned claim, which the
@@ -430,19 +434,18 @@ impl SelectiveSuspension {
         true
     }
 
-    /// Debug builds: the full decide of the same state must act on
-    /// nothing, and its exact horizon must not come before the one the
-    /// certificate reported.
+    /// Debug builds: the full decide of the same state and instant must
+    /// act on nothing, and its exact horizon must not come before the one
+    /// the fast path reported.
     fn check_certified(&self, state: &SimState, ctx: &DecideCtx<'_>, reported: Option<f64>) {
         let mut full = self.clone();
         let (trace, metrics) = (TraceCtx::disabled(), TelemetryCtx::disabled());
         let noop_until = Cell::new(None);
         let probe = DecideCtx {
             arrivals: ctx.arrivals,
-            tick: false,
+            tick: ctx.tick,
             trace: &trace,
             metrics: &metrics,
-            reference: false,
             noop_until: &noop_until,
         };
         let mut actions = Vec::new();
@@ -451,7 +454,8 @@ impl SelectiveSuspension {
         let at = state.now().secs();
         assert!(
             actions.is_empty(),
-            "a certified decide at {at} would act: {actions:?}"
+            "a certified decide at {at} (tick: {}) would act: {actions:?}",
+            ctx.tick
         );
         if let Some(h) = reported {
             if !built {
@@ -551,13 +555,9 @@ impl SelectiveSuspension {
 
         // Idle jobs (queued + suspended) in descending priority; ids break
         // ties deterministically. The `(xfactor, id)` keys are unique, so
-        // repairing the last decide's order and sorting from scratch (the
-        // reference path) yield the same list.
-        if ctx.reference {
-            self.idle.rebuild(state);
-        } else {
-            self.idle.repair(state);
-        }
+        // repairing the last decide's order yields the from-scratch sort
+        // (debug builds compare the two).
+        self.idle.repair(state);
 
         // Plan against free processors *plus* those whose suspension
         // drain is already in flight (see [`planner::working_free_set_into`]).
@@ -592,11 +592,11 @@ impl SelectiveSuspension {
         // `cover[k]` — the union of those entries' sets — a victim scan
         // that must fail is rejected in O(set words), and one that may
         // succeed falls through to the scan unchanged, so actions and
-        // trace records are exactly the reference scan's. The reference
-        // scan runs without prunes.
+        // trace records are exactly the scan's. Debug builds run the scan
+        // behind every rejection and assert that it fails.
         let sf = self.cfg.sf;
         let total = state.total_procs();
-        let prune = !ctx.reference;
+        let now = state.now().secs();
 
         // The running mirror is only consulted on ticks (the paper's
         // once-a-minute preemption routine); between ticks only free
@@ -665,35 +665,42 @@ impl SelectiveSuspension {
                 // needed set must qualify as a victim (no width
                 // restriction for re-entry).
                 ensure_table!();
-                if prune {
-                    // A qualifying victim holding a `missing` processor
-                    // overlaps `needed`, so the scan's `covered` holds
-                    // exactly the processors of `missing` that `cover[k]`
-                    // does: it succeeds iff `missing ⊆ cover[k]`.
-                    let k = arena.table.qualifying_prefix(|r| prio_i >= sf * r.prio);
-                    let cover = arena.table.cover(k, total, vset);
-                    if !arena.missing.is_subset(cover) {
-                        arena.blocked.union_with(needed);
-                        continue;
-                    }
+                // The scan: collect the qualifying running jobs that
+                // overlap `needed`; it succeeds iff they cover `missing`.
+                macro_rules! scan {
+                    () => {{
+                        arena.indices.clear();
+                        arena.covered.clear();
+                        for (idx, r) in arena.table.entries().iter().enumerate() {
+                            let rset = vset(r.id);
+                            if !rset.overlaps(needed) {
+                                continue;
+                            }
+                            // Re-entry is exempt from the TSS limit: the
+                            // suspended job is the one whose variance the
+                            // limit exists to bound, and a protected
+                            // squatter on its processors would otherwise
+                            // pin it out indefinitely.
+                            if prio_i >= sf * r.prio {
+                                arena.indices.push(idx);
+                                arena.covered.union_with(rset);
+                            }
+                        }
+                        arena.missing.is_subset(&arena.covered)
+                    }};
                 }
-                arena.indices.clear();
-                arena.covered.clear();
-                for (idx, r) in arena.table.entries().iter().enumerate() {
-                    let rset = vset(r.id);
-                    if !rset.overlaps(needed) {
-                        continue;
-                    }
-                    // Re-entry is exempt from the TSS limit: the suspended
-                    // job is the one whose variance the limit exists to
-                    // bound, and a protected squatter on its processors
-                    // would otherwise pin it out indefinitely.
-                    if prio_i >= sf * r.prio {
-                        arena.indices.push(idx);
-                        arena.covered.union_with(rset);
-                    }
+                // A qualifying victim holding a `missing` processor overlaps
+                // `needed`, so the scan's `covered` holds exactly the
+                // processors of `missing` that `cover[k]` does: it succeeds
+                // iff `missing ⊆ cover[k]`.
+                let k = arena.table.qualifying_prefix(|r| prio_i >= sf * r.prio);
+                let cover = arena.table.cover(k, total, vset);
+                if !arena.missing.is_subset(cover) {
+                    debug_assert!(!scan!(), "a pruned re-entry scan at {now} succeeds");
+                    arena.blocked.union_with(needed);
+                    continue;
                 }
-                if !arena.missing.is_subset(&arena.covered) {
+                if !scan!() {
                     // Some needed processor is held by a non-preemptible
                     // job; keep the claim blocked and try again later.
                     arena.blocked.union_with(needed);
@@ -720,7 +727,6 @@ impl SelectiveSuspension {
                     }
                     actions.push(Action::Suspend(r.id));
                 });
-                arena.table.sort_ascending();
                 debug_assert!(needed.is_subset(&arena.free));
                 arena.free.subtract(needed);
                 arena.reserved.subtract(needed);
@@ -775,49 +781,60 @@ impl SelectiveSuspension {
                 // enough unblocked processors exist, then suspend the
                 // widest first.
                 ensure_table!();
-                if prune {
-                    // The scan gains `|set ∖ blocked|` from some of the
-                    // `k` qualifying victims. Running jobs hold disjoint
-                    // sets, so all `k` together gain `|cover[k] ∖
-                    // blocked|`; short of `need` even then, it must fail.
-                    let k = arena.table.qualifying_prefix(|r| prio_i >= sf * r.prio);
-                    debug_assert_eq!(
-                        arena.table.cover(k, total, vset).count(),
-                        arena.table.entries()[..k]
-                            .iter()
-                            .map(|r| r.procs)
-                            .sum::<u32>(),
-                        "running jobs hold disjoint sets"
-                    );
-                    let cover = arena.table.cover(k, total, vset);
-                    if allowed + cover.count_excluding(&arena.blocked) < need {
-                        continue;
-                    }
+                // The scan: collect qualifying victims, cheapest first,
+                // that the width rule and the TSS limits leave eligible,
+                // until they and the usable pool make up `need`; returns
+                // the width gathered.
+                macro_rules! scan {
+                    () => {{
+                        arena.indices.clear();
+                        let mut gain = allowed;
+                        for (idx, r) in arena.table.entries().iter().enumerate() {
+                            if gain >= need {
+                                break;
+                            }
+                            if prio_i < sf * r.prio {
+                                // running is sorted by ascending priority:
+                                // nothing further qualifies either.
+                                break;
+                            }
+                            if !self.cfg.width_ok(r, need) || self.cfg.protected(state, r.id) {
+                                continue;
+                            }
+                            arena.indices.push(idx);
+                            gain += vset(r.id).count_excluding(&arena.blocked);
+                        }
+                        gain
+                    }};
                 }
-                arena.indices.clear();
-                let mut gain = allowed;
-                for (idx, r) in arena.table.entries().iter().enumerate() {
-                    if gain >= need {
-                        break;
-                    }
-                    if prio_i < sf * r.prio {
-                        // running is sorted by ascending priority: nothing
-                        // further qualifies either.
-                        break;
-                    }
-                    if !self.cfg.width_ok(r, need) || self.cfg.protected(state, r.id) {
-                        continue;
-                    }
-                    arena.indices.push(idx);
-                    gain += vset(r.id).count_excluding(&arena.blocked);
-                }
-                if gain < need {
+                // The scan gains `|set ∖ blocked|` from some of the `k`
+                // qualifying victims. Running jobs hold disjoint sets, so
+                // all `k` together gain `|cover[k] ∖ blocked|`; short of
+                // `need` even then, it must fail.
+                let k = arena.table.qualifying_prefix(|r| prio_i >= sf * r.prio);
+                debug_assert_eq!(
+                    arena.table.cover(k, total, vset).count(),
+                    arena.table.entries()[..k]
+                        .iter()
+                        .map(|r| r.procs)
+                        .sum::<u32>(),
+                    "running jobs hold disjoint sets"
+                );
+                let cover = arena.table.cover(k, total, vset);
+                if allowed + cover.count_excluding(&arena.blocked) < need {
+                    debug_assert!(scan!() < need, "a pruned victim scan at {now} succeeds");
                     continue;
                 }
-                // Suspend in decreasing usable width until the job fits.
+                if scan!() < need {
+                    continue;
+                }
+                // Suspend in decreasing usable width until the job fits;
+                // victims of equal usable width keep the scan's order,
+                // cheapest first (the table's ascending priority, ids
+                // breaking ties).
                 {
                     let (table, blocked) = (&arena.table, &arena.blocked);
-                    arena.indices.sort_unstable_by(|&a, &b| {
+                    arena.indices.sort_by(|&a, &b| {
                         vset(table.entries()[b].id)
                             .count_excluding(blocked)
                             .cmp(&vset(table.entries()[a].id).count_excluding(blocked))
@@ -850,7 +867,6 @@ impl SelectiveSuspension {
                     }
                     actions.push(Action::Suspend(r.id));
                 });
-                arena.table.sort_ascending();
                 usable = None;
                 debug_assert!(arena.free.count_excluding(&arena.blocked) >= need);
                 let set = planner::alloc_avoiding_in(
@@ -907,13 +923,9 @@ impl Policy for SelectiveSuspension {
             self.record_protection(state, ctx);
         }
         // The least horizon worth reporting, when the simulator asks for
-        // one (see `DecideCtx::noop_until`). The reference scan reports
-        // none, and takes neither fast path below.
-        let floor = ctx.noop_until.get().filter(|_| !ctx.reference);
-        if !ctx.reference
-            && (self.cheap_noop(state, ctx, floor)
-                || self.answer_from_certificate(state, ctx, floor))
-        {
+        // one (see `DecideCtx::noop_until`).
+        let floor = ctx.noop_until.get();
+        if self.cheap_noop(state, ctx, floor) || self.answer_from_certificate(state, ctx, floor) {
             return;
         }
         self.cert = None;
@@ -921,7 +933,7 @@ impl Policy for SelectiveSuspension {
         // it out of `self` lets the walk borrow its fields independently.
         let mut arena = std::mem::take(&mut self.arena);
         let table_built = self.walk(state, ctx, &mut arena, actions);
-        if actions.is_empty() && !ctx.reference {
+        if actions.is_empty() {
             self.settle_noop(state, ctx, floor, &mut arena, table_built);
         }
         self.arena = arena;
@@ -1697,7 +1709,7 @@ mod tests {
     }
 
     #[test]
-    fn the_certificate_answers_arrivals_that_cannot_start_and_stale_batches() {
+    fn the_certificate_answers_arrivals_that_cannot_start_and_a_stale_batch_does_not_decide() {
         // The setting of the crossing test, with F replaced: S (8 wide)
         // is suspended by P at 60 000, leaving three free processors that
         // S claims. B (3 wide, est 10⁶) arrives at 61 000 and cannot use
@@ -1706,9 +1718,9 @@ mod tests {
         // so that decide keeps a certificate. A1 (2 wide) arrives at
         // 66 000 and fits them: the certificate sends it to the full
         // decide, which starts it at once. A2 (3 wide) arrives at 67 000
-        // and fits nothing, and S's original completion event, stale since
-        // its suspension, fires alone at 100 000: the certificate answers
-        // both without a walk.
+        // and fits nothing: the certificate answers it without a walk. S's
+        // original completion event, stale since its suspension, fires
+        // alone at 100 000; it is not a decide instant.
         let jobs = vec![
             Job::new(0, 0, 100_000, 100_000, 8),
             Job::new(1, 0, 65_000, 65_000, 2),
@@ -1733,8 +1745,8 @@ mod tests {
             "a non-fitting arrival is certified"
         );
         assert!(
-            decide_at(&log, 100_000).3,
-            "a stale-only batch is certified"
+            log.borrow().iter().all(|d| d.0 != 100_000),
+            "a stale-only batch decides"
         );
     }
 

@@ -15,15 +15,15 @@
 //!
 //! The module is split by concern:
 //!
-//! * [`state`] — [`SimState`]: the job table, the queued/suspended/running
+//! * `state` — [`SimState`]: the job table, the queued/suspended/running
 //!   lists, and the incremental kernel structures (the
 //!   [`sps_cluster::AvailabilityProfile`] release ledger and the
 //!   [`SchedIndex`] occupancy index) together with their debug
 //!   cross-checks,
-//! * [`dispatch`] — placing work onto processors (start / resume paths),
-//! * [`lifecycle`] — taking work off processors (suspend / drain /
+//! * `dispatch` — placing work onto processors (start / resume paths),
+//! * `lifecycle` — taking work off processors (suspend / drain /
 //!   complete / kill paths),
-//! * [`runloop`] — the [`Simulator`] driver: event handling, the
+//! * `runloop` — the [`Simulator`] driver: event handling, the
 //!   policy-decision loop, fault delivery, and result assembly,
 //! * [`index`] — the [`SchedIndex`] itself.
 //!

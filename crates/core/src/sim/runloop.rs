@@ -123,7 +123,11 @@ pub struct KernelStats {
     /// Engine events processed (arrivals, completions, drains, faults,
     /// ticks).
     pub events: u64,
-    /// Event batches handled — one policy `decide()` call each.
+    /// Policy `decide()` calls: one per event batch that holds an
+    /// arrival, a tick or a lifecycle transition, less the quiescent
+    /// instants an eliding run skips. A batch of only stale events (the
+    /// completion, drain end or crash of a dispatch that was since
+    /// suspended or killed) decides nothing.
     pub decide_calls: u64,
     /// Wall-clock time of the engine loop, microseconds.
     pub wall_micros: u64,
@@ -323,9 +327,10 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     elide_idle: bool,
     /// The ticks elision let lapse, replayed for the trace.
     lapsed: LapsedTicks,
-    /// Pass `reference: true` to every decide, disabling the policies'
-    /// provably-equivalent fast paths (see [`DecideCtx::reference`]).
-    reference_decides: bool,
+    /// The no-op horizon of the last batch that decided (or skipped a
+    /// quiescent decide); a batch of only stale events re-arms the ticker
+    /// from it, since nothing in such a batch moves it.
+    horizon: Option<f64>,
     /// Trace record consumer.
     sink: S,
     /// Telemetry observation consumer.
@@ -403,7 +408,7 @@ impl<S: TraceSink> Simulator<S> {
             decide_calls: 0,
             elide_idle: true,
             lapsed: LapsedTicks::default(),
-            reference_decides: false,
+            horizon: None,
             sink,
             telemetry: NullTelemetry,
             source,
@@ -431,7 +436,7 @@ impl<S: TraceSink> Simulator<S> {
             decide_calls: self.decide_calls,
             elide_idle: self.elide_idle,
             lapsed: self.lapsed,
-            reference_decides: self.reference_decides,
+            horizon: self.horizon,
             sink: self.sink,
             telemetry,
             source: self.source,
@@ -471,10 +476,12 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// instant an idle job's xfactor could change a tick decide, IS the
     /// first protection expiry that could), at the first tick at or after
     /// one period before it — if that comes before the next queued event;
-    /// otherwise the ticker stays disarmed until that event. [`Ticker`]
-    /// phase is absolute (ticks land on multiples of the period), so the
-    /// tick continuous ticking would deliver next is known throughout: a
-    /// batch that lands on it decides as a tick batch, and the ticks that
+    /// otherwise the ticker stays disarmed until that event. A batch of
+    /// only stale events, which decides nothing in either schedule, re-arms
+    /// it from the last decide's horizon. [`Ticker`] phase is absolute
+    /// (ticks land on multiples of the period), so the tick continuous
+    /// ticking would deliver next is known throughout: a batch that lands
+    /// on it decides as a tick batch, and the ticks that
     /// lapse before it are replayed (`LapsedTicks`) — each writes its trace
     /// gauge, counts in the trace's `engine` record and, on a machine with
     /// waiting jobs, takes its telemetry sample. A no-op decide's decision
@@ -483,24 +490,14 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// The schedule, outcomes, every trace byte and the health report are
     /// unchanged, traced or not; only [`KernelStats`] and the telemetry
     /// registry's executed-work counts (events, decides, victim scans) see
-    /// fewer events, decides and instants. This holds for fault-injected and admission-controlled
-    /// runs too (see `elision_active` for why). Passing `false` is the only
-    /// way to execute the every-tick schedule (the before-side of
-    /// `sweep_throughput`, and any bench that pins event counts).
+    /// fewer events, decides and instants. This holds for fault-injected
+    /// and admission-controlled runs too (see `elision_active` for why).
+    /// Passing `false` is the only way to execute the every-tick schedule
+    /// (the before-side of `sweep_throughput`, the elided-against-every-tick
+    /// suites, and any bench that pins event counts); `tests/oracle.rs`
+    /// checks the elided schedule against the paper.
     pub fn with_tick_elision(mut self, enabled: bool) -> Self {
         self.elide_idle = enabled;
-        self
-    }
-
-    /// Run every decide through the policies' exhaustive reference scan
-    /// (builder style, default off). Fast paths like the SS/IS no-op tick
-    /// certifications are provably decision-identical, so this changes
-    /// only the work per decide, never the schedule — the differential
-    /// tests pin it. Used with [`Simulator::with_tick_elision`]`(false)`
-    /// to reconstruct the pre-sweep-engine execution profile as a
-    /// benchmark baseline.
-    pub fn with_reference_decides(mut self) -> Self {
-        self.reference_decides = true;
         self
     }
 
@@ -1199,12 +1196,13 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
 
     /// A processor failed: take it down, kill the dispatched job holding
     /// it (its memory image is gone), apply the recovery policy to
-    /// suspended jobs reserving it, and schedule the repair.
-    fn on_proc_failed(&mut self, p: u32, queue: &mut EventQueue<Event>) {
+    /// suspended jobs reserving it, and schedule the repair. Returns
+    /// whether the failure happened (false for a stale one).
+    fn on_proc_failed(&mut self, p: u32, queue: &mut EventQueue<Event>) -> bool {
         if self.faults.is_none() || self.state.incomplete == 0 {
             // Leftover failure events after the last completion fire
             // harmlessly, letting the queue drain.
-            return;
+            return false;
         }
         let now = self.state.now;
         self.state.transitions += 1;
@@ -1258,14 +1256,15 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
                 RecoveryPolicy::Remap => self.state.jobs[i].remap = true,
             }
         }
+        true
     }
 
     /// A processor came back: return it to the free pool, close stranded
     /// accounting for jobs whose reserved set is whole again, and schedule
-    /// the processor's next failure.
-    fn on_proc_repaired(&mut self, p: u32, queue: &mut EventQueue<Event>) {
+    /// the processor's next failure. Returns whether the repair happened.
+    fn on_proc_repaired(&mut self, p: u32, queue: &mut EventQueue<Event>) -> bool {
         if self.faults.is_none() {
-            return;
+            return false;
         }
         let now = self.state.now;
         self.state.transitions += 1;
@@ -1303,20 +1302,23 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         if let Some(dt) = next_failure_in {
             queue.push(now + dt, EventClass::Fault, Event::ProcFailed(p));
         }
+        true
     }
 
     /// An injected job crash fired (if its dispatch is still current).
-    fn on_crash(&mut self, id: JobId, epoch: u32) {
+    /// Returns whether it killed the job (false for a stale crash).
+    fn on_crash(&mut self, id: JobId, epoch: u32) -> bool {
         if self.state.reclaimed(id) {
-            return; // only Done slots are trimmed, so the event is stale
+            return false; // only Done slots are trimmed, so the event is stale
         }
         let i = self.state.slot(id);
         let rt = &self.state.jobs[i];
         if rt.epoch != epoch || !matches!(rt.phase, Phase::Running { .. }) {
-            return; // stale: the dispatch was preempted or completed
+            return false; // stale: the dispatch was preempted or completed
         }
         self.state.jobs[i].crash_after = None; // crashes once
         self.kill_job(id, true);
+        true
     }
 
     /// Shared kill path: state mechanics, counters, trace record.
@@ -1369,12 +1371,20 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
             }
         }
         let drain_start = prof.then(Instant::now);
+        // Whether the batch holds an arrival, and whether another of its
+        // events changed anything: a fault, or a completion, drain end or
+        // crash of a dispatch that is still current. A batch of only stale
+        // events is not a decide instant (the paper decides at arrivals,
+        // completions and the once-a-minute routine).
+        let (mut arrived, mut live) = (false, false);
+        let transitions = self.state.transitions();
         for ev in batch.drain(..) {
             if tel {
                 self.tel_event(&ev);
             }
             match ev {
                 Event::Arrival(id) => {
+                    arrived = true;
                     self.state.arrive(id);
                     self.arrivals_now.push(id);
                     if self.sink.enabled() {
@@ -1389,6 +1399,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                     }
                     let rt = &self.state.jobs[self.state.slot(job)];
                     if rt.epoch == epoch && matches!(rt.phase, Phase::Running { .. }) {
+                        live = true;
                         let outcome = self.state.complete(job);
                         self.policy.on_completion(&outcome);
                         if self.sink.enabled() {
@@ -1410,6 +1421,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                     }
                     let rt = &self.state.jobs[self.state.slot(job)];
                     if rt.epoch == epoch && rt.phase == Phase::Draining {
+                        live = true;
                         self.state.drain_done(job);
                         if self.sink.enabled() {
                             self.emit_job(job, JobEvent::Drain, false);
@@ -1417,9 +1429,9 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                     }
                     // else: the drain was cut short by a kill.
                 }
-                Event::ProcFailed(p) => self.on_proc_failed(p, queue),
-                Event::ProcRepaired(p) => self.on_proc_repaired(p, queue),
-                Event::Crash { job, epoch } => self.on_crash(job, epoch),
+                Event::ProcFailed(p) => live |= self.on_proc_failed(p, queue),
+                Event::ProcRepaired(p) => live |= self.on_proc_repaired(p, queue),
+                Event::Crash { job, epoch } => live |= self.on_crash(job, epoch),
                 Event::Tick => {
                     if let Some(t) = &mut self.ticker {
                         tick |= t.fired(now);
@@ -1455,11 +1467,13 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         let arrivals = std::mem::take(&mut self.arrivals_now);
         self.actions.clear();
         let elidable = self.elision_active();
-        // A quiescent instant that delivered nothing actionable (typically
-        // a leftover tick, or a completion with an empty queue) cannot
+        let stale = !(arrived || live || tick);
+        // A batch of only stale events is not a decide instant, and a
+        // quiescent instant that delivered nothing actionable (typically a
+        // leftover tick, or a completion with an empty queue) cannot
         // change the schedule when the policy certifies it — skip the
         // decide outright.
-        let skip_decide = elidable && arrivals.is_empty() && self.state.quiescent();
+        let skip_decide = stale || (elidable && arrivals.is_empty() && self.state.quiescent());
         // With the ticker idle, a horizon past the tick after next lets at
         // least one tick lapse.
         let floor = match &self.ticker {
@@ -1492,9 +1506,12 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
                     tick,
                     trace: &tracer,
                     metrics: &metrics,
-                    reference: self.reference_decides,
                     noop_until: &noop_until,
                 };
+                debug_assert!(
+                    tick || arrived || self.state.transitions() != transitions,
+                    "a batch of only stale events reached decide at {now:?}"
+                );
                 self.decide_calls += 1;
                 self.policy.decide(&self.state, &ctx, &mut self.actions);
             }
@@ -1516,13 +1533,17 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         self.arrivals_now = arrivals;
         // The decide's horizon: no tick before it can act. Acting
         // decides report none, and a quiescent machine waits for an event
-        // whatever its decide did.
-        let reported = noop_until.get().filter(|&h| floor.is_some_and(|f| h > f));
-        let horizon = if elidable && self.state.quiescent() {
-            Some(f64::INFINITY)
-        } else {
-            reported
-        };
+        // whatever its decide did. A stale batch changed nothing, so the
+        // last horizon stands.
+        if !stale {
+            let reported = noop_until.get().filter(|&h| floor.is_some_and(|f| h > f));
+            self.horizon = if elidable && self.state.quiescent() {
+                Some(f64::INFINITY)
+            } else {
+                reported
+            };
+        }
+        let horizon = self.horizon;
 
         // Per-tick gauges, after the instant's decisions have been applied.
         if tick && self.sink.enabled() {

@@ -91,7 +91,7 @@ pub(crate) enum PhaseTag {
 /// moves — policies may cache slots across decides.
 ///
 /// Caveat: under a lean (fold-only) run the kernel reclaims the Done
-/// prefix of the tables ([`SimState::maybe_trim`]), so a hot-array slot
+/// prefix of the tables (`SimState::maybe_trim`), so a hot-array slot
 /// is `id.index() - trimmed` there and this direct mapping only holds
 /// for full (non-lean) runs — which is every run a policy can observe
 /// slots in, since trimming strictly follows terminal states.

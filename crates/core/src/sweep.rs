@@ -884,7 +884,7 @@ pub struct SweepProgress {
     /// e.g. `thrash ×12` (`None` without telemetry or with clean runs).
     pub worst_detector: Option<String>,
     /// Live per-worker shard counters, when the harness runs on a
-    /// [`ShardBoard`] (the sweep and mega-sweep engines always do; the
+    /// `ShardBoard` (the sweep and mega-sweep engines always do; the
     /// tracker itself fills `None` and the harness attaches the
     /// snapshot). Feeds the `--top` live worker view.
     pub workers: Option<Vec<ShardStats>>,

@@ -270,25 +270,4 @@ mod tests {
             assert!((trace.last_completion - 2.0 * L as f64).abs() < 1e-6);
         }
     }
-
-    #[test]
-    fn alternation_matches_simulator() {
-        // Cross-check the closed form against the full event simulator:
-        // two equal full-machine tasks under SS.
-        use crate::sched::ss::SelectiveSuspension;
-        use crate::sim::Simulator;
-        use sps_workload::Job;
-        for (sf, expect_susp) in [(2.0, 0u32), (1.5, 1)] {
-            let jobs = vec![Job::new(0, 0, L, L, 8), Job::new(1, 0, L, L, 8)];
-            let res = Simulator::new(jobs, 8, Box::new(SelectiveSuspension::ss(sf))).run();
-            let total_susp: u32 = res.outcomes.iter().map(|o| o.suspensions).sum();
-            // The event simulator's minute granularity can delay the
-            // preemption past T1's completion for sf close to the
-            // boundary; allow the analytic count or fewer.
-            assert!(
-                total_susp <= expect_susp,
-                "sf={sf}: simulator produced {total_susp} suspensions, analysis says ≤ {expect_susp}"
-            );
-        }
-    }
 }

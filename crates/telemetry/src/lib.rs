@@ -210,7 +210,9 @@ pub struct TelemetryCtx<'s> {
 }
 
 impl<'s> TelemetryCtx<'s> {
-    /// A context that drops everything (for tests and reference decides).
+    /// A context that drops everything: for policies run outside a
+    /// simulator, and for the debug builds' re-run of a decide that a
+    /// fast path answered.
     pub fn disabled() -> Self {
         TelemetryCtx {
             inner: None,

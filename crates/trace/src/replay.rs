@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::BufRead;
 
 use crate::json::Json;
-use crate::record::{JobEvent, ProcEvent, Reason, TraceRecord};
+use crate::record::{JobEvent, ProcEvent, Reason, TraceRecord, TRACE_VERSION};
 
 /// Knobs for [`validate_records`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -123,6 +123,9 @@ pub struct Validator {
     index: usize,
     last_t: i64,
     header_seen: bool,
+    /// The header named a schema version other than [`TRACE_VERSION`]:
+    /// one violation says so, and the records after it are not read.
+    foreign_version: bool,
     /// `sf` parsed from the header's scheduler string, for `ss:`/`tss:`.
     sf: Option<f64>,
     jobs: HashMap<u32, JobTrack>,
@@ -160,6 +163,7 @@ impl Validator {
             index: 0,
             last_t: i64::MIN,
             header_seen: false,
+            foreign_version: false,
             sf: None,
             jobs: HashMap::new(),
             occupied: HashMap::new(),
@@ -183,6 +187,9 @@ impl Validator {
 
     /// Feed the next record.
     pub fn push(&mut self, rec: &TraceRecord) {
+        if self.foreign_version {
+            return;
+        }
         self.stats.records += 1;
         if let Some(t) = rec.time() {
             if t < self.last_t {
@@ -198,8 +205,19 @@ impl Validator {
         }
         match rec {
             TraceRecord::Header {
-                scheduler, config, ..
+                version,
+                scheduler,
+                config,
             } => {
+                if *version != TRACE_VERSION {
+                    // Another schema's records would each read as a
+                    // violation of this one.
+                    self.violation(format!(
+                        "trace schema version {version}; this validator reads version {TRACE_VERSION}"
+                    ));
+                    self.foreign_version = true;
+                    return;
+                }
                 if self.header_seen {
                     self.violation("duplicate header".to_string());
                 } else if self.index != 0 {
@@ -561,6 +579,9 @@ impl Validator {
 
     /// Finish: return the stats, or every violation found.
     pub fn finish(mut self) -> Result<ReplayStats, Vec<Violation>> {
+        if self.foreign_version {
+            return Err(self.violations);
+        }
         self.end_instant();
         self.stats.live_at_end = self
             .jobs
@@ -595,6 +616,9 @@ pub fn validate_jsonl(
 ) -> Result<ReplayStats, Vec<Violation>> {
     let mut v = Validator::new(opts);
     for (i, line) in reader.lines().enumerate() {
+        if v.foreign_version {
+            break;
+        }
         let line = match line {
             Ok(line) => line,
             Err(e) => {
@@ -623,7 +647,6 @@ pub fn validate_jsonl(
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::record::TRACE_VERSION;
 
     fn job(t: i64, id: u32, event: JobEvent, procs: Option<Vec<u32>>) -> TraceRecord {
         TraceRecord::Job {

@@ -122,10 +122,10 @@ impl TraceCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// The trace for `key` as a caching [`JobSource`]: the first request
-    /// generates, later requests replay the shared `Arc<[Job]>` without a
-    /// copy. This is how sweep workers feed cached traces through the
-    /// same source seam open-system generators use.
+    /// The trace for `key` as a caching [`JobSource`](crate::JobSource):
+    /// the first request generates, later requests replay the shared
+    /// `Arc<[Job]>` without a copy. This is how sweep workers feed cached
+    /// traces through the same source seam open-system generators use.
     pub fn source(
         &self,
         key: TraceKey,

@@ -158,187 +158,6 @@ fn sweep_cells_are_bit_identical_to_naive_path() {
     }
 }
 
-/// Run `cfg` once on the exhaustive reference scan and once on the fast
-/// decide paths — elision off, so every tick actually reaches `decide` and
-/// the fast path runs at maximum frequency — and assert the two runs are
-/// bit-identical, down to the kernel's event and decide counts. Returns
-/// the fast run.
-fn assert_fast_decides_match_reference(
-    cfg: &ExperimentConfig,
-    lean: bool,
-    label: &str,
-) -> SimResult {
-    let run = |reference: bool| {
-        let sim = cfg.runner().lean(lean).build().with_tick_elision(false);
-        if reference {
-            sim.with_reference_decides()
-        } else {
-            sim
-        }
-        .run()
-    };
-    let (r, f) = (run(true), run(false));
-    assert_eq!(r.makespan, f.makespan, "{label}: makespan");
-    assert_eq!(r.preemptions, f.preemptions, "{label}: preemptions");
-    assert_eq!(
-        r.dropped_actions, f.dropped_actions,
-        "{label}: dropped actions"
-    );
-    assert_eq!(r.kernel.events, f.kernel.events, "{label}: events");
-    assert_eq!(
-        r.kernel.decide_calls, f.kernel.decide_calls,
-        "{label}: decide calls"
-    );
-    assert_eq!(
-        r.kernel.reclaimed_slots, f.kernel.reclaimed_slots,
-        "{label}: reclaimed slots"
-    );
-    assert_eq!(r.faults, f.faults, "{label}: fault counters");
-    assert_eq!(
-        r.utilization.to_bits(),
-        f.utilization.to_bits(),
-        "{label}: utilization"
-    );
-    assert_eq!(r.outcomes.len(), f.outcomes.len(), "{label}: jobs");
-    for (a, b) in r.outcomes.iter().zip(&f.outcomes) {
-        assert_eq!(
-            (a.id, a.first_start, a.completion, a.suspensions, a.kills),
-            (b.id, b.first_start, b.completion, b.suspensions, b.kills),
-            "{label}: outcome {:?}",
-            a.id
-        );
-    }
-    let fold = |res: &SimResult| {
-        res.lean.as_ref().map(|l| {
-            (
-                l.count(),
-                l.makespan(),
-                l.mean_slowdown().to_bits(),
-                l.worst_slowdown().to_bits(),
-                l.mean_turnaround().to_bits(),
-                l.worst_turnaround().to_bits(),
-            )
-        })
-    };
-    assert_eq!(fold(&r), fold(&f), "{label}: lean fold");
-    f
-}
-
-/// The fast decide paths (SS's no-op tick certification, kept idle order,
-/// prefix-cover victim-scan prunes, IS's empty-waiting exact-fit bound)
-/// must be *provably equivalent* shortcuts of the reference scan. Elision
-/// is off here, so no horizon is computed and the SS/TSS certificate,
-/// which needs one, is checked by the elided-against-every-tick suites
-/// below instead. Besides the paper-load inputs, CTC at load 2.0 keeps
-/// queues long enough that most victim and re-entry scans fail and, over
-/// 1,200 jobs, that TSS limits (25 completions per category) engage; with
-/// and without the paper's overhead, since without it suspended jobs free
-/// their processors at once and the pool the prunes test holds no
-/// draining ones.
-/// The last inputs cover every way a job enters or leaves the idle set
-/// SS/TSS keep ordered between decides.
-#[test]
-fn reference_and_fast_decides_agree_end_to_end() {
-    const ALL: &[&str] = &["ss:1.5", "ss:2", "ss:10", "tss:1.5", "tss:2", "is"];
-    let paper = OverheadModel::paper();
-    let inputs: [(SystemPreset, f64, usize, OverheadModel, &[&str]); 4] = [
-        (SDSC, 1.0, 160, paper, ALL),
-        (CTC, 1.0, 160, paper, ALL),
-        (CTC, 2.0, 1_200, paper, &["ss:2", "tss:2", "tss:1.5"]),
-        (CTC, 2.0, 1_200, OverheadModel::None, &["ss:2", "tss:2"]),
-    ];
-    for (system, load, jobs, overhead, specs) in inputs {
-        for spec in specs {
-            let kind: SchedulerKind = spec.parse().expect("spec parses");
-            let cfg = ExperimentConfig::new(system, kind)
-                .with_jobs(jobs)
-                .with_seed(11)
-                .with_load_factor(load)
-                .with_overhead(overhead);
-            let label = format!(
-                "{} on {} at load {}, {:?}",
-                spec, system.name, load, overhead
-            );
-            assert_fast_decides_match_reference(&cfg, false, &label);
-        }
-    }
-    // Fault kills re-queue started jobs, `WaitForRepair` strands suspended
-    // ones, `Remap` and a migrating preemption mode send them through the
-    // fresh-job branch, and a lean run reclaims the Done prefix of the job
-    // window under the kept membership marks.
-    for spec in ["ss:2", "tss:2"] {
-        let kind: SchedulerKind = spec.parse().expect("spec parses");
-        let base = ExperimentConfig::new(CTC, kind)
-            .with_jobs(600)
-            .with_seed(11)
-            .with_load_factor(1.5)
-            .with_overhead(OverheadModel::paper());
-        let faults = FaultModel::proc_faults(2_000_000, 3_600, 5).with_job_crash(0.05);
-        for recovery in RecoveryPolicy::ALL {
-            let cfg = base.clone().with_faults(faults.with_recovery(recovery));
-            let label = format!("{spec} on CTC under faults, {recovery}");
-            let f = assert_fast_decides_match_reference(&cfg, false, &label);
-            assert!(
-                f.faults.jobs_killed + f.faults.job_crashes > 0,
-                "{label}: no kills"
-            );
-            if recovery == RecoveryPolicy::Remap {
-                assert!(f.faults.migrations > 0, "{label}: no remapped re-entry");
-            }
-        }
-        let cfg = base
-            .clone()
-            .with_faults(faults)
-            .with_preemption(PreemptionMode::Migrate);
-        let label = format!("{spec} on CTC under faults, migrating");
-        let f = assert_fast_decides_match_reference(&cfg, false, &label);
-        assert!(f.faults.migrations > 0, "{label}: no migrated re-entry");
-
-        let cfg = ExperimentConfig::new(SDSC, kind)
-            .with_jobs(4_000)
-            .with_seed(11)
-            .with_load_factor(1.2)
-            .with_overhead(OverheadModel::paper());
-        let label = format!("{spec} on SDSC, lean");
-        let f = assert_fast_decides_match_reference(&cfg, true, &label);
-        assert!(f.kernel.reclaimed_slots > 0, "{label}: nothing reclaimed");
-    }
-}
-
-/// A traced saturated TSS run writes the same JSONL bytes with and
-/// without the fast decide paths. TSS writes its `disable_limit` records
-/// before any fast path, and the log must show that they occur.
-#[test]
-fn traced_tss_log_is_identical_with_reference_decides() {
-    let cfg = ExperimentConfig::new(CTC, SchedulerKind::Tss { sf: 2.0 })
-        .with_jobs(1_200)
-        .with_seed(11)
-        .with_load_factor(2.0)
-        .with_overhead(OverheadModel::paper());
-    let log = |reference: bool| {
-        let mut sink = JsonlSink::new(Vec::new());
-        let sim = cfg.runner().trace_sink(&mut sink).build();
-        let res = if reference {
-            sim.with_reference_decides()
-        } else {
-            sim
-        }
-        .run();
-        assert_eq!(res.outcomes.len(), 1_200);
-        String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8")
-    };
-    let (r, f) = (log(true), log(false));
-    assert!(
-        r == f,
-        "traced TSS logs diverge between reference and fast decides"
-    );
-    let limits = f
-        .lines()
-        .filter(|l| l.contains(r#""reason":"disable_limit""#))
-        .count();
-    assert!(limits > 0, "no disable_limit record in the log");
-}
-
 /// Tick elision must not change *any* observable simulation output, for
 /// every policy that certifies quiescent decides as no-ops — and gang
 /// (which doesn't) must behave identically too, because the gate reads
@@ -420,9 +239,9 @@ fn tick_elision_preserves_simulation_results() {
 /// SS and TSS lapse the ticks before the first crossing that lets one
 /// start, where a horizon that stopped at every idle-order swap or
 /// qualifying victim kept about three quarters of the decides. Those runs
-/// also answer arrival-only and stale-only decides from the certificate
-/// of the last no-op decide, so they check it against the every-tick
-/// run, whose fast decides the reference differential above checks.
+/// also answer arrival-only decides from the certificate of the last
+/// no-op decide, so they check it against the every-tick run; the paper
+/// oracle (tests/oracle.rs) referees both.
 #[test]
 fn noop_horizons_preserve_results_on_backlogged_runs() {
     // The last field caps the elided run's decides, in percent of the

@@ -281,3 +281,23 @@ fn assert_pinned(bytes: Vec<u8>, expected: &[&str]) {
     }
     assert!(text.ends_with('\n'), "every line is newline-terminated");
 }
+
+/// A trace of another schema version is refused with one violation that
+/// names its version, not with one per record of the old schema.
+#[test]
+fn a_trace_of_another_schema_version_is_refused_once() {
+    let v1 = concat!(
+        r#"{"type":"header","version":1,"scheduler":"tss:2.0","config":null}"#,
+        "\n",
+        r#"{"type":"decision","t":120,"reason":"blocked_by_disable_limit","victim":1,"suspender":2,"category":"L W","victim_xf":9.5,"limit":4.25}"#,
+        "\n",
+    );
+    let violations = validate_jsonl(BufReader::new(v1.as_bytes()), ReplayOptions::default())
+        .expect_err("a version-1 trace is refused");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(
+        violations[0].message.contains("version 1"),
+        "{}",
+        violations[0].message
+    );
+}
