@@ -18,11 +18,13 @@
 //! case's dated `history` array — and exits non-zero below 50% of that
 //! baseline: a coarse CI tripwire for "telemetry (or anything else)
 //! made the default-disabled hot path slow", deliberately loose enough
-//! to survive shared-runner noise. Every guarded run also *appends* a
-//! dated entry, with the host core count, to each measured case's
+//! to survive shared-runner noise. Every guarded full run also *appends*
+//! a dated entry, with the host core count, to each measured case's
 //! `history` (regressions included, so the trajectory is honest; the
 //! max-baseline rule means a recorded regression never ratchets the gate
-//! down).
+//! down). A guarded `--smoke` run gates the same way but records
+//! nothing: a one-sample entry would only raise later floors on a lucky
+//! sample, and CI's run of the check would rewrite the tracked file.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -156,9 +158,13 @@ fn main() {
     let mut samples = 7usize;
     let mut filter = None;
     let mut guard = false;
+    let mut smoke = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--smoke" => samples = 1,
+            "--smoke" => {
+                samples = 1;
+                smoke = true;
+            }
             "--quick" => samples = 3,
             "--guard" => guard = true,
             "--bench" | "--test" => {}
@@ -243,6 +249,9 @@ fn main() {
                     violations.push(format!("{}: no baseline in BENCH_kernel.json", case.label))
                 }
             }
+            if smoke {
+                continue;
+            }
             let entry = history::obj(vec![
                 ("date", sps_trace::Json::Str(date.clone())),
                 ("host_cores", sps_trace::Json::Int(host_cores as i64)),
@@ -266,10 +275,14 @@ fn main() {
         }
     }
     if let Some(doc) = &report {
-        // Record the run — regressions too — before the gate can exit.
-        match history::store(REPORT, doc) {
-            Ok(()) => eprintln!("appended dated history entries to {REPORT}"),
-            Err(e) => eprintln!("warning: cannot write {REPORT}: {e}"),
+        // Record a full run — regressions too — before the gate can exit.
+        if smoke {
+            eprintln!("smoke run: {REPORT} left as it was");
+        } else {
+            match history::store(REPORT, doc) {
+                Ok(()) => eprintln!("appended dated history entries to {REPORT}"),
+                Err(e) => eprintln!("warning: cannot write {REPORT}: {e}"),
+            }
         }
         if violations.is_empty() {
             println!(

@@ -255,6 +255,18 @@ struct LapsedTicks {
     merged: u64,
 }
 
+/// What a per-tick gauge and a telemetry sample read of the machine.
+#[derive(Clone, Copy)]
+struct Counts {
+    queued: u32,
+    /// Free processors.
+    idle: u32,
+    /// Processors held by draining jobs.
+    draining: u32,
+    suspended: u32,
+    running: u32,
+}
+
 /// The simulator: a trace, a machine, a policy, an overhead model.
 ///
 /// ```
@@ -641,10 +653,9 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
             || self.state.index.draining_jobs() > 0
     }
 
-    /// The per-tick gauge record at `t`, read from the current state.
-    fn gauge(&self, t: SimTime) -> TraceRecord {
-        TraceRecord::Gauge {
-            t: t.secs(),
+    /// The machine's counts, as a gauge and a telemetry sample read them.
+    fn counts(&self) -> Counts {
+        Counts {
             queued: self.state.queued.len() as u32,
             idle: self.state.free_count(),
             draining: self.state.draining_set().count(),
@@ -677,20 +688,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         // suspended or claimed), so its lapsed ticks are not sampled.
         let sample = self.telemetry.enabled() && !self.state.quiescent();
         if self.sink.enabled() || sample {
-            let now = self.state.now;
-            for k in 0..n {
-                let t = first + k * period;
-                if self.sink.enabled() {
-                    let gauge = self.gauge(t);
-                    self.sink.record(&gauge);
-                }
-                if sample {
-                    self.state.now = t;
-                    self.sample_instant(t.secs(), queue_events);
-                    self.drain_health();
-                }
-            }
-            self.state.now = now;
+            self.observe(first, n, period, true, sample, queue_events);
         }
         self.lapsed.batches += n as u64;
         self.lapsed.next = pending.then_some(first + n * period);
@@ -1050,25 +1048,71 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         }
     }
 
+    /// Observe `n` instants `period` seconds apart from `first` on the
+    /// machine as it stands: each writes its trace gauge (when `gauge` and
+    /// the sink is on), then takes telemetry's sample as of its own
+    /// instant (when `sample`) and forwards the health events that follow.
+    /// An executed batch observes its own instant; a stretch of lapsed
+    /// ticks is observed at once, and since nothing runs between two
+    /// executed batches, the counts and the claimed-idle processors are
+    /// read once per stretch — only the queued xfactors move with the
+    /// clock.
+    #[cold]
+    #[inline(never)]
+    fn observe(
+        &mut self,
+        first: SimTime,
+        n: i64,
+        period: Secs,
+        gauge: bool,
+        sample: bool,
+        queue_events: u32,
+    ) {
+        let gauge = gauge && self.sink.enabled();
+        let counts = self.counts();
+        let claimed_idle = if sample { self.claimed_idle() } else { 0 };
+        let now = self.state.now;
+        for k in 0..n {
+            let t = first + k * period;
+            if gauge {
+                self.sink.record(&TraceRecord::Gauge {
+                    t: t.secs(),
+                    queued: counts.queued,
+                    idle: counts.idle,
+                    draining: counts.draining,
+                    suspended: counts.suspended,
+                    running: counts.running,
+                });
+            }
+            if sample {
+                self.state.now = t;
+                self.sample_instant(t.secs(), queue_events, counts, claimed_idle);
+                self.drain_health();
+            }
+        }
+        self.state.now = now;
+    }
+
+    /// Free processors that suspended jobs claim for their re-entry.
+    fn claimed_idle(&self) -> u32 {
+        if self.state.suspended.is_empty() {
+            return 0;
+        }
+        let mut claimed = sps_cluster::ProcSet::empty(self.state.total_procs());
+        for &id in &self.state.suspended {
+            if let Some(set) = self.state.assigned_set(id) {
+                claimed.union_with(set);
+            }
+        }
+        claimed.intersect_with(self.state.free_set());
+        claimed.count()
+    }
+
     /// Per-instant telemetry sample, taken after the instant's actions
     /// were applied. The queued scan also feeds the starvation watch: the
     /// sink's threshold pre-filters, so the common healthy instant emits
     /// no `Starving` observations at all.
-    #[cold]
-    #[inline(never)]
-    fn sample_instant(&mut self, t: i64, queue_events: u32) {
-        let mut claimed_idle = 0;
-        if !self.state.suspended.is_empty() {
-            let mut claimed = sps_cluster::ProcSet::empty(self.state.total_procs());
-            for i in 0..self.state.suspended.len() {
-                let id = self.state.suspended[i];
-                if let Some(set) = self.state.assigned_set(id) {
-                    claimed.union_with(set);
-                }
-            }
-            claimed.intersect_with(self.state.free_set());
-            claimed_idle = claimed.count();
-        }
+    fn sample_instant(&mut self, t: i64, queue_events: u32, counts: Counts, claimed_idle: u32) {
         let threshold = self.telemetry.starvation_threshold();
         let mut cat_xfactor = [0.0f64; 4];
         for i in 0..self.state.queued.len() {
@@ -1088,11 +1132,11 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         }
         self.telemetry.record(&Obs::Instant {
             t,
-            queued: self.state.queued.len() as u32,
-            running: self.state.running.len() as u32,
-            suspended: self.state.suspended.len() as u32,
-            free_procs: self.state.free_count(),
-            draining_procs: self.state.draining_set().count(),
+            queued: counts.queued,
+            running: counts.running,
+            suspended: counts.suspended,
+            free_procs: counts.idle,
+            draining_procs: counts.draining,
             claimed_idle,
             queue_events,
             cat_xfactor,
@@ -1545,18 +1589,12 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         }
         let horizon = self.horizon;
 
-        // Per-tick gauges, after the instant's decisions have been applied.
-        if tick && self.sink.enabled() {
-            let gauge = self.gauge(now);
-            self.sink.record(&gauge);
-        }
-
-        // Per-instant telemetry sample + health-event drain, after the
-        // instant's actions have landed. Detector inputs are simulation
+        // Per-tick gauges, after the instant's decisions have been applied,
+        // and the per-instant telemetry sample + health-event drain, after
+        // the instant's actions have landed. Detector inputs are simulation
         // time only, so findings are bit-stable across runs and threads.
-        if tel {
-            self.sample_instant(now.secs(), queue.len() as u32);
-            self.drain_health();
+        if (tick && self.sink.enabled()) || tel {
+            self.observe(now, 1, 0, tick, tel, queue.len() as u32);
         }
 
         // Keep ticks flowing while any arrived job is unfinished, from the

@@ -87,10 +87,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                use fmt::Write;
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => write_int(*i, out),
             Json::Num(f) => write_num(*f, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -135,7 +132,37 @@ impl Json {
     }
 }
 
-/// Append `f` as a JSON number token.
+/// Append `v` in decimal, byte for byte as `format!("{v}")` writes it.
+/// Every integer of an encoded trace line (times, ids, counts, processor
+/// lists) goes through here or [`write_uint`] rather than `core::fmt`,
+/// whose per-call machinery cost more than the digits.
+pub(crate) fn write_int(v: i64, out: &mut String) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_uint(v.unsigned_abs(), out);
+}
+
+/// Append `v` in decimal, byte for byte as `format!("{v}")` writes it.
+pub(crate) fn write_uint(mut v: u64, out: &mut String) {
+    // u64::MAX has 20 digits; they are produced last to first.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Append `f` as a JSON number token. Floats are rare in a trace, so they
+/// keep `core::fmt`'s shortest round-trip form.
 pub(crate) fn write_num(f: f64, out: &mut String) {
     use fmt::Write;
     if f.is_finite() {
@@ -164,8 +191,10 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
             }
             c => out.push(c),
         }
@@ -462,6 +491,11 @@ mod tests {
         let s = "line\nbreak \"quoted\" back\\slash\ttab \u{1}ctl λ";
         let v = Json::Str(s.to_string());
         assert_eq!(Json::parse(&v.render()).unwrap().as_str(), Some(s));
+        // Control characters take the lowercase four-digit `\u` form.
+        assert_eq!(
+            Json::Str("\u{1}\u{1f}".into()).render(),
+            r#""\u0001\u001f""#
+        );
     }
 
     #[test]

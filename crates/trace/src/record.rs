@@ -19,10 +19,81 @@
 
 use std::fmt::Write;
 
-use crate::json::{write_escaped, write_num, Json, JsonError};
+use crate::json::{write_escaped, write_int, write_num, write_uint, Json, JsonError};
 
 /// Schema version written into [`TraceRecord::Header`].
 pub const TRACE_VERSION: u32 = 2;
+
+/// A gauge's JSONL line up to its `t`.
+const GAUGE_HEAD: &str = r#"{"type":"gauge","t":"#;
+
+/// A gauge's JSONL text after its `t`: its counts in wire order
+/// (`queued`, `idle`, `draining`, `suspended`, `running`), without the
+/// closing brace.
+fn write_gauge_counts(counts: [u32; 5], out: &mut String) {
+    const KEYS: [&str; 5] = [
+        r#","queued":"#,
+        r#","idle":"#,
+        r#","draining":"#,
+        r#","suspended":"#,
+        r#","running":"#,
+    ];
+    for (key, count) in KEYS.into_iter().zip(counts) {
+        uint_field(out, key, count);
+    }
+}
+
+/// The last gauge's counts with their encoded text, kept by `JsonlSink`
+/// across records. Gauges are most of an observed run's records and
+/// repeat their counts through a stretch of lapsed ticks, so a gauge whose
+/// counts repeat encodes only its `t`.
+#[derive(Debug, Default)]
+pub(crate) struct GaugeTail {
+    counts: Option<[u32; 5]>,
+    /// [`write_gauge_counts`] of `counts`.
+    text: String,
+}
+
+impl GaugeTail {
+    /// Append `rec`'s JSONL line to `out`, the bytes
+    /// [`TraceRecord::write_json`] writes.
+    pub(crate) fn write_json(&mut self, rec: &TraceRecord, out: &mut String) {
+        let TraceRecord::Gauge {
+            t,
+            queued,
+            idle,
+            draining,
+            suspended,
+            running,
+        } = *rec
+        else {
+            rec.write_json(out);
+            return;
+        };
+        let counts = [queued, idle, draining, suspended, running];
+        if self.counts != Some(counts) {
+            self.counts = Some(counts);
+            self.text.clear();
+            write_gauge_counts(counts, &mut self.text);
+        }
+        int_field(out, GAUGE_HEAD, t);
+        out.push_str(&self.text);
+        out.push('}');
+    }
+}
+
+/// Append a literal `key` (its quotes and colon, and what precedes it,
+/// included) and the integer after it.
+fn int_field(out: &mut String, key: &str, v: i64) {
+    out.push_str(key);
+    write_int(v, out);
+}
+
+/// [`int_field`] for an unsigned integer.
+fn uint_field(out: &mut String, key: &str, v: impl Into<u64>) {
+    out.push_str(key);
+    write_uint(v.into(), out);
+}
 
 /// A job lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -270,7 +341,9 @@ impl TraceRecord {
 
     /// Append the record's JSONL line (one JSON object, no newline) to
     /// `out`, keys in a fixed order per variant; [`TraceRecord::parse_line`]
-    /// decodes it. Wire names (`type`, `event`, `reason`) need no escaping;
+    /// decodes it. Keys and wire names (`type`, `event`, `reason`) are
+    /// literals that need no escaping; integers go through one decimal
+    /// writer, floats keep `core::fmt`'s shortest round-trip form, and
     /// free-form strings go through the JSON string escaper.
     pub fn write_json(&self, out: &mut String) {
         match self {
@@ -279,12 +352,10 @@ impl TraceRecord {
                 scheduler,
                 config,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"header\",\"version\":{version},\"scheduler\":"
-                );
+                uint_field(out, r#"{"type":"header","version":"#, *version);
+                out.push_str(r#","scheduler":"#);
                 write_escaped(scheduler, out);
-                out.push_str(",\"config\":");
+                out.push_str(r#","config":"#);
                 config.write(out);
             }
             TraceRecord::Job {
@@ -293,31 +364,31 @@ impl TraceRecord {
                 event,
                 procs,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"job\",\"t\":{t},\"job\":{job},\"event\":\"{}\"",
-                    event.name()
-                );
+                int_field(out, r#"{"type":"job","t":"#, *t);
+                uint_field(out, r#","job":"#, *job);
+                out.push_str(r#","event":""#);
+                out.push_str(event.name());
+                out.push('"');
                 if let Some(procs) = procs {
-                    out.push_str(",\"procs\":[");
-                    for (i, p) in procs.iter().enumerate() {
+                    out.push_str(r#","procs":["#);
+                    for (i, &p) in procs.iter().enumerate() {
                         if i > 0 {
                             out.push(',');
                         }
-                        let _ = write!(out, "{p}");
+                        write_uint(p.into(), out);
                     }
                     out.push(']');
                 }
             }
             TraceRecord::Decision { t, reason } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"decision\",\"t\":{t},\"reason\":\"{}\"",
-                    reason.name()
-                );
+                int_field(out, r#"{"type":"decision","t":"#, *t);
+                out.push_str(r#","reason":""#);
+                out.push_str(reason.name());
+                out.push('"');
                 match reason {
                     Reason::Backfilled { job, shadow } => {
-                        let _ = write!(out, ",\"job\":{job},\"shadow\":{shadow}");
+                        uint_field(out, r#","job":"#, *job);
+                        int_field(out, r#","shadow":"#, *shadow);
                     }
                     Reason::PreemptedVictim {
                         victim,
@@ -325,12 +396,11 @@ impl TraceRecord {
                         victim_xf,
                         suspender_xf,
                     } => {
-                        let _ = write!(
-                            out,
-                            ",\"victim\":{victim},\"suspender\":{suspender},\"victim_xf\":"
-                        );
+                        uint_field(out, r#","victim":"#, *victim);
+                        uint_field(out, r#","suspender":"#, *suspender);
+                        out.push_str(r#","victim_xf":"#);
                         write_num(*victim_xf, out);
-                        out.push_str(",\"suspender_xf\":");
+                        out.push_str(r#","suspender_xf":"#);
                         write_num(*suspender_xf, out);
                     }
                     Reason::DisableLimit {
@@ -339,18 +409,20 @@ impl TraceRecord {
                         xfactor,
                         limit,
                     } => {
-                        let _ = write!(out, ",\"job\":{job},\"category\":");
+                        uint_field(out, r#","job":"#, *job);
+                        out.push_str(r#","category":"#);
                         write_escaped(category, out);
-                        out.push_str(",\"xfactor\":");
+                        out.push_str(r#","xfactor":"#);
                         write_num(*xfactor, out);
-                        out.push_str(",\"limit\":");
+                        out.push_str(r#","limit":"#);
                         write_num(*limit, out);
                     }
                     Reason::ReentryOnOriginalProcs { job, victims } => {
-                        let _ = write!(out, ",\"job\":{job},\"victims\":{victims}");
+                        uint_field(out, r#","job":"#, *job);
+                        uint_field(out, r#","victims":"#, *victims);
                     }
                     Reason::MigratedResume { job } => {
-                        let _ = write!(out, ",\"job\":{job}");
+                        uint_field(out, r#","job":"#, *job);
                     }
                 }
             }
@@ -362,24 +434,20 @@ impl TraceRecord {
                 suspended,
                 running,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"gauge\",\"t\":{t},\"queued\":{queued},\"idle\":{idle},\
-                     \"draining\":{draining},\"suspended\":{suspended},\"running\":{running}"
-                );
+                int_field(out, GAUGE_HEAD, *t);
+                write_gauge_counts([*queued, *idle, *draining, *suspended, *running], out);
             }
             TraceRecord::Proc { t, proc, event } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"proc\",\"t\":{t},\"proc\":{proc},\"event\":\"{}\"",
-                    event.name()
-                );
+                int_field(out, r#"{"type":"proc","t":"#, *t);
+                uint_field(out, r#","proc":"#, *proc);
+                out.push_str(r#","event":""#);
+                out.push_str(event.name());
+                out.push('"');
             }
             TraceRecord::EngineStats { t, batches, events } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"engine\",\"t\":{t},\"batches\":{batches},\"events\":{events}"
-                );
+                int_field(out, r#"{"type":"engine","t":"#, *t);
+                uint_field(out, r#","batches":"#, *batches);
+                uint_field(out, r#","events":"#, *events);
             }
             TraceRecord::Health {
                 t,
@@ -387,12 +455,13 @@ impl TraceRecord {
                 job,
                 value,
             } => {
-                let _ = write!(out, "{{\"type\":\"health\",\"t\":{t},\"detector\":");
+                int_field(out, r#"{"type":"health","t":"#, *t);
+                out.push_str(r#","detector":"#);
                 write_escaped(detector, out);
                 if let Some(job) = job {
-                    let _ = write!(out, ",\"job\":{job}");
+                    uint_field(out, r#","job":"#, *job);
                 }
-                out.push_str(",\"value\":");
+                out.push_str(r#","value":"#);
                 write_num(*value, out);
             }
         }
@@ -590,8 +659,9 @@ impl TraceRecord {
     /// Append the record's CSV row (no newline) to `out`, one field per
     /// [`TraceRecord::CSV_COLUMNS`] entry. The header's embedded config is
     /// omitted (CSV cannot nest; use JSONL when the config must travel
-    /// with the trace). Numbers use their `Display` form; free-form
-    /// strings are quoted when they hold a comma, quote or newline.
+    /// with the trace). Numbers use their `Display` form, integers through
+    /// the JSONL encoder's decimal writer; free-form strings are quoted
+    /// when they hold a comma, quote or newline.
     pub fn write_csv_row(&self, out: &mut String) {
         let mut row = CsvRow { out, at: 0 };
         match self {
@@ -599,7 +669,7 @@ impl TraceRecord {
                 version, scheduler, ..
             } => {
                 row.raw(Col::Record, "header");
-                row.num(Col::Version, version);
+                row.uint(Col::Version, *version);
                 row.text(Col::Scheduler, scheduler);
             }
             TraceRecord::Job {
@@ -609,27 +679,27 @@ impl TraceRecord {
                 procs,
             } => {
                 row.raw(Col::Record, "job");
-                row.num(Col::T, t);
-                row.num(Col::Job, job);
+                row.int(Col::T, *t);
+                row.uint(Col::Job, *job);
                 row.raw(Col::Event, event.name());
                 if let Some(procs) = procs {
                     let out = row.seek(Col::Procs);
-                    for (i, p) in procs.iter().enumerate() {
+                    for (i, &p) in procs.iter().enumerate() {
                         if i > 0 {
                             out.push(' ');
                         }
-                        let _ = write!(out, "{p}");
+                        write_uint(p.into(), out);
                     }
                 }
             }
             TraceRecord::Decision { t, reason } => {
                 row.raw(Col::Record, "decision");
-                row.num(Col::T, t);
+                row.int(Col::T, *t);
                 match reason {
                     Reason::Backfilled { job, shadow } => {
-                        row.num(Col::Job, job);
+                        row.uint(Col::Job, *job);
                         row.raw(Col::Reason, reason.name());
-                        row.num(Col::Shadow, shadow);
+                        row.int(Col::Shadow, *shadow);
                     }
                     Reason::PreemptedVictim {
                         victim,
@@ -638,10 +708,10 @@ impl TraceRecord {
                         suspender_xf,
                     } => {
                         row.raw(Col::Reason, reason.name());
-                        row.num(Col::Victim, victim);
-                        row.num(Col::Suspender, suspender);
-                        row.num(Col::VictimXf, victim_xf);
-                        row.num(Col::SuspenderXf, suspender_xf);
+                        row.uint(Col::Victim, *victim);
+                        row.uint(Col::Suspender, *suspender);
+                        row.float(Col::VictimXf, *victim_xf);
+                        row.float(Col::SuspenderXf, *suspender_xf);
                     }
                     Reason::DisableLimit {
                         job,
@@ -649,19 +719,19 @@ impl TraceRecord {
                         xfactor,
                         limit,
                     } => {
-                        row.num(Col::Job, job);
+                        row.uint(Col::Job, *job);
                         row.raw(Col::Reason, reason.name());
                         row.text(Col::Category, category);
-                        row.num(Col::Xfactor, xfactor);
-                        row.num(Col::Limit, limit);
+                        row.float(Col::Xfactor, *xfactor);
+                        row.float(Col::Limit, *limit);
                     }
                     Reason::ReentryOnOriginalProcs { job, victims } => {
-                        row.num(Col::Job, job);
+                        row.uint(Col::Job, *job);
                         row.raw(Col::Reason, reason.name());
-                        row.num(Col::Victims, victims);
+                        row.uint(Col::Victims, *victims);
                     }
                     Reason::MigratedResume { job } => {
-                        row.num(Col::Job, job);
+                        row.uint(Col::Job, *job);
                         row.raw(Col::Reason, reason.name());
                     }
                 }
@@ -675,24 +745,24 @@ impl TraceRecord {
                 running,
             } => {
                 row.raw(Col::Record, "gauge");
-                row.num(Col::T, t);
-                row.num(Col::Queued, queued);
-                row.num(Col::Idle, idle);
-                row.num(Col::Draining, draining);
-                row.num(Col::Suspended, suspended);
-                row.num(Col::Running, running);
+                row.int(Col::T, *t);
+                row.uint(Col::Queued, *queued);
+                row.uint(Col::Idle, *idle);
+                row.uint(Col::Draining, *draining);
+                row.uint(Col::Suspended, *suspended);
+                row.uint(Col::Running, *running);
             }
             TraceRecord::Proc { t, proc, event } => {
                 row.raw(Col::Record, "proc");
-                row.num(Col::T, t);
+                row.int(Col::T, *t);
                 row.raw(Col::Event, event.name());
-                row.num(Col::Proc, proc);
+                row.uint(Col::Proc, *proc);
             }
             TraceRecord::EngineStats { t, batches, events } => {
                 row.raw(Col::Record, "engine");
-                row.num(Col::T, t);
-                row.num(Col::Batches, batches);
-                row.num(Col::Events, events);
+                row.int(Col::T, *t);
+                row.uint(Col::Batches, *batches);
+                row.uint(Col::Events, *events);
             }
             TraceRecord::Health {
                 t,
@@ -701,12 +771,12 @@ impl TraceRecord {
                 value,
             } => {
                 row.raw(Col::Record, "health");
-                row.num(Col::T, t);
+                row.int(Col::T, *t);
                 if let Some(job) = job {
-                    row.num(Col::Job, job);
+                    row.uint(Col::Job, *job);
                 }
                 row.text(Col::Detector, detector);
-                row.num(Col::Value, value);
+                row.float(Col::Value, *value);
             }
         }
         row.seek(Col::Value);
@@ -773,7 +843,16 @@ impl CsvRow<'_> {
         self.seek(col).push_str(field);
     }
 
-    fn num(&mut self, col: Col, value: impl std::fmt::Display) {
+    fn int(&mut self, col: Col, value: i64) {
+        write_int(value, self.seek(col));
+    }
+
+    fn uint(&mut self, col: Col, value: impl Into<u64>) {
+        write_uint(value.into(), self.seek(col));
+    }
+
+    /// A float in its `Display` form (`NaN`, no trailing `.0`).
+    fn float(&mut self, col: Col, value: f64) {
         let _ = write!(self.seek(col), "{value}");
     }
 

@@ -10,7 +10,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::record::TraceRecord;
+use crate::record::{GaugeTail, TraceRecord};
 
 /// Consumer of trace records.
 ///
@@ -79,8 +79,10 @@ impl TraceSink for MemorySink {
 
 /// Writes one JSON object per line (JSONL). The format round-trips through
 /// [`TraceRecord::parse_line`] and is what the replay validator consumes.
-/// Each record is encoded by [`TraceRecord::write_json`] into one reused
-/// line buffer and handed to the writer in a single `write_all`.
+/// Each record's [`TraceRecord::write_json`] line is encoded into one
+/// reused line buffer and handed to the writer in a single `write_all`.
+/// The sink keeps the last gauge's encoded counts, so a gauge whose counts
+/// repeat (most of an observed run's records) encodes only its `t`.
 ///
 /// I/O errors are deferred: the first error stops further writes and is
 /// reported by [`TraceSink::flush`] (and by [`JsonlSink::finish`]).
@@ -88,6 +90,7 @@ impl TraceSink for MemorySink {
 pub struct JsonlSink<W: Write> {
     w: W,
     line: String,
+    gauge_tail: GaugeTail,
     error: Option<io::Error>,
 }
 
@@ -98,6 +101,7 @@ impl<W: Write> JsonlSink<W> {
         JsonlSink {
             w,
             line: String::new(),
+            gauge_tail: GaugeTail::default(),
             error: None,
         }
     }
@@ -130,7 +134,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
             return;
         }
         self.line.clear();
-        rec.write_json(&mut self.line);
+        self.gauge_tail.write_json(rec, &mut self.line);
         self.line.push('\n');
         if let Err(e) = self.w.write_all(self.line.as_bytes()) {
             self.error = Some(e);

@@ -1,8 +1,11 @@
 //! End-to-end trace acceptance: a traced run writes a JSONL log whose
 //! header reproduces the originating configuration and which the replay
-//! validator accepts from the file alone.
+//! validator accepts from the file alone. The encoder's bytes are pinned
+//! for every record variant and integer edge, and seeded mutations of
+//! its lines never panic the decoder or the validator.
 
 use std::io::BufReader;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use selective_preemption::prelude::*;
 use selective_preemption::trace::{validate_jsonl, Json, ReplayOptions, TraceRecord};
@@ -299,5 +302,509 @@ fn a_trace_of_another_schema_version_is_refused_once() {
         violations[0].message.contains("version 1"),
         "{}",
         violations[0].message
+    );
+}
+
+/// Every record variant with each of its integer fields set from `n`
+/// (ids, counts, processors, the header version), its times from `t`
+/// and the engine counts from `big`, beside the JSONL line and CSV row
+/// built field by field with `format!`: the bytes the encoder's decimal
+/// writer must match.
+fn integer_cases(t: i64, n: u32, big: u64) -> Vec<(TraceRecord, String, String)> {
+    use selective_preemption::trace::{JobEvent, ProcEvent, Reason};
+
+    // The CSV row holding `fields` (column name, text), empty elsewhere.
+    let csv = |fields: &[(&str, String)]| {
+        TraceRecord::CSV_COLUMNS
+            .iter()
+            .map(|col| {
+                fields
+                    .iter()
+                    .find(|(name, _)| name == col)
+                    .map_or("", |(_, text)| text.as_str())
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let (t_s, n_s) = (format!("{t}"), format!("{n}"));
+    vec![
+        (
+            TraceRecord::Header {
+                version: n,
+                scheduler: "ss:2.0".into(),
+                config: Json::Null,
+            },
+            format!(r#"{{"type":"header","version":{n},"scheduler":"ss:2.0","config":null}}"#),
+            csv(&[
+                ("record", "header".into()),
+                ("version", n_s.clone()),
+                ("scheduler", "ss:2.0".into()),
+            ]),
+        ),
+        (
+            TraceRecord::Job {
+                t,
+                job: n,
+                event: JobEvent::Arrival,
+                procs: None,
+            },
+            format!(r#"{{"type":"job","t":{t},"job":{n},"event":"arrival"}}"#),
+            csv(&[
+                ("record", "job".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("event", "arrival".into()),
+            ]),
+        ),
+        (
+            TraceRecord::Job {
+                t,
+                job: n,
+                event: JobEvent::Suspend,
+                procs: Some(vec![0, n, 10]),
+            },
+            format!(r#"{{"type":"job","t":{t},"job":{n},"event":"suspend","procs":[0,{n},10]}}"#),
+            csv(&[
+                ("record", "job".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("event", "suspend".into()),
+                ("procs", format!("0 {n} 10")),
+            ]),
+        ),
+        (
+            TraceRecord::Decision {
+                t,
+                reason: Reason::Backfilled { job: n, shadow: t },
+            },
+            format!(
+                r#"{{"type":"decision","t":{t},"reason":"backfilled","job":{n},"shadow":{t}}}"#
+            ),
+            csv(&[
+                ("record", "decision".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("reason", "backfilled".into()),
+                ("shadow", t_s.clone()),
+            ]),
+        ),
+        (
+            TraceRecord::Decision {
+                t,
+                reason: Reason::PreemptedVictim {
+                    victim: n,
+                    suspender: n,
+                    victim_xf: 1.5,
+                    suspender_xf: 4.0,
+                },
+            },
+            format!(
+                r#"{{"type":"decision","t":{t},"reason":"preempted_victim","victim":{n},"suspender":{n},"victim_xf":1.5,"suspender_xf":4.0}}"#
+            ),
+            csv(&[
+                ("record", "decision".into()),
+                ("t", t_s.clone()),
+                ("reason", "preempted_victim".into()),
+                ("victim", n_s.clone()),
+                ("suspender", n_s.clone()),
+                ("victim_xf", "1.5".into()),
+                ("suspender_xf", "4".into()),
+            ]),
+        ),
+        (
+            TraceRecord::Decision {
+                t,
+                reason: Reason::DisableLimit {
+                    job: n,
+                    category: "S N".into(),
+                    xfactor: 2.5,
+                    limit: 1.25,
+                },
+            },
+            format!(
+                r#"{{"type":"decision","t":{t},"reason":"disable_limit","job":{n},"category":"S N","xfactor":2.5,"limit":1.25}}"#
+            ),
+            csv(&[
+                ("record", "decision".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("reason", "disable_limit".into()),
+                ("category", "S N".into()),
+                ("xfactor", "2.5".into()),
+                ("limit", "1.25".into()),
+            ]),
+        ),
+        (
+            TraceRecord::Decision {
+                t,
+                reason: Reason::ReentryOnOriginalProcs { job: n, victims: n },
+            },
+            format!(
+                r#"{{"type":"decision","t":{t},"reason":"reentry_on_original_procs","job":{n},"victims":{n}}}"#
+            ),
+            csv(&[
+                ("record", "decision".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("reason", "reentry_on_original_procs".into()),
+                ("victims", n_s.clone()),
+            ]),
+        ),
+        (
+            TraceRecord::Decision {
+                t,
+                reason: Reason::MigratedResume { job: n },
+            },
+            format!(r#"{{"type":"decision","t":{t},"reason":"migrated_resume","job":{n}}}"#),
+            csv(&[
+                ("record", "decision".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("reason", "migrated_resume".into()),
+            ]),
+        ),
+        (
+            TraceRecord::Gauge {
+                t,
+                queued: n,
+                idle: n,
+                draining: n,
+                suspended: n,
+                running: n,
+            },
+            format!(
+                r#"{{"type":"gauge","t":{t},"queued":{n},"idle":{n},"draining":{n},"suspended":{n},"running":{n}}}"#
+            ),
+            csv(&[
+                ("record", "gauge".into()),
+                ("t", t_s.clone()),
+                ("queued", n_s.clone()),
+                ("idle", n_s.clone()),
+                ("draining", n_s.clone()),
+                ("suspended", n_s.clone()),
+                ("running", n_s.clone()),
+            ]),
+        ),
+        (
+            TraceRecord::Proc {
+                t,
+                proc: n,
+                event: ProcEvent::Repaired,
+            },
+            format!(r#"{{"type":"proc","t":{t},"proc":{n},"event":"repaired"}}"#),
+            csv(&[
+                ("record", "proc".into()),
+                ("t", t_s.clone()),
+                ("event", "repaired".into()),
+                ("proc", n_s.clone()),
+            ]),
+        ),
+        (
+            TraceRecord::EngineStats {
+                t,
+                batches: big,
+                events: big,
+            },
+            format!(r#"{{"type":"engine","t":{t},"batches":{big},"events":{big}}}"#),
+            csv(&[
+                ("record", "engine".into()),
+                ("t", t_s.clone()),
+                ("batches", format!("{big}")),
+                ("events", format!("{big}")),
+            ]),
+        ),
+        (
+            TraceRecord::Health {
+                t,
+                detector: "starvation".into(),
+                job: Some(n),
+                value: 12.0,
+            },
+            format!(
+                r#"{{"type":"health","t":{t},"detector":"starvation","job":{n},"value":12.0}}"#
+            ),
+            csv(&[
+                ("record", "health".into()),
+                ("t", t_s.clone()),
+                ("job", n_s.clone()),
+                ("detector", "starvation".into()),
+                ("value", "12".into()),
+            ]),
+        ),
+    ]
+}
+
+/// Every integer field encodes in JSONL and CSV exactly as `format!`
+/// writes it, at the digit-count edges (0, 9, 10), at `u32::MAX`, at
+/// `u64::MAX` for the engine counts and at both ends of `i64` for times;
+/// and each line decodes back to its record wherever the decoder accepts
+/// its numbers (a JSON integer past `i64` is not one it accepts).
+#[test]
+fn integer_fields_encode_as_format_writes_them() {
+    let times = [i64::MIN, -1, 0, 9, 10, i64::from(u32::MAX), i64::MAX];
+    let counts = [0, 9, 10, u32::MAX];
+    let engine = [0, 9, 10, u64::from(u32::MAX), u64::MAX];
+    for t in times {
+        for n in counts {
+            for big in engine {
+                for (rec, json, csv) in integer_cases(t, n, big) {
+                    let mut line = String::new();
+                    rec.write_json(&mut line);
+                    assert_eq!(line, json);
+                    let mut row = String::new();
+                    rec.write_csv_row(&mut row);
+                    assert_eq!(row, csv);
+
+                    let decoded = TraceRecord::parse_line(&line);
+                    if i64::try_from(big).is_err() && matches!(rec, TraceRecord::EngineStats { .. })
+                    {
+                        assert!(decoded.is_err(), "{line} decoded as {decoded:?}");
+                    } else {
+                        assert_eq!(decoded.as_ref(), Ok(&rec), "{line}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A JSONL sink that keeps the last gauge's encoded counts writes each
+/// line exactly as a fresh sink writes that record alone: through runs of
+/// repeated gauges, changed counts, counts that return after a change,
+/// and job and decision records between them.
+#[test]
+fn a_gauge_run_writes_each_line_as_a_fresh_sink_would() {
+    use selective_preemption::trace::{JobEvent, Reason};
+
+    let gauge = |t: i64, counts: [u32; 5]| TraceRecord::Gauge {
+        t,
+        queued: counts[0],
+        idle: counts[1],
+        draining: counts[2],
+        suspended: counts[3],
+        running: counts[4],
+    };
+    let (a, b) = ([3, 10, 0, 1, 9], [3, 10, 0, 1, 10]);
+    let records = vec![
+        gauge(60, a),
+        gauge(120, a),
+        gauge(180, a),
+        TraceRecord::Job {
+            t: 200,
+            job: 7,
+            event: JobEvent::Dispatch,
+            procs: Some(vec![4, 5]),
+        },
+        gauge(240, b),
+        gauge(300, b),
+        TraceRecord::Decision {
+            t: 330,
+            reason: Reason::Backfilled {
+                job: 8,
+                shadow: 900,
+            },
+        },
+        gauge(360, a),
+        gauge(420, [0, 0, 0, 0, 0]),
+        gauge(480, [0, 0, 0, 0, 0]),
+        gauge(-60, a),
+        gauge(i64::MAX, [u32::MAX; 5]),
+        gauge(i64::MIN, [u32::MAX; 5]),
+        gauge(540, b),
+    ];
+
+    let mut kept = JsonlSink::new(Vec::new());
+    for rec in &records {
+        kept.record(rec);
+    }
+    let text = String::from_utf8(kept.finish().expect("in-memory writes succeed"))
+        .expect("trace text is UTF-8");
+    let lines: Vec<&str> = text.split_terminator('\n').collect();
+    assert_eq!(lines.len(), records.len());
+    for (rec, line) in records.iter().zip(lines) {
+        let mut fresh = JsonlSink::new(Vec::new());
+        fresh.record(rec);
+        let alone = fresh.finish().expect("in-memory writes succeed");
+        assert_eq!(format!("{line}\n").as_bytes(), alone.as_slice(), "{rec:?}");
+        let mut encoded = String::new();
+        rec.write_json(&mut encoded);
+        assert_eq!(line, encoded);
+    }
+}
+
+/// Mutated lines per run.
+const MUTATIONS: u64 = 12_000;
+/// The seed of mutation `i` is `BASE_SEED + i`.
+const BASE_SEED: u64 = 0x5eed_0000;
+
+/// SplitMix64: a seeded stream of 64-bit values.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `0..n` (`n > 0`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Integers at and past the edges of what the decoder accepts.
+const EDGE_INTEGERS: [&str; 13] = [
+    "0",
+    "-1",
+    "4294967295",
+    "4294967296",
+    "9223372036854775807",
+    "9223372036854775808",
+    "-9223372036854775809",
+    "18446744073709551616",
+    "99999999999999999999999999999",
+    "1e400",
+    "-0",
+    "00012",
+    "-",
+];
+
+/// Single bytes that change a JSON line's structure.
+const STRAY: &[u8] = b"\"[]{},:\\ -.e0";
+
+/// The JSONL lines the mutations start from: a small traced TSS run with
+/// telemetry, at most four lines of each kind so that gauges, most of a
+/// run's lines, do not crowd out the rarer ones, then every record
+/// variant, so each is covered whatever that run writes. The run's header
+/// comes first.
+fn mutation_base_lines() -> Vec<String> {
+    let cfg = ExperimentConfig::new(SDSC, SchedulerKind::Tss { sf: 2.0 })
+        .with_jobs(60)
+        .with_load_factor(2.0)
+        .with_seed(3);
+    let mut sink = MemorySink::new();
+    let mut telemetry = Telemetry::new();
+    cfg.runner()
+        .trace_sink(&mut sink)
+        .telemetry(&mut telemetry)
+        .run();
+    let mut per_kind = std::collections::HashMap::new();
+    let run = sink.records().iter().filter(|rec| {
+        let kind = match rec {
+            TraceRecord::Job { event, .. } => event.name(),
+            TraceRecord::Decision { reason, .. } => reason.name(),
+            TraceRecord::Header { .. } => "header",
+            TraceRecord::Gauge { .. } => "gauge",
+            TraceRecord::Proc { .. } => "proc",
+            TraceRecord::EngineStats { .. } => "engine",
+            TraceRecord::Health { .. } => "health",
+        };
+        let seen = per_kind.entry(kind).or_insert(0);
+        *seen += 1;
+        *seen <= 4
+    });
+    run.chain(&every_record_variant())
+        .map(|rec| {
+            let mut line = String::new();
+            rec.write_json(&mut line);
+            line
+        })
+        .collect()
+}
+
+/// Apply one to three random edits to `line`.
+fn mutate(line: &str, rng: &mut Rng) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    for _ in 0..1 + rng.below(3) {
+        let len = bytes.len();
+        match rng.below(8) {
+            // Swap an integer for one at or past the decoder's range; the
+            // line often still decodes, so the validator meets the value.
+            0..=2 => {
+                let digits: Vec<usize> = (0..len).filter(|&i| bytes[i].is_ascii_digit()).collect();
+                if !digits.is_empty() {
+                    let at = digits[rng.below(digits.len())];
+                    let end = (at..len)
+                        .find(|&i| !bytes[i].is_ascii_digit())
+                        .unwrap_or(len);
+                    let with = EDGE_INTEGERS[rng.below(EDGE_INTEGERS.len())];
+                    bytes.splice(at..end, with.bytes());
+                }
+            }
+            // Flip a byte to any value, structural or not.
+            3 if len > 0 => {
+                let at = rng.below(len);
+                bytes[at] = if rng.below(2) == 0 {
+                    rng.next() as u8
+                } else {
+                    STRAY[rng.below(STRAY.len())]
+                };
+            }
+            // Cut the line short.
+            4 => bytes.truncate(rng.below(len + 1)),
+            // Insert a stray quote, bracket or separator.
+            5 => {
+                let at = rng.below(len + 1);
+                bytes.insert(at, STRAY[rng.below(STRAY.len())]);
+            }
+            // Delete a span.
+            6 if len > 0 => {
+                let at = rng.below(len);
+                let end = (at + 1 + rng.below(8)).min(len);
+                bytes.drain(at..end);
+            }
+            // Double a span.
+            7 if len > 0 => {
+                let at = rng.below(len);
+                let end = (at + 1 + rng.below(16)).min(len);
+                let span = bytes[at..end].to_vec();
+                bytes.splice(end..end, span);
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+/// The JSONL boundary never panics: seeded mutations of lines of every
+/// record variant (byte flips, truncations, integers at and past the
+/// `u32`/`i64` range, stray quotes and brackets, cut and doubled spans)
+/// reach the line decoder and, after a valid header, the replay
+/// validator. A panic fails with the seed that rebuilds its input and the
+/// input itself.
+#[test]
+fn mutated_jsonl_lines_never_panic_the_decoder_or_the_validator() {
+    let lines = mutation_base_lines();
+    let header = &lines[0];
+    assert!(header.starts_with(r#"{"type":"header""#), "{header}");
+    let mut decoded = 0;
+    for i in 0..MUTATIONS {
+        let seed = BASE_SEED + i;
+        let mut rng = Rng(seed);
+        let mutated = mutate(&lines[rng.below(lines.len())], &mut rng);
+        let mut trace = format!("{header}\n").into_bytes();
+        trace.extend_from_slice(&mutated);
+        trace.push(b'\n');
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let line = TraceRecord::parse_line(&String::from_utf8_lossy(&mutated));
+            let _ = validate_jsonl(trace.as_slice(), ReplayOptions::default());
+            line.is_ok()
+        }));
+        match outcome {
+            Ok(ok) => decoded += u32::from(ok),
+            Err(_) => panic!(
+                "seed {seed:#x} panicked on the line {:?}",
+                String::from_utf8_lossy(&mutated)
+            ),
+        }
+    }
+    // Some mutated lines still decode, so the validator meets odd values,
+    // not only parse errors.
+    assert!(
+        u64::from(decoded) >= MUTATIONS / 20,
+        "only {decoded} mutated lines decoded"
     );
 }
